@@ -23,8 +23,6 @@
 //                        0 disables)
 //   --deadline SECONDS   default per-job wall-clock deadline (0 = none)
 //   --retries N          execution attempts per job (default 3)
-//   --batch-width N      lockstep lanes per wide (multi-seed) job
-//                        (default 0 = auto; 1 forces the scalar path)
 //   --fault SPEC         arm deterministic fault injection, e.g.
 //                        "seed=7,crash_before=0.2,corrupt=0.5,latency_s=0.01"
 //                        (sites: admission, crash_before, crash_after,
@@ -106,7 +104,6 @@ int main(int argc, char** argv) {
   double cache = 64;
   double deadline = 0;
   double retries = 3;
-  double batch_width = 0;
   double shards = 1;
   double listen_port = -1;
   bool listen = false;
@@ -125,7 +122,6 @@ int main(int argc, char** argv) {
         parse_flag(argc, argv, &i, "--cache", &cache) ||
         parse_flag(argc, argv, &i, "--deadline", &deadline) ||
         parse_flag(argc, argv, &i, "--retries", &retries) ||
-        parse_flag(argc, argv, &i, "--batch-width", &batch_width) ||
         parse_flag(argc, argv, &i, "--shards", &shards) ||
         parse_string_flag(argc, argv, &i, "--fault", &fault_spec) ||
         parse_string_flag(argc, argv, &i, "--packs", &packs_dir)) {
@@ -134,8 +130,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: mobitherm_serve [--workers N] [--queue N] "
                  "[--cache N] [--deadline SECONDS] [--retries N] "
-                 "[--batch-width N] [--fault SPEC] [--listen PORT] "
-                 "[--shards N] [--packs DIR]\n");
+                 "[--fault SPEC] [--listen PORT] [--shards N] "
+                 "[--packs DIR]\n");
     return 2;
   }
   config.workers = workers < 1 ? 1 : static_cast<unsigned>(workers);
@@ -143,7 +139,6 @@ int main(int argc, char** argv) {
   config.cache_capacity = static_cast<std::size_t>(cache);
   config.default_deadline_s = deadline;
   config.max_attempts = retries < 1 ? 1 : static_cast<int>(retries);
-  config.batch_width = static_cast<unsigned>(batch_width);
 
   mobitherm::util::FaultPlanConfig fault_config;
   if (!fault_spec.empty()) {

@@ -39,7 +39,6 @@ DEFAULT_BINARIES = [
     "micro_stability",
     "micro_service",
     "micro_fault",
-    "micro_lockstep",
     "micro_compare",
     "micro_pack",
     "load_serve",

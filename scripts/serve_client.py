@@ -294,54 +294,54 @@ def run_smoke(client, timeout_s):
                     "smoke: %s-model run hit the baseline cache" % alt[0])
             pack_runs += 1
 
-    # Wide submit: seeds fan out in one admission and run on the lockstep
-    # path (lanes packed into shared queue slots). On a sharded server the
-    # lanes scatter by canonical key, so submit more lanes than shards —
-    # pigeonhole guarantees at least one shard packs a lockstep group.
+    # Fan submit: "seeds": N admits lanes seed..seed+N-1 in one request,
+    # each an ordinary submit of its seed (on a sharded server the lanes
+    # scatter by canonical key). Every lane's payload must equal a plain
+    # submit of that seed, which shares the lane's canonical key and so
+    # comes back cached, and a repeat of the fan must be fully cached.
     shards = len(stats.get("shards", [])) or 1
     lane_count = max(3, shards + 1)
-    wide = dict(request)
-    wide.update({"op": "submit", "seed": 7, "seeds": lane_count})
-    response = client.request(wide)
+    fan = dict(request)
+    fan.update({"op": "submit", "seed": 7, "seeds": lane_count})
+    response = client.request(fan)
     if not response.get("ok"):
-        raise SystemExit("smoke: wide submit rejected: %s"
+        raise SystemExit("smoke: fan submit rejected: %s"
                          % error_text(response))
     lanes = response["jobs"]
     if len(lanes) != lane_count or any(l.get("cached") for l in lanes):
-        raise SystemExit("smoke: wide submit should run %d uncached lanes"
+        raise SystemExit("smoke: fan submit should run %d uncached lanes"
                          % lane_count)
-    for lane in lanes:
+    for k, lane in enumerate(lanes):
         wait = client.request(
             {"op": "wait", "job": lane["job"], "timeout_s": timeout_s})
         if not wait.get("done") or wait.get("state") != "done":
-            raise SystemExit("smoke: wide lane %s finished as %s"
+            raise SystemExit("smoke: fan lane %s finished as %s"
                              % (lane["job"], wait.get("state")))
-        result = client.request({"op": "result", "job": lane["job"]})
-        if not result.get("ok"):
-            raise SystemExit("smoke: wide lane %s has no result"
-                             % lane["job"])
+        lane_raw = client.request_raw(
+            json.dumps({"op": "result", "job": lane["job"]}))
+        plain = dict(request)
+        plain["seed"] = fan["seed"] + k
+        plain_response, plain_raw = submit_and_fetch(client, plain,
+                                                     timeout_s)
+        if not plain_response.get("cached"):
+            raise SystemExit("smoke: plain submit of seed %d missed fan "
+                             "lane %d's cache entry" % (plain["seed"], k))
+        if extract_payload(lane_raw) != extract_payload(plain_raw):
+            raise SystemExit("smoke: fan lane %d payload differs from a "
+                             "plain submit of seed %d" % (k, plain["seed"]))
 
-    stats = client.request({"op": "stats"})
-    if stats["wide_jobs"] < 1:
-        raise SystemExit("smoke: stats reports no wide job")
-    if stats["lockstep_lanes"] < 2:
-        raise SystemExit("smoke: expected >= 2 lockstep lanes, got %s"
-                         % stats["lockstep_lanes"])
-    if stats["batch_width"] < 1:
-        raise SystemExit("smoke: stats is missing the lockstep batch width")
-
-    # The same wide submit again must be served from the cache lane-for-lane.
-    repeat = client.request(wide)
+    repeat = client.request(fan)
     if not repeat.get("ok") or not all(
             lane.get("cached") for lane in repeat["jobs"]):
-        raise SystemExit("smoke: repeated wide submit was not fully cached")
+        raise SystemExit("smoke: repeated fan submit was not fully cached")
 
+    stats = client.request({"op": "stats"})
     print("smoke OK: second submit cache-hit, payload byte-identical,")
     if pack_runs:
         print("  pack phase: %d runs against %d advertised pack(s), "
               "content-hash-pinned keys" % (pack_runs, len(packs)))
-    print("  wide submit ran %d lockstep lanes (batch width %d), repeat cached"
-          % (stats["lockstep_lanes"], stats["batch_width"]))
+    print("  fan submit ran %d lanes, each equal to a plain submit of its "
+          "seed; repeat cached" % lane_count)
     print(
         "  stats: hits=%d misses=%d size=%d"
         % (

@@ -67,52 +67,6 @@ void Cholesky::solve_into(const Vector& b, Vector& x) const {
   }
 }
 
-// Column-fused triangular solves; per column the operation order matches
-// the vector overload exactly (subtractions over j ascending, then one
-// division), so every column is bit-identical to a scalar solve.
-// MOBILINT: hot-path
-void Cholesky::solve_into(const Matrix& b, Matrix& x) const {
-  const std::size_t n = l_.rows();
-  if (b.rows() != n) {
-    throw NumericError("Cholesky::solve: dimension mismatch");
-  }
-  if (&x != &b) {
-    x = b;  // no-op resize once x is warm; MOBILINT: alloc-ok
-  }
-  const std::size_t lanes = x.cols();
-  // L Y = B, with Y written into x (row i is finalized before any later
-  // row reads it).
-  for (std::size_t i = 0; i < n; ++i) {
-    double* xi = x.row_data(i);
-    for (std::size_t j = 0; j < i; ++j) {
-      const double lij = l_(i, j);
-      const double* xj = x.row_data(j);
-      for (std::size_t k = 0; k < lanes; ++k) {
-        xi[k] -= lij * xj[k];
-      }
-    }
-    const double lii = l_(i, i);
-    for (std::size_t k = 0; k < lanes; ++k) {
-      xi[k] = xi[k] / lii;
-    }
-  }
-  // L^T X = Y, in place: row ii depends only on y[ii] and final rows > ii.
-  for (std::size_t ii = n; ii-- > 0;) {
-    double* xi = x.row_data(ii);
-    for (std::size_t j = ii + 1; j < n; ++j) {
-      const double lji = l_(j, ii);
-      const double* xj = x.row_data(j);
-      for (std::size_t k = 0; k < lanes; ++k) {
-        xi[k] -= lji * xj[k];
-      }
-    }
-    const double lii = l_(ii, ii);
-    for (std::size_t k = 0; k < lanes; ++k) {
-      xi[k] = xi[k] / lii;
-    }
-  }
-}
-
 bool is_spd(const Matrix& a) {
   if (!a.square() || !a.symmetric(1e-9 * (1.0 + a.norm_inf_entry()))) {
     return false;

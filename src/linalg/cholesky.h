@@ -23,12 +23,6 @@ class Cholesky {
   /// Bit-identical to solve().
   void solve_into(const Vector& b, Vector& x) const;
 
-  /// Multi-RHS solve A X = B over a column block: column k of `x` is
-  /// bit-identical to solve_into() on column k of `b` (same per-column
-  /// operation order, just fused across columns). `x` may alias `b`.
-  /// Allocation-free once x has the right shape.
-  void solve_into(const Matrix& b, Matrix& x) const;
-
   /// Lower-triangular factor.
   const Matrix& factor() const { return l_; }
 

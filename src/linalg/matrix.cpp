@@ -189,14 +189,37 @@ double dot(const Vector& a, const Vector& b) {
 
 double norm2(const Vector& v) { return std::sqrt(dot(v, v)); }
 
+// Rows run four at a time so their add chains overlap instead of each
+// waiting on the previous row's. Every row still accumulates a(i, j) * x[j]
+// from 0.0 in ascending j, so y is bit-identical to operator*.
 // MOBILINT: hot-path
 void gemv(const Matrix& a, const Vector& x, Vector& y) {
   MOBITHERM_ASSERT(a.cols() == x.size());
   MOBITHERM_ASSERT(&x != &y);
   y.resize(a.rows());  // no-op once y is warm; MOBILINT: alloc-ok
-  for (std::size_t i = 0; i < a.rows(); ++i) {
+  const std::size_t rows = a.rows();
+  const std::size_t cols = a.cols();
+  std::size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    double acc0 = 0.0;
+    double acc1 = 0.0;
+    double acc2 = 0.0;
+    double acc3 = 0.0;
+    for (std::size_t j = 0; j < cols; ++j) {
+      const double xj = x[j];
+      acc0 += a(i, j) * xj;
+      acc1 += a(i + 1, j) * xj;
+      acc2 += a(i + 2, j) * xj;
+      acc3 += a(i + 3, j) * xj;
+    }
+    y[i] = acc0;
+    y[i + 1] = acc1;
+    y[i + 2] = acc2;
+    y[i + 3] = acc3;
+  }
+  for (; i < rows; ++i) {
     double acc = 0.0;
-    for (std::size_t j = 0; j < a.cols(); ++j) {
+    for (std::size_t j = 0; j < cols; ++j) {
       acc += a(i, j) * x[j];
     }
     y[i] = acc;
@@ -215,286 +238,6 @@ void axpy(double alpha, const Vector& x, Vector& y) {
 void scal(double s, Vector& x) {
   for (double& v : x) {
     v *= s;
-  }
-}
-
-namespace {
-
-// GCC's loop vectorizer turns these small-matrix lane kernels into an
-// outer-loop vectorization over j with a transpose shuffle storm that is
-// ~8x slower than the scalar loop at our sizes. Disabling it (GCC only)
-// leaves SLP vectorization on, which turns the fully unrolled constexpr
-// lane loop into clean broadcast-mul-add vectors — the codegen the SoA
-// layout exists for.
-#if defined(__GNUC__) && !defined(__clang__)
-#define MOBITHERM_SLP_ONLY __attribute__((optimize("no-tree-loop-vectorize")))
-#else
-#define MOBITHERM_SLP_ONLY
-#endif
-
-// Fixed-lane-width gemm body: the compile-time trip count K lets the lane
-// loop fully unroll into straight-line SIMD with the row accumulator held
-// in registers, so y is stored once per row instead of read-modify-written
-// per j. Raw __restrict__ pointers matter as much as the constant trip
-// count: without the no-alias guarantee the compiler must assume the store
-// to the output may clobber a's and x's storage and reloads a(i, j) every
-// lane. Per lane the arithmetic sequence is unchanged — the accumulator
-// starts at 0.0 and gains aij * x in ascending-j order — so the
-// specializations preserve per-column bit-identity with the generic path
-// and with gemv.
-template <std::size_t K>
-MOBITHERM_SLP_ONLY void gemm_lanes(const double* __restrict__ ap,
-                                   const double* __restrict__ xp,
-                                   double* __restrict__ yp, std::size_t rows,
-                                   std::size_t inner) {
-  for (std::size_t i = 0; i < rows; ++i) {
-    double acc[K];
-    for (std::size_t k = 0; k < K; ++k) {
-      acc[k] = 0.0;
-    }
-    const double* arow = ap + i * inner;
-    for (std::size_t j = 0; j < inner; ++j) {
-      const double aij = arow[j];
-      const double* xrow = xp + j * K;
-      for (std::size_t k = 0; k < K; ++k) {
-        acc[k] += aij * xrow[k];
-      }
-    }
-    double* yrow = yp + i * K;
-    for (std::size_t k = 0; k < K; ++k) {
-      yrow[k] = acc[k];
-    }
-  }
-}
-
-// Runtime-width fallback for lane counts without a specialization.
-MOBITHERM_SLP_ONLY void gemm_lanes_any(const double* __restrict__ ap,
-                                       const double* __restrict__ xp,
-                                       double* __restrict__ yp,
-                                       std::size_t rows, std::size_t inner,
-                                       std::size_t lanes) {
-  for (std::size_t i = 0; i < rows; ++i) {
-    double* yrow = yp + i * lanes;
-    for (std::size_t k = 0; k < lanes; ++k) {
-      yrow[k] = 0.0;
-    }
-    const double* arow = ap + i * inner;
-    for (std::size_t j = 0; j < inner; ++j) {
-      const double aij = arow[j];
-      const double* xrow = xp + j * lanes;
-      for (std::size_t k = 0; k < lanes; ++k) {
-        yrow[k] += aij * xrow[k];
-      }
-    }
-  }
-}
-
-template <std::size_t K>
-MOBITHERM_SLP_ONLY void axpy_broadcast_lanes(double alpha,
-                                             const double* __restrict__ xp,
-                                             double* __restrict__ yp,
-                                             std::size_t rows) {
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double xi = xp[i];
-    double* yrow = yp + i * K;
-    for (std::size_t k = 0; k < K; ++k) {
-      yrow[k] += alpha * xi;
-    }
-  }
-}
-
-MOBITHERM_SLP_ONLY void axpy_broadcast_lanes_any(double alpha,
-                                                 const double* __restrict__ xp,
-                                                 double* __restrict__ yp,
-                                                 std::size_t rows,
-                                                 std::size_t lanes) {
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double xi = xp[i];
-    double* yrow = yp + i * lanes;
-    for (std::size_t k = 0; k < lanes; ++k) {
-      yrow[k] += alpha * xi;
-    }
-  }
-}
-
-template <std::size_t K>
-MOBITHERM_SLP_ONLY void axpy_broadcast_into_lanes(
-    double alpha, const double* __restrict__ xp, const double* __restrict__ bp,
-    double* __restrict__ op, std::size_t rows) {
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double xi = xp[i];
-    const double* brow = bp + i * K;
-    double* orow = op + i * K;
-    for (std::size_t k = 0; k < K; ++k) {
-      orow[k] = brow[k] + alpha * xi;
-    }
-  }
-}
-
-MOBITHERM_SLP_ONLY void axpy_broadcast_into_lanes_any(
-    double alpha, const double* __restrict__ xp, const double* __restrict__ bp,
-    double* __restrict__ op, std::size_t rows, std::size_t lanes) {
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double xi = xp[i];
-    const double* brow = bp + i * lanes;
-    double* orow = op + i * lanes;
-    for (std::size_t k = 0; k < lanes; ++k) {
-      orow[k] = brow[k] + alpha * xi;
-    }
-  }
-}
-
-}  // namespace
-
-// Per column k this runs the gemv loop exactly: the accumulator starts at
-// 0.0 and gains a(i, j) * x(j, k) for j ascending, so every column is
-// bit-identical to the scalar kernel.
-// MOBILINT: hot-path
-void gemm_into(const Matrix& a, const Matrix& x, Matrix& y) {
-  MOBITHERM_ASSERT(a.cols() == x.rows());
-  MOBITHERM_ASSERT(&x != &y && &a != &y);
-  if (y.rows() != a.rows() || y.cols() != x.cols()) {
-    y = Matrix(a.rows(), x.cols());  // first use only; MOBILINT: alloc-ok
-  }
-  if (a.rows() == 0 || x.cols() == 0) {
-    return;
-  }
-  const double* ap = a.cols() > 0 ? a.row_data(0) : nullptr;
-  const double* xp = x.rows() > 0 ? x.row_data(0) : nullptr;
-  double* yp = y.row_data(0);
-  switch (x.cols()) {
-    case 1:
-      gemm_lanes<1>(ap, xp, yp, a.rows(), a.cols());
-      return;
-    case 2:
-      gemm_lanes<2>(ap, xp, yp, a.rows(), a.cols());
-      return;
-    case 4:
-      gemm_lanes<4>(ap, xp, yp, a.rows(), a.cols());
-      return;
-    case 8:
-      gemm_lanes<8>(ap, xp, yp, a.rows(), a.cols());
-      return;
-    case 16:
-      gemm_lanes<16>(ap, xp, yp, a.rows(), a.cols());
-      return;
-    default:
-      gemm_lanes_any(ap, xp, yp, a.rows(), a.cols(), x.cols());
-      return;
-  }
-}
-
-// The lane block is contiguous row-major storage, so the same-shape
-// elementwise kernels run one flat loop over rows*cols elements — the
-// element order (row-major) and the per-element operation are exactly the
-// per-row path's, just without a loop restart per row.
-// MOBILINT: hot-path
-void axpy_block(double alpha, const Matrix& x, Matrix& y) {
-  MOBITHERM_ASSERT(x.rows() == y.rows() && x.cols() == y.cols());
-  if (x.rows() == 0 || x.cols() == 0) {
-    return;
-  }
-  const std::size_t total = x.rows() * x.cols();
-  const double* __restrict__ xs = x.row_data(0);
-  double* __restrict__ ys = y.row_data(0);
-  for (std::size_t e = 0; e < total; ++e) {
-    ys[e] += alpha * xs[e];
-  }
-}
-
-// MOBILINT: hot-path
-void axpy_broadcast(double alpha, const Vector& x, Matrix& y) {
-  MOBITHERM_ASSERT(x.size() == y.rows());
-  if (y.rows() == 0 || y.cols() == 0) {
-    return;
-  }
-  const double* xp = x.data();
-  double* yp = y.row_data(0);
-  switch (y.cols()) {
-    case 1:
-      axpy_broadcast_lanes<1>(alpha, xp, yp, y.rows());
-      return;
-    case 2:
-      axpy_broadcast_lanes<2>(alpha, xp, yp, y.rows());
-      return;
-    case 4:
-      axpy_broadcast_lanes<4>(alpha, xp, yp, y.rows());
-      return;
-    case 8:
-      axpy_broadcast_lanes<8>(alpha, xp, yp, y.rows());
-      return;
-    case 16:
-      axpy_broadcast_lanes<16>(alpha, xp, yp, y.rows());
-      return;
-    default:
-      axpy_broadcast_lanes_any(alpha, xp, yp, y.rows(), y.cols());
-      return;
-  }
-}
-
-// Fuses "copy B then axpy_broadcast" into one pass: the copy is not an
-// arithmetic operation, so OUT(i, k) = B(i, k) + alpha * x[i] performs the
-// exact mul/add the two-step path performs and stays bit-identical to it.
-// MOBILINT: hot-path
-void axpy_broadcast_into(double alpha, const Vector& x, const Matrix& b,
-                         Matrix& out) {
-  MOBITHERM_ASSERT(x.size() == b.rows());
-  MOBITHERM_ASSERT(b.rows() == out.rows() && b.cols() == out.cols());
-  MOBITHERM_ASSERT(&b != &out);
-  if (b.rows() == 0 || b.cols() == 0) {
-    return;
-  }
-  const double* xp = x.data();
-  const double* bp = b.row_data(0);
-  double* op = out.row_data(0);
-  switch (b.cols()) {
-    case 1:
-      axpy_broadcast_into_lanes<1>(alpha, xp, bp, op, b.rows());
-      return;
-    case 2:
-      axpy_broadcast_into_lanes<2>(alpha, xp, bp, op, b.rows());
-      return;
-    case 4:
-      axpy_broadcast_into_lanes<4>(alpha, xp, bp, op, b.rows());
-      return;
-    case 8:
-      axpy_broadcast_into_lanes<8>(alpha, xp, bp, op, b.rows());
-      return;
-    case 16:
-      axpy_broadcast_into_lanes<16>(alpha, xp, bp, op, b.rows());
-      return;
-    default:
-      axpy_broadcast_into_lanes_any(alpha, xp, bp, op, b.rows(), b.cols());
-      return;
-  }
-}
-
-// MOBILINT: hot-path
-void scal_block(double s, Matrix& x) {
-  if (x.rows() == 0 || x.cols() == 0) {
-    return;
-  }
-  const std::size_t total = x.rows() * x.cols();
-  double* xs = x.row_data(0);
-  for (std::size_t e = 0; e < total; ++e) {
-    xs[e] *= s;
-  }
-}
-
-// MOBILINT: hot-path
-void add_block_into(const Matrix& a, const Matrix& b, Matrix& out) {
-  MOBITHERM_ASSERT(a.rows() == b.rows() && a.cols() == b.cols());
-  MOBITHERM_ASSERT(a.rows() == out.rows() && a.cols() == out.cols());
-  MOBITHERM_ASSERT(&a != &out && &b != &out);
-  if (a.rows() == 0 || a.cols() == 0) {
-    return;
-  }
-  const std::size_t total = a.rows() * a.cols();
-  const double* __restrict__ as = a.row_data(0);
-  const double* __restrict__ bs = b.row_data(0);
-  double* __restrict__ os = out.row_data(0);
-  for (std::size_t e = 0; e < total; ++e) {
-    os[e] = as[e] + bs[e];
   }
 }
 

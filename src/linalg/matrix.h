@@ -31,10 +31,9 @@ class Matrix {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
-  // Element and row accessors are defined inline: the lockstep lane-block
-  // kernels and gather/scatter loops touch them per element, so an
-  // out-of-line call (and its opaque may-throw assert) would dominate the
-  // hot loops and block vectorization at the call sites.
+  // Element accessors are defined inline: gemv and the thermal steppers
+  // touch them per element, so an out-of-line call (and its opaque
+  // may-throw assert) would dominate those loops.
   double& operator()(std::size_t r, std::size_t c) {
     MOBITHERM_ASSERT(r < rows_ && c < cols_);
     return data_[r * cols_ + c];
@@ -42,18 +41,6 @@ class Matrix {
   double operator()(std::size_t r, std::size_t c) const {
     MOBITHERM_ASSERT(r < rows_ && c < cols_);
     return data_[r * cols_ + c];
-  }
-
-  /// Raw row-major storage of row `r`: the contiguous range
-  /// [row_data(r), row_data(r) + cols()). The block kernels below iterate
-  /// it so a lane block's columns (one lane per column) vectorize.
-  double* row_data(std::size_t r) {
-    MOBITHERM_ASSERT(r < rows_);
-    return data_.data() + r * cols_;
-  }
-  const double* row_data(std::size_t r) const {
-    MOBITHERM_ASSERT(r < rows_);
-    return data_.data() + r * cols_;
   }
 
   Matrix& operator+=(const Matrix& other);
@@ -113,34 +100,5 @@ void axpy(double alpha, const Vector& x, Vector& y);
 
 /// x *= s.
 void scal(double s, Vector& x);
-
-// Column-block (multi-RHS) kernels for the lockstep physics path. A lane
-// block is a Matrix whose K columns are K independent vectors stored
-// structure-of-arrays: row j is contiguous across lanes, so the inner loop
-// over lanes vectorizes. Per column the accumulation order is identical to
-// the vector kernels above — column k of gemm_into(A, X, Y) is
-// bit-identical to gemv(A, column k of X) — so a lockstep driver can swap
-// between the scalar and block paths without perturbing any lane.
-
-/// Y = A X. Resizes Y on first use; Y must not alias A or X.
-void gemm_into(const Matrix& a, const Matrix& x, Matrix& y);
-
-/// Y += alpha * X (same shape).
-void axpy_block(double alpha, const Matrix& x, Matrix& y);
-
-/// Row-broadcast axpy: Y(i, k) += alpha * x[i] for every column k.
-void axpy_broadcast(double alpha, const Vector& x, Matrix& y);
-
-/// Out-of-place row-broadcast axpy: OUT(i, k) = B(i, k) + alpha * x[i].
-/// Bit-identical to copying B into OUT then axpy_broadcast, in one pass.
-/// OUT must not alias B.
-void axpy_broadcast_into(double alpha, const Vector& x, const Matrix& b,
-                         Matrix& out);
-
-/// X *= s.
-void scal_block(double s, Matrix& x);
-
-/// OUT = A + B (all same shape; OUT must not alias A or B).
-void add_block_into(const Matrix& a, const Matrix& b, Matrix& out);
 
 }  // namespace mobitherm::linalg

@@ -226,8 +226,8 @@ std::string SimServer::handle_submit(const json::Value& request) {
   double deadline_s = -1.0;
   read_number(request, "deadline_s", &deadline_s);
 
-  // Wide submit: "seeds": N fans the request over seeds seed..seed+N-1 in
-  // one admission; cache-missing lanes run on the lockstep path.
+  // Fan submit: "seeds": N fans the request over seeds seed..seed+N-1 in
+  // one request line; every lane is an ordinary submit.
   double seeds = 0.0;
   if (read_number(request, "seeds", &seeds)) {
     if (seeds < 1 || seeds != std::floor(seeds)) {
@@ -260,13 +260,15 @@ std::string SimServer::handle_submit(const json::Value& request) {
 std::string SimServer::handle_submit_many(const SimRequest& request,
                                           std::size_t seeds,
                                           double deadline_s) {
-  const std::vector<SubmitOutcome> outcomes =
-      service_.submit_many(request, seeds, deadline_s);
-  // ok reflects the batch as a whole; per-lane outcomes carry their own
-  // accept/reject detail in lane (seed) order.
+  // Lane k is the request at seed + k, admitted in lane order like a
+  // plain submit. ok reflects the fan as a whole; per-lane outcomes carry
+  // their own accept/reject detail in lane (seed) order.
   bool all_accepted = true;
   json::Value jobs = json::Value::array();
-  for (const SubmitOutcome& outcome : outcomes) {
+  SimRequest lane_request = request;
+  for (std::size_t k = 0; k < seeds; ++k) {
+    lane_request.seed = request.seed + static_cast<std::uint64_t>(k);
+    const SubmitOutcome outcome = service_.submit(lane_request, deadline_s);
     json::Value lane = json::Value::object();
     lane.set("accepted", json::Value::boolean(outcome.accepted));
     if (outcome.accepted) {
@@ -469,10 +471,6 @@ std::string SimServer::handle_stats() {
   out.set("retry_backlog",
           json::Value::number(static_cast<double>(s.retry_backlog)));
   out.set("running", json::Value::number(static_cast<double>(s.running)));
-  out.set("wide_jobs",
-          json::Value::number(static_cast<double>(s.wide_jobs)));
-  out.set("lockstep_lanes",
-          json::Value::number(static_cast<double>(s.lockstep_lanes)));
   out.set("compares", json::Value::number(static_cast<double>(s.compares)));
   out.set("compare_rounds",
           json::Value::number(static_cast<double>(s.compare_rounds)));
@@ -482,8 +480,6 @@ std::string SimServer::handle_stats() {
           json::Value::number(static_cast<double>(s.compare_lane_hits)));
   out.set("compare_early_stops",
           json::Value::number(static_cast<double>(s.compare_early_stops)));
-  out.set("batch_width",
-          json::Value::number(static_cast<double>(s.batch_width)));
   out.set("workers", json::Value::number(static_cast<double>(s.workers)));
   out.set("queue_capacity",
           json::Value::number(static_cast<double>(s.queue_capacity)));
@@ -507,8 +503,8 @@ std::string SimServer::handle_stats() {
   out.set("cache", cache);
   // Per-shard breakdown (a single pool reports itself as shard 0), so a
   // saturated shard is diagnosable even when the fleet rollup looks
-  // healthy: queue depth, retry backlog and wide-job lane counts are the
-  // per-shard saturation signals, cache hits/misses the per-shard load.
+  // healthy: queue depth and retry backlog are the per-shard saturation
+  // signals, cache hits/misses the per-shard load.
   json::Value shards = json::Value::array();
   const std::vector<ServiceStats> per_shard = service_.shard_stats();
   for (std::size_t i = 0; i < per_shard.size(); ++i) {
@@ -520,10 +516,6 @@ std::string SimServer::handle_stats() {
               json::Value::number(static_cast<double>(sh.retry_backlog)));
     entry.set("running",
               json::Value::number(static_cast<double>(sh.running)));
-    entry.set("wide_jobs",
-              json::Value::number(static_cast<double>(sh.wide_jobs)));
-    entry.set("lockstep_lanes",
-              json::Value::number(static_cast<double>(sh.lockstep_lanes)));
     entry.set("compares",
               json::Value::number(static_cast<double>(sh.compares)));
     entry.set("compare_rounds",

@@ -10,9 +10,9 @@
 //   submit    (scenario, app?, policy?, with_bml?, duration_s?,
 //              initial_temp_c?, seed?, seeds?, app_levels?, app_phase_s?,
 //              deadline_s?)            -> {ok, job, cached, stale}
-//             With "seeds": N (N >= 2) the submit is *wide*: lanes
-//             seed..seed+N-1 are admitted in one call (lockstep execution
-//             for cache misses) and the response is
+//             With "seeds": N (N >= 2) the submit is a *fan*: lanes
+//             seed..seed+N-1 are admitted in lane order, each exactly as
+//             a plain submit of that seed, and the response is
 //             {ok, seeds, jobs:[{accepted, job|error, cached, stale}...]}
 //             in lane order; "ok" is true iff every lane was accepted.
 //   compare   (arms:[{scenario, app?, policy?, with_bml?, duration_s?,
@@ -39,8 +39,8 @@
 //   wait      (job, timeout_s?)        -> {ok, job, done, state}
 //   stats     ()                       -> {ok, fleet rollup + cache
 //              counters, shards:[{shard, queued, retry_backlog, running,
-//              wide_jobs, lockstep_lanes, ...}]} — per-shard queue depth
-//              and lane counts make saturation diagnosable per shard;
+//              ...}]} — per-shard queue depth and retry backlog make
+//              saturation diagnosable per shard;
 //              compare counters (compares, compare_rounds,
 //              compare_lane_runs/hits, compare_early_stops) ride along in
 //              both the rollup and the per-shard entries

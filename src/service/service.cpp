@@ -6,9 +6,7 @@
 #include <utility>
 
 #include "service/json.h"
-#include "sim/batch.h"
 #include "sim/compare.h"
-#include "sim/lockstep.h"
 #include "sim/montecarlo.h"
 #include "sim/report.h"
 #include "sim/sim_error.h"
@@ -222,7 +220,7 @@ SubmitOutcome SimService::admit_unit(
     job->deadline =  // MOBILINT: nondet-ok (admission deadline, not sim state)
         std::chrono::steady_clock::now() + to_duration(effective_deadline);
   }
-  queue_.push_back(Work{{job}});
+  queue_.push_back(std::move(job));
   work_cv_.notify_one();
   return out;
 }
@@ -320,122 +318,6 @@ SubmitOutcome SimService::submit_compare_prepared(PreparedCompare prepared,
       prepared.key, std::move(prepared.canonical), SimRequest{},
       std::make_shared<const CompareRequest>(std::move(prepared.spec)),
       deadline_s);
-}
-
-std::vector<SubmitOutcome> SimService::submit_many(const SimRequest& request,
-                                                   std::size_t seeds,
-                                                   double deadline_s) {
-  if (seeds == 0) {
-    throw util::ConfigError("SimService: submit_many needs >= 1 seed");
-  }
-  // Lane k is the request at seed request.seed + k.
-  std::vector<PreparedRequest> lanes;
-  lanes.reserve(seeds);
-  for (std::size_t k = 0; k < seeds; ++k) {
-    SimRequest lane_request = request;
-    lane_request.seed = request.seed + static_cast<std::uint64_t>(k);
-    lanes.push_back(prepare(lane_request));
-  }
-  return submit_prepared_lanes(std::move(lanes), deadline_s);
-}
-
-std::vector<SubmitOutcome> SimService::submit_prepared_lanes(
-    std::vector<PreparedRequest> lanes, double deadline_s) {
-  const std::size_t seeds = lanes.size();
-  std::vector<SubmitOutcome> outcomes(seeds);
-
-  // Per-lane cache probing, outside the service mutex like submit().
-  std::vector<std::shared_ptr<const JobResult>> cached(seeds);
-  for (std::size_t k = 0; k < seeds; ++k) {
-    if (!lanes[k].valid) {
-      outcomes[k].reject_reason = lanes[k].error;
-      outcomes[k].reject_code = errc::kInvalidRequest;
-      continue;
-    }
-    cached[k] = cache_.lookup(lanes[k].key, lanes[k].canonical);
-  }
-
-  const std::size_t width = resolved_batch_width();
-  util::MutexLock lock(mutex_);
-  std::vector<std::shared_ptr<Job>> group;
-  const auto flush_group = [&] {
-    if (group.empty()) {
-      return;
-    }
-    queue_.push_back(Work{std::move(group)});
-    group.clear();
-    work_cv_.notify_one();
-  };
-  const double effective_deadline =
-      deadline_s < 0.0 ? config_.default_deadline_s : deadline_s;
-  for (std::size_t k = 0; k < seeds; ++k) {
-    if (!lanes[k].valid) {
-      ++rejected_;
-      continue;
-    }
-    if (shutting_down_) {
-      ++rejected_;
-      outcomes[k].reject_reason = "service is shutting down";
-      outcomes[k].reject_code = errc::kShuttingDown;
-      continue;
-    }
-    std::shared_ptr<const JobResult> stale;
-    if (!cached[k] && queue_.size() >= config_.queue_capacity) {
-      // Saturated pool: same per-lane degradation as submit(). A lockstep
-      // group occupies one slot, so admission is checked per group start.
-      if (config_.serve_stale) {
-        stale = cache_.lookup_stale(lanes[k].key, lanes[k].canonical);
-      }
-      if (!stale) {
-        ++rejected_;
-        outcomes[k].reject_reason =
-            "queue full (" + std::to_string(queue_.size()) +
-            " jobs pending, capacity " +
-            std::to_string(config_.queue_capacity) + ")";
-        outcomes[k].reject_code = errc::kQueueFull;
-        continue;
-      }
-    }
-
-    auto job = std::make_shared<Job>();
-    job->id = next_id_++;
-    job->resolved = std::move(lanes[k].resolved);
-    job->key = lanes[k].key;
-    job->canonical = std::move(lanes[k].canonical);
-    jobs_[job->id] = job;
-    ++submitted_;
-    outcomes[k].accepted = true;
-    outcomes[k].id = job->id;
-
-    if (cached[k]) {
-      job->from_cache = true;
-      job->result = std::move(cached[k]);
-      finish_locked(job, JobState::kDone, "");
-      outcomes[k].cached = true;
-      continue;
-    }
-    if (stale) {
-      job->from_cache = true;
-      job->stale = true;
-      job->result = std::move(stale);
-      ++stale_served_;
-      finish_locked(job, JobState::kDone, "");
-      outcomes[k].cached = true;
-      outcomes[k].stale = true;
-      continue;
-    }
-
-    if (effective_deadline > 0.0) {
-      job->deadline =  // MOBILINT: nondet-ok (admission deadline)
-          std::chrono::steady_clock::now() + to_duration(effective_deadline);
-    }
-    group.push_back(std::move(job));
-    if (group.size() >= width) {
-      flush_group();
-    }
-  }
-  flush_group();
-  return outcomes;
 }
 
 std::optional<JobStatus> SimService::status(std::uint64_t id) {
@@ -536,8 +418,6 @@ ServiceStats SimService::stats() const {
     s.queued = queue_.size() + retries_.size();
     s.retry_backlog = retries_.size();
     s.running = running_;
-    s.wide_jobs = wide_jobs_;
-    s.lockstep_lanes = lockstep_lanes_;
     s.compares = compares_;
     s.compare_rounds = compare_rounds_;
     s.compare_lane_runs = compare_lane_runs_;
@@ -546,7 +426,6 @@ ServiceStats SimService::stats() const {
   }
   s.workers = config_.workers;
   s.queue_capacity = config_.queue_capacity;
-  s.batch_width = resolved_batch_width();
   if (config_.faults != nullptr) {
     s.faults_injected = config_.faults->total_injected();
   }
@@ -575,48 +454,30 @@ void SimService::worker_loop() {
         work_cv_.wait(lock);
       }
     }
-    std::vector<std::shared_ptr<Job>> lanes;
+    std::shared_ptr<Job> job;
     if (!retries_.empty() &&
         std::chrono::steady_clock::now() >=  // MOBILINT: nondet-ok
             retries_.begin()->first) {
-      // Retries are always scalar, even when the failed attempt ran in a
-      // lockstep group — a flaky lane degrades alone.
-      lanes.push_back(retries_.begin()->second);
+      job = retries_.begin()->second;
       retries_.erase(retries_.begin());
     } else if (!queue_.empty()) {
-      lanes = std::move(queue_.front().lanes);
+      job = std::move(queue_.front());
       queue_.pop_front();
     } else {
       continue;  // woken for a retry that is not due yet
     }
-    // Drop lanes that were cancelled or expired while waiting; the rest of
-    // the group runs as if they were never submitted alongside.
-    std::erase_if(lanes, [&](const std::shared_ptr<Job>& job) {
-      return job->state != JobState::kQueued || expire_if_overdue_locked(job);
-    });
-    if (lanes.empty()) {
+    // Skip jobs that were cancelled or expired while waiting.
+    if (job->state != JobState::kQueued || expire_if_overdue_locked(job)) {
       continue;
     }
-    std::vector<int> attempts(lanes.size());
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      lanes[k]->state = JobState::kRunning;
-      ++running_;
-      attempts[k] = ++lanes[k]->attempts;
-    }
-    if (lanes.size() > 1) {
-      ++wide_jobs_;
-      lockstep_lanes_ += lanes.size();
-    }
+    job->state = JobState::kRunning;
+    ++running_;
+    const int attempt = ++job->attempts;
     lock.unlock();
-    if (lanes.size() == 1) {
-      // Compare jobs are always admitted alone in their Work slot.
-      if (lanes[0]->compare) {
-        execute_compare(lanes[0], attempts[0]);
-      } else {
-        execute(lanes[0], attempts[0]);
-      }
+    if (job->compare) {
+      execute_compare(job, attempt);
     } else {
-      execute_wide(lanes, attempts);
+      execute(job, attempt);
     }
     lock.lock();
   }
@@ -836,187 +697,6 @@ void SimService::execute_compare(const std::shared_ptr<Job>& job,
   settle_locked(job, attempt, out);
 }
 
-// Lockstep execution of one wide group. Mirrors execute() lane by lane:
-// the same per-slice stop/deadline/fault checks run for every lane, keyed
-// by the lane's own canonical hash, so a fault schedule replays exactly as
-// it would across `lanes` scalar jobs. Only the physics is shared — and
-// only when the lanes' thermal propagators match bitwise.
-void SimService::execute_wide(const std::vector<std::shared_ptr<Job>>& lanes,
-                              const std::vector<int>& attempts) {
-  const std::size_t n = lanes.size();
-  std::vector<ExecOutcome> outs(n);
-  std::vector<std::unique_ptr<sim::Engine>> engines(n);
-  std::vector<sim::MetricsObserver> taps;
-  taps.reserve(n);  // sized up front: &taps[k] stays stable below
-  for (std::size_t k = 0; k < n; ++k) {
-    taps.emplace_back(config_.metrics);
-  }
-  util::FaultPlan* plan = config_.faults;
-
-  // Per-lane engine construction; a failure retires that lane alone.
-  for (std::size_t k = 0; k < n; ++k) {
-    try {
-      engines[k] = registry_.make_engine(lanes[k]->resolved);
-      if (config_.guard_max_temp_c > 0.0) {
-        engines[k]->set_runaway_guard(registry_.runaway_guard_temp_k(
-            lanes[k]->resolved, config_.guard_max_temp_c));
-      }
-      engines[k]->add_observer(&taps[k]);
-    } catch (...) {
-      classify_current_exception(outs[k]);
-      engines[k].reset();
-    }
-  }
-
-  // Lanes whose engines exist enter the lockstep runner; lane_of maps
-  // runner lane index -> group index.
-  std::vector<std::size_t> lane_of;
-  std::vector<sim::LockstepRunner::Lane> specs;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (engines[k]) {
-      specs.push_back({engines[k].get(), &lanes[k]->stop});
-      lane_of.push_back(k);
-    }
-  }
-
-  if (!lane_of.empty()) try {
-    sim::LockstepRunner runner(std::move(specs));
-    const std::size_t m = lane_of.size();
-    std::vector<double> remaining(m);
-    std::vector<double> seconds(m, 0.0);
-    std::vector<std::uint64_t> slice_index(m, 0);
-    std::vector<char> live(m, 1);
-    for (std::size_t r = 0; r < m; ++r) {
-      remaining[r] = lanes[lane_of[r]]->resolved.duration_s;
-    }
-    for (;;) {
-      bool any = false;
-      for (std::size_t r = 0; r < m; ++r) {
-        seconds[r] = 0.0;
-        if (live[r] == 0 || remaining[r] <= 0.0) {
-          continue;
-        }
-        const Job& job = *lanes[lane_of[r]];
-        ExecOutcome& out = outs[lane_of[r]];
-        if (job.stop.load(std::memory_order_relaxed)) {
-          out.cancelled = true;
-          live[r] = 0;
-          continue;
-        }
-        if (job.deadline &&
-            std::chrono::steady_clock::now() >=  // MOBILINT: nondet-ok
-                *job.deadline) {
-          out.expired = true;
-          live[r] = 0;
-          continue;
-        }
-        const std::uint64_t fkey = slice_fault_key(
-            job.key, attempts[lane_of[r]], slice_index[r]);
-        if (plan != nullptr &&
-            plan->fires(util::FaultSite::kWorkerCrashBeforeSlice, fkey)) {
-          // The fault takes out this lane only; it re-queues as a scalar
-          // retry while the rest of the group keeps stepping.
-          try {
-            throw util::FaultInjected(
-                util::FaultSite::kWorkerCrashBeforeSlice, fkey);
-          } catch (...) {
-            classify_current_exception(out);
-          }
-          live[r] = 0;
-          continue;
-        }
-        if (plan != nullptr &&
-            plan->fires(util::FaultSite::kSliceLatency, fkey)) {
-          std::this_thread::sleep_for(to_duration(plan->latency_s()));
-        }
-        seconds[r] = std::min(kSliceSimSeconds, remaining[r]);
-        any = true;
-      }
-      if (!any) {
-        break;
-      }
-      runner.run(seconds);
-      for (std::size_t r = 0; r < m; ++r) {
-        if (seconds[r] <= 0.0) {
-          continue;
-        }
-        ExecOutcome& out = outs[lane_of[r]];
-        if (runner.lane_failed(r)) {
-          // A guard trip (SimError) or any other engine exception retired
-          // the lane inside the runner, without touching its siblings.
-          try {
-            runner.rethrow_lane_error(r);
-          } catch (...) {
-            classify_current_exception(out);
-          }
-          live[r] = 0;
-          continue;
-        }
-        remaining[r] -= seconds[r];
-        const std::uint64_t fkey = slice_fault_key(
-            lanes[lane_of[r]]->key, attempts[lane_of[r]], slice_index[r]);
-        if (plan != nullptr &&
-            plan->fires(util::FaultSite::kWorkerCrashAfterSlice, fkey)) {
-          try {
-            throw util::FaultInjected(
-                util::FaultSite::kWorkerCrashAfterSlice, fkey);
-          } catch (...) {
-            classify_current_exception(out);
-          }
-          live[r] = 0;
-          continue;
-        }
-        ++slice_index[r];
-      }
-    }
-
-    // Finalize the lanes that ran to completion (same final stop/deadline
-    // re-check as execute(); payloads and cache inserts are per lane and
-    // byte-identical to the scalar path).
-    for (std::size_t r = 0; r < m; ++r) {
-      const std::size_t k = lane_of[r];
-      ExecOutcome& out = outs[k];
-      if (live[r] == 0 || !out.error.empty() || out.cancelled ||
-          out.expired) {
-        continue;
-      }
-      const Job& job = *lanes[k];
-      if (job.stop.load(std::memory_order_relaxed)) {
-        out.cancelled = true;
-        continue;
-      }
-      if (job.deadline &&
-          std::chrono::steady_clock::now() >=  // MOBILINT: nondet-ok
-              *job.deadline) {
-        out.expired = true;
-        continue;
-      }
-      auto result = std::make_shared<JobResult>();
-      result->metrics = taps[k].metrics(*engines[k]);
-      result->report =
-          sim::make_report(*engines[k], config_.metrics.temp_limit_c);
-      result->payload = serialize_result(result->metrics, result->report);
-      cache_.insert(job.key, job.canonical, result);
-      out.result = std::move(result);
-    }
-  } catch (...) {
-    // Group-level failure (e.g. runner construction); per-lane failures
-    // never reach here. Attribute it to every lane still undecided.
-    for (std::size_t r = 0; r < lane_of.size(); ++r) {
-      ExecOutcome& out = outs[lane_of[r]];
-      if (out.error.empty() && !out.cancelled && !out.expired &&
-          out.result == nullptr) {
-        classify_current_exception(out);
-      }
-    }
-  }
-
-  util::MutexLock lock(mutex_);
-  for (std::size_t k = 0; k < n; ++k) {
-    settle_locked(lanes[k], attempts[k], outs[k]);
-  }
-}
-
 void SimService::classify_current_exception(ExecOutcome& out) {
   try {
     throw;
@@ -1090,11 +770,6 @@ void SimService::settle_locked(const std::shared_ptr<Job>& job, int attempt,
     }
   }
   finish_locked(job, JobState::kFailed, out.error);
-}
-
-unsigned SimService::resolved_batch_width() const {
-  return config_.batch_width == 0 ? sim::kDefaultLockstepWidth
-                                  : config_.batch_width;
 }
 
 double SimService::retry_backoff_s(int attempt, std::uint64_t key) const {

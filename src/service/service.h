@@ -41,14 +41,6 @@
 // results: replays are byte-identical at any worker count, shard count or
 // injected-fault schedule.
 //
-// Wide jobs (this PR): submit_many() admits a fan of seeds in one call.
-// Cache-missing lanes are packed into lockstep groups that a single worker
-// executes through sim::LockstepRunner — K engines stepped together with
-// the thermal physics fused into one SoA block step. Per-lane cache keys
-// and payloads are byte-identical to scalar execution; a lane that faults
-// is retried alone on the scalar path, so the degradation machinery below
-// applies per lane, not per group.
-//
 // Determinism note: job *results* are pure functions of the canonical
 // request. Queueing order, worker interleaving, deadlines and wall-clock
 // timings are inherently nondeterministic — they affect only *whether/when*
@@ -128,14 +120,6 @@ struct ServiceConfig {
   /// Deterministic fault injection; non-owning, nullptr = disabled (the
   /// plan must outlive the service).
   util::FaultPlan* faults = nullptr;
-
-  /// Lanes per lockstep group for wide (multi-seed) jobs: submit_many()
-  /// packs up to this many cache-missing seeds into one queue slot, and a
-  /// worker executes the group through a sim::LockstepRunner (fused
-  /// thermal stepping; per-lane results and cache payloads are
-  /// bit-identical to scalar execution). 0 = auto (the sim layer's
-  /// default width); 1 = force the scalar path lane by lane.
-  unsigned batch_width = 0;
 };
 
 enum class JobState {
@@ -188,10 +172,6 @@ struct ServiceStats {
   /// admission queue proper — split out so saturation is diagnosable.
   std::size_t retry_backlog = 0;
   std::size_t running = 0;     // currently simulating
-  /// Wide (multi-lane) groups dispatched to the lockstep path, and the
-  /// total lanes they carried.
-  std::size_t wide_jobs = 0;
-  std::size_t lockstep_lanes = 0;
   /// Compare jobs admitted (incl. cache-served verdicts), decision rounds
   /// executed, per-(arm, seed) lane executions vs. cache-served lanes, and
   /// compares that stopped on CI separation before the seed budget.
@@ -202,8 +182,6 @@ struct ServiceStats {
   std::size_t compare_early_stops = 0;
   unsigned workers = 0;
   std::size_t queue_capacity = 0;
-  /// Resolved lockstep lane width for wide jobs (1 = scalar path).
-  unsigned batch_width = 0;
   /// Total injections fired by the attached FaultPlan (0 when none).
   std::uint64_t faults_injected = 0;
   CacheStats cache;
@@ -269,9 +247,6 @@ class ServiceApi {
   virtual ~ServiceApi() = default;
   virtual SubmitOutcome submit(const SimRequest& request,
                                double deadline_s) = 0;
-  virtual std::vector<SubmitOutcome> submit_many(const SimRequest& request,
-                                                 std::size_t seeds,
-                                                 double deadline_s) = 0;
   /// Admit a best-arm comparison as one job; the verdict is fetched with
   /// result() once the job is done (cached verdicts complete immediately).
   virtual SubmitOutcome submit_compare(const CompareRequest& request,
@@ -283,7 +258,7 @@ class ServiceApi {
   /// Fleet-wide rollup (for a single pool: its own counters).
   virtual ServiceStats stats() const = 0;
   /// Per-shard breakdown, in shard order; a single pool reports itself as
-  /// shard 0. Sums to stats() field by field (capacities/widths repeat).
+  /// shard 0. Sums to stats() field by field.
   virtual std::vector<ServiceStats> shard_stats() const = 0;
   virtual const ScenarioRegistry& registry() const = 0;
 };
@@ -314,25 +289,6 @@ class SimService : public ServiceApi {
   /// submit() for an already-prepared request (skips re-resolution). An
   /// invalid prepared request rejects with kInvalidRequest, like submit().
   SubmitOutcome submit_prepared(PreparedRequest prepared, double deadline_s);
-
-  /// Admit an explicit list of prepared lanes (the wide path). Valid lanes
-  /// that miss the cache are packed, in order, into lockstep groups of up
-  /// to ServiceConfig::batch_width lanes, each occupying one queue slot;
-  /// invalid lanes reject with kInvalidRequest. Outcomes in lane order.
-  std::vector<SubmitOutcome> submit_prepared_lanes(
-      std::vector<PreparedRequest> lanes, double deadline_s);
-
-  /// Wide (multi-seed) admission: lane k is `request` with seed
-  /// `request.seed + k`, admitted like submit() (cache hits complete
-  /// immediately, per-lane stale/reject under backpressure). Lanes that
-  /// miss the cache are packed into lockstep groups of up to
-  /// ServiceConfig::batch_width lanes, each occupying ONE queue slot, and
-  /// a worker runs the group on the lockstep multi-lane path — cache keys
-  /// and result payloads are byte-identical to `seeds` scalar submits.
-  /// Outcomes come back in lane order.
-  std::vector<SubmitOutcome> submit_many(const SimRequest& request,
-                                         std::size_t seeds,
-                                         double deadline_s = -1.0) override;
 
   /// Admit a best-arm comparison. Admission mirrors submit(): a cached
   /// verdict completes the job immediately and byte-identically, a full
@@ -409,15 +365,9 @@ class SimService : public ServiceApi {
     std::optional<std::chrono::steady_clock::time_point> deadline;
   };
 
-  /// One queue slot: a single job (scalar path) or a lockstep group of
-  /// lanes from one submit_many() call (wide path).
-  struct Work {
-    std::vector<std::shared_ptr<Job>> lanes;
-  };
-
   /// What one execution attempt produced for one job, settled under the
-  /// mutex by settle_locked() (shared by the scalar and wide paths so
-  /// retry / stale-fallback / failure semantics are identical).
+  /// mutex by settle_locked() (shared by plain and compare jobs so retry /
+  /// stale-fallback / failure semantics are identical).
   struct ExecOutcome {
     std::shared_ptr<JobResult> result;
     bool cancelled = false;
@@ -436,7 +386,7 @@ class SimService : public ServiceApi {
   /// Returns the finished result (not yet cached), or nullptr with
   /// out.cancelled/out.expired set; throws on faults and engine errors.
   /// `fault_key` seeds the per-slice fault sites — the job's canonical
-  /// hash for scalar jobs, the lane's own canonical hash for compare
+  /// hash for plain jobs, the lane's own canonical hash for compare
   /// lanes, so injected schedules stay pure in (request, attempt, slice).
   std::shared_ptr<JobResult> run_resolved_sliced(const SimRequest& resolved,
                                                  std::uint64_t fault_key,
@@ -448,12 +398,6 @@ class SimService : public ServiceApi {
   /// best-arm decision after every round. The verdict payload is cached
   /// under the job's compare key.
   void execute_compare(const std::shared_ptr<Job>& job, int attempt);
-
-  /// Run a lockstep group (>= 2 lanes, engines per lane, fused physics).
-  /// A lane that faults, trips a guard, cancels or expires retires alone;
-  /// survivors keep stepping. `attempts[k]` is lane k's attempt number.
-  void execute_wide(const std::vector<std::shared_ptr<Job>>& lanes,
-                    const std::vector<int>& attempts);
 
   /// Map the in-flight exception to an ExecOutcome (call inside catch).
   static void classify_current_exception(ExecOutcome& out);
@@ -468,12 +412,10 @@ class SimService : public ServiceApi {
                            double deadline_s);
 
   /// Apply one attempt's outcome to the job: success / cancel / expiry
-  /// finish it; a retryable failure re-queues it (as a scalar retry) with
-  /// backoff; otherwise stale-fallback or kFailed.
+  /// finish it; a retryable failure re-queues it with backoff; otherwise
+  /// stale-fallback or kFailed.
   void settle_locked(const std::shared_ptr<Job>& job, int attempt,
                      ExecOutcome& out) REQUIRES(mutex_);
-
-  unsigned resolved_batch_width() const;
 
   /// Backoff before the attempt after `attempt` failed (exponential in
   /// the attempt number, deterministically jittered per job).
@@ -500,7 +442,7 @@ class SimService : public ServiceApi {
   util::CondVar work_cv_;  // workers: queue / retries / shutdown
   util::CondVar done_cv_;  // waiters: job completion
   std::map<std::uint64_t, std::shared_ptr<Job>> jobs_ GUARDED_BY(mutex_);
-  std::deque<Work> queue_ GUARDED_BY(mutex_);
+  std::deque<std::shared_ptr<Job>> queue_ GUARDED_BY(mutex_);
   /// Jobs waiting out a retry backoff, keyed by their due time.
   std::multimap<std::chrono::steady_clock::time_point,
                 std::shared_ptr<Job>>
@@ -518,8 +460,6 @@ class SimService : public ServiceApi {
   std::size_t retry_count_ GUARDED_BY(mutex_) = 0;
   std::size_t stale_served_ GUARDED_BY(mutex_) = 0;
   std::size_t running_ GUARDED_BY(mutex_) = 0;
-  std::size_t wide_jobs_ GUARDED_BY(mutex_) = 0;
-  std::size_t lockstep_lanes_ GUARDED_BY(mutex_) = 0;
   std::size_t compares_ GUARDED_BY(mutex_) = 0;
   std::size_t compare_rounds_ GUARDED_BY(mutex_) = 0;
   std::size_t compare_lane_runs_ GUARDED_BY(mutex_) = 0;

@@ -41,43 +41,6 @@ SubmitOutcome ShardedService::submit(const SimRequest& request,
   return out;
 }
 
-std::vector<SubmitOutcome> ShardedService::submit_many(
-    const SimRequest& request, std::size_t seeds, double deadline_s) {
-  if (seeds == 0) {
-    throw util::ConfigError("ShardedService: submit_many needs >= 1 seed");
-  }
-  const std::size_t shard_count = shards_.size();
-  // Prepare every lane once, then scatter lanes to their owning shards.
-  // Lockstep packing happens *within* a shard: lanes of one wide submit
-  // that hash to the same shard still fuse, while lanes on other shards
-  // run concurrently in their own pools.
-  std::vector<std::vector<PreparedRequest>> shard_lanes(shard_count);
-  std::vector<std::vector<std::size_t>> shard_lane_index(shard_count);
-  for (std::size_t k = 0; k < seeds; ++k) {
-    SimRequest lane_request = request;
-    lane_request.seed = request.seed + static_cast<std::uint64_t>(k);
-    PreparedRequest prepared = shards_.front()->prepare(lane_request);
-    const unsigned shard = prepared.valid ? shard_of_key(prepared.key) : 0;
-    shard_lanes[shard].push_back(std::move(prepared));
-    shard_lane_index[shard].push_back(k);
-  }
-  std::vector<SubmitOutcome> outcomes(seeds);
-  for (unsigned s = 0; s < shard_count; ++s) {
-    if (shard_lanes[s].empty()) {
-      continue;
-    }
-    std::vector<SubmitOutcome> outs = shards_[s]->submit_prepared_lanes(
-        std::move(shard_lanes[s]), deadline_s);
-    for (std::size_t i = 0; i < outs.size(); ++i) {
-      if (outs[i].accepted) {
-        outs[i].id = global_id(outs[i].id, s);
-      }
-      outcomes[shard_lane_index[s][i]] = std::move(outs[i]);
-    }
-  }
-  return outcomes;
-}
-
 SubmitOutcome ShardedService::submit_compare(const CompareRequest& request,
                                              double deadline_s) {
   // One resolution, shared by routing and admission, like submit(); an
@@ -133,8 +96,6 @@ ServiceStats ShardedService::stats() const {
     total.queued += s.queued;
     total.retry_backlog += s.retry_backlog;
     total.running += s.running;
-    total.wide_jobs += s.wide_jobs;
-    total.lockstep_lanes += s.lockstep_lanes;
     total.compares += s.compares;
     total.compare_rounds += s.compare_rounds;
     total.compare_lane_runs += s.compare_lane_runs;
@@ -153,7 +114,6 @@ ServiceStats ShardedService::stats() const {
     total.cache.capacity += s.cache.capacity;
     if (first) {
       // Shared across shards: report once, not summed.
-      total.batch_width = s.batch_width;
       total.faults_injected = s.faults_injected;
       first = false;
     }

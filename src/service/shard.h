@@ -74,9 +74,6 @@ class ShardedService : public ServiceApi {
   // ServiceApi ---------------------------------------------------------
   SubmitOutcome submit(const SimRequest& request,
                        double deadline_s = -1.0) override;
-  std::vector<SubmitOutcome> submit_many(const SimRequest& request,
-                                         std::size_t seeds,
-                                         double deadline_s = -1.0) override;
 
   /// Compare jobs route by the *compare* canonical key — one resolution
   /// on shard 0, then fnv1a64(compare canonical) % shards — so a repeated
@@ -93,9 +90,8 @@ class ShardedService : public ServiceApi {
   bool wait(std::uint64_t id, double timeout_s) override;
 
   /// Fleet rollup: counters sum across shards; `workers` and
-  /// `queue_capacity` are fleet totals; `batch_width` is the common
-  /// per-shard value; `faults_injected` is read from the shared plan once
-  /// (not summed — every shard sees the same plan).
+  /// `queue_capacity` are fleet totals; `faults_injected` is read from the
+  /// shared plan once (not summed — every shard sees the same plan).
   ServiceStats stats() const override;
 
   /// One ServiceStats per shard, in shard order.

@@ -6,9 +6,7 @@
 #include <exception>
 #include <thread>
 
-#include "sim/lockstep.h"
 #include "util/error.h"
-#include "util/sync.h"
 
 namespace mobitherm::sim {
 
@@ -32,32 +30,25 @@ void parallel_for_index(std::size_t n, unsigned threads,
     return;
   }
 
+  // Per-index failure slots: each is written only by the worker that
+  // claimed that index and read after the join, so they need no lock.
+  std::vector<std::exception_ptr> errors(n);
+  std::atomic<bool> failed{false};
   std::atomic<std::size_t> next{0};
-  // First-error-wins slot shared by the pool; the annotation keeps every
-  // access under the mutex even though the slot is function-local.
-  struct ErrorSlot {
-    util::Mutex mutex;
-    std::exception_ptr first GUARDED_BY(mutex);
-  } error;
   auto worker = [&] {
-    for (;;) {
+    // Check before claiming: an index, once claimed, always runs, so the
+    // lowest failing index is never skipped. Claims made after a failure
+    // was recorded are higher than it and cannot change the outcome.
+    while (!failed.load()) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) {
         return;
       }
-      {
-        util::MutexLock lock(error.mutex);
-        if (error.first) {
-          return;  // a sibling already failed; stop claiming work
-        }
-      }
       try {
         fn(i);
       } catch (...) {
-        util::MutexLock lock(error.mutex);
-        if (!error.first) {
-          error.first = std::current_exception();
-        }
+        errors[i] = std::current_exception();
+        failed.store(true);
         return;
       }
     }
@@ -71,15 +62,10 @@ void parallel_for_index(std::size_t n, unsigned threads,
   for (std::thread& t : pool) {
     t.join();
   }
-  // The pool is joined, but taking the (uncontended) lock keeps the
-  // guarded access pattern uniform for the analysis.
-  std::exception_ptr failure;
-  {
-    util::MutexLock lock(error.mutex);
-    failure = error.first;
-  }
-  if (failure) {
-    std::rethrow_exception(failure);
+  for (const std::exception_ptr& error : errors) {
+    if (error) {
+      std::rethrow_exception(error);
+    }
   }
 }
 
@@ -93,17 +79,8 @@ unsigned BatchRunner::resolved_threads() const {
   return hw == 0 ? 1 : hw;
 }
 
-unsigned BatchRunner::resolved_lockstep_width() const {
-  return options_.lockstep_width == 0 ? kDefaultLockstepWidth
-                                      : options_.lockstep_width;
-}
-
-// Runs are partitioned into contiguous index groups of lockstep_width; each
-// group executes on one worker through a LockstepRunner, which fuses the
-// lanes' thermal steps when their propagators match bitwise. The per-run
-// results (and the exception surfaced on failure: the lowest failing index
-// wins within a group, like the serial loop) are bit-identical to the
-// scalar path at width 1.
+// One pool job per run index: build the engine, run it, summarize it. The
+// records land by index, so the result is the same at any thread count.
 std::vector<BatchRecord> BatchRunner::run(std::size_t runs,
                                           std::uint64_t base_seed,
                                           double duration_s,
@@ -117,62 +94,31 @@ std::vector<BatchRecord> BatchRunner::run(std::size_t runs,
   if (runs == 0) {
     throw util::ConfigError("BatchRunner: runs must be positive");
   }
-  const std::size_t width = resolved_lockstep_width();
-  const std::size_t groups = (runs + width - 1) / width;
   std::vector<BatchRecord> records(runs);
-  parallel_for_index(groups, resolved_threads(), [&](std::size_t g) {
-    const std::size_t begin = g * width;
-    const std::size_t end = std::min(runs, begin + width);
-    const std::size_t lanes = end - begin;
-
-    for (std::size_t i = begin; i < end; ++i) {
-      records[i].index = i;
-      records[i].seed = base_seed + static_cast<std::uint64_t>(i);
-    }
+  parallel_for_index(runs, resolved_threads(), [&](std::size_t i) {
+    BatchRecord& rec = records[i];
+    rec.index = i;
+    rec.seed = base_seed + static_cast<std::uint64_t>(i);
     if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
-      for (std::size_t i = begin; i < end; ++i) {
-        records[i].completed = false;  // cancelled before the group started
-      }
+      rec.completed = false;  // cancelled before the run started
       return;
     }
 
     const auto start = std::chrono::steady_clock::now();
-    std::vector<std::unique_ptr<Engine>> engines(lanes);
-    std::vector<MetricsObserver> taps;
-    taps.reserve(lanes);  // sized up front: &taps[k] stays stable below
-    std::vector<LockstepRunner::Lane> lane_specs(lanes);
-    for (std::size_t k = 0; k < lanes; ++k) {
-      taps.emplace_back(metrics);
+    std::unique_ptr<Engine> engine = factory(i, rec.seed);
+    if (!engine) {
+      throw util::ConfigError("BatchRunner: factory returned null engine");
     }
-    for (std::size_t k = 0; k < lanes; ++k) {
-      engines[k] = factory(begin + k, records[begin + k].seed);
-      if (!engines[k]) {
-        throw util::ConfigError("BatchRunner: factory returned null engine");
-      }
-      engines[k]->add_observer(&taps[k]);
-      lane_specs[k].engine = engines[k].get();
-      lane_specs[k].stop = stop;
-    }
-
-    LockstepRunner runner(std::move(lane_specs));
-    runner.run(duration_s);
-    for (std::size_t k = 0; k < lanes; ++k) {
-      // Surface the lowest failing index's exception, matching the order
-      // a serial loop over this group would have failed in.
-      runner.rethrow_lane_error(k);
-    }
-
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-    for (std::size_t k = 0; k < lanes; ++k) {
-      BatchRecord& rec = records[begin + k];
-      rec.completed =
-          stop == nullptr || !stop->load(std::memory_order_relaxed);
-      rec.metrics = taps[k].metrics(*engines[k]);
-      rec.report = make_report(*engines[k], metrics.temp_limit_c);
-      rec.wall_s = wall;
-    }
+    MetricsObserver tap(metrics);
+    engine->add_observer(&tap);
+    engine->run(duration_s, stop);
+    rec.wall_s = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+    rec.completed =
+        stop == nullptr || !stop->load(std::memory_order_relaxed);
+    rec.metrics = tap.metrics(*engine);
+    rec.report = make_report(*engine, metrics.temp_limit_c);
   });
   return records;
 }

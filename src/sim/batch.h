@@ -26,24 +26,16 @@ namespace mobitherm::sim {
 struct BatchOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   unsigned threads = 0;
-
-  /// Lanes per lockstep group in run(): runs are partitioned into
-  /// contiguous index groups of this width and each group executes on one
-  /// worker as a LockstepRunner (the thermal steps fuse when the lanes
-  /// share a propagator; see sim/lockstep.h). 0 = auto (currently 8);
-  /// 1 = the plain scalar path. Per-run results are bit-identical at any
-  /// width — this only trades wall-clock for memory.
-  unsigned lockstep_width = 0;
 };
 
-/// The lane width BatchOptions::lockstep_width == 0 resolves to.
-inline constexpr unsigned kDefaultLockstepWidth = 8;
-
 /// Invoke `fn(0) .. fn(n-1)` across `threads` workers and block until all
-/// complete. Indices are claimed from an atomic counter, so no two workers
-/// ever run the same index; `fn` must not touch state shared across
-/// indices. The first exception thrown by any worker is rethrown on the
-/// calling thread after the pool drains.
+/// complete. Indices are claimed in ascending order from an atomic
+/// counter, so no two workers ever run the same index; `fn` must not touch
+/// state shared across indices. When invocations throw, the exception of
+/// the lowest failing index is rethrown on the calling thread after the
+/// pool drains — the one a serial loop would have hit — at any thread
+/// count. After a failure no new index is claimed (every later claim is a
+/// higher index), but indices already claimed run to completion.
 void parallel_for_index(std::size_t n, unsigned threads,
                         const std::function<void(std::size_t)>& fn);
 
@@ -54,8 +46,8 @@ struct BatchRecord {
   std::uint64_t seed = 0;
   RunMetrics metrics;
   RunReport report;
-  /// Wall-clock seconds this run took on its worker. Runs that executed in
-  /// the same lockstep group share the group's elapsed time.
+  /// Wall-clock seconds this run took on its worker: its own engine
+  /// construction and simulation, not the summary.
   double wall_s = 0.0;
   /// False when the batch's stop token fired before or during this run:
   /// the metrics/report then summarize a partial (or empty) run.
@@ -75,7 +67,10 @@ class BatchRunner {
 
   /// Fan `factory` across seeds base_seed..base_seed+runs-1, run each
   /// engine for `duration_s`, and return the per-run records in seed
-  /// order. `metrics` parameterizes the per-run summaries.
+  /// order. Every run is its own job on the pool (build, run, summarize),
+  /// so a fan of N runs spreads over min(N, threads) workers. `metrics`
+  /// parameterizes the per-run summaries. A failing run rethrows as
+  /// parallel_for_index() does: the lowest failing index wins.
   ///
   /// `stop` is an optional cooperative cancellation token shared by the
   /// whole batch (threaded into every Engine::run, checked once per
@@ -97,7 +92,6 @@ class BatchRunner {
       std::uint64_t base_seed) const;
 
   unsigned resolved_threads() const;
-  unsigned resolved_lockstep_width() const;
 
  private:
   BatchOptions options_;

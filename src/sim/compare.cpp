@@ -104,8 +104,7 @@ CompareResult CompareRunner::run(const std::vector<CompareArm>& arms,
     const int round =
         std::min(options_.round_seeds, options_.max_seeds - seeds_done);
     const std::size_t slots = static_cast<std::size_t>(round);
-    // Flat arm-major fan-out: run index k is arm k/slots at slot k%slots,
-    // so each arm's lanes are contiguous and fuse on the lockstep path.
+    // Flat arm-major fan-out: run index k is arm k/slots at slot k%slots.
     // The factory wrapper ignores BatchRunner's arithmetic seed and pulls
     // the slot's schedule entry instead — the CRN contract.
     const EngineFactory factory = [&](std::size_t index, std::uint64_t) {

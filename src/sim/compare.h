@@ -72,8 +72,8 @@ struct CompareOptions {
   std::function<double(const BatchRecord&)> metric;
   /// Per-run summary options forwarded to BatchRunner.
   MetricsOptions metrics;
-  /// Worker-pool shape for the per-round fan-out. Same-platform arms ride
-  /// the lockstep multi-lane path exactly as a wide batch does.
+  /// Worker-pool shape for the per-round fan-out: every (arm, seed) run of
+  /// a round is its own pool job.
   BatchOptions batch;
 };
 
@@ -115,11 +115,10 @@ class CompareRunner {
   explicit CompareRunner(CompareOptions options);
 
   /// Run the comparison: each round fans round_seeds schedule entries per
-  /// arm through one BatchRunner::run call (arm-major flat indexing, so
-  /// contiguous same-arm lanes form lockstep groups), feeds the metric
-  /// values into the per-arm accumulators in (arm, slot) order, and
-  /// consults decide_best_arm(). `stop` is the optional cooperative
-  /// cancellation token shared with the whole batch. Throws
+  /// arm through one BatchRunner::run call (arm-major flat indexing),
+  /// feeds the metric values into the per-arm accumulators in (arm, slot)
+  /// order, and consults decide_best_arm(). `stop` is the optional
+  /// cooperative cancellation token shared with the whole batch. Throws
   /// util::ConfigError on bad options or fewer than two arms.
   CompareResult run(const std::vector<CompareArm>& arms,
                     const std::atomic<bool>* stop = nullptr) const;

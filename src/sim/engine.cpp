@@ -295,22 +295,16 @@ void Engine::set_initial_temperature(double t_k) {
   }
 }
 
-long long Engine::claim_ticks(double seconds) {
+void Engine::run(double seconds, const std::atomic<bool>* stop) {
   // Carry fractional ticks across calls so repeated short runs advance
-  // exactly as far as one long run (run(0.05) x20 == run(1.0)). Shared
-  // with the lockstep runner so both paths see identical tick counts.
+  // exactly as far as one long run (run(0.05) x20 == run(1.0)).
   pending_ticks_ += seconds / config_.tick_s;
   const auto ticks =
       static_cast<long long>(std::floor(pending_ticks_ + 1e-9));
   if (ticks <= 0) {
-    return 0;
+    return;
   }
   pending_ticks_ -= static_cast<double>(ticks);
-  return ticks;
-}
-
-void Engine::run(double seconds, const std::atomic<bool>* stop) {
-  const long long ticks = claim_ticks(seconds);
   for (long long i = 0; i < ticks; ++i) {
     // Cooperative cancellation: one relaxed load per tick, no effect on
     // the simulated state of the ticks that did run.
@@ -323,25 +317,13 @@ void Engine::run(double seconds, const std::atomic<bool>* stop) {
 
 void Engine::tick() {
   TickContext ctx;
-  tick_begin(ctx);
-  stage_thermal(ctx);
-  tick_finish(ctx);
-}
-
-// Stages before the physics step. The lockstep runner calls this per lane,
-// then replaces stage_thermal with the fused multi-lane network step.
-void Engine::tick_begin(TickContext& ctx) {
   ctx.dt = config_.tick_s;
   stage_input(ctx);
   stage_demand(ctx);
   stage_allocate(ctx);
   stage_contention(ctx);
   stage_power(ctx);
-}
-
-// Stages after the physics step, plus the guards, observer publication and
-// clock advance that close out the tick.
-void Engine::tick_finish(TickContext& ctx) {
+  stage_thermal(ctx);
   stage_sensors(ctx);
   stage_residency(ctx);
   stage_governors(ctx);
@@ -491,16 +473,10 @@ void Engine::stage_power(TickContext& ctx) {
   power_window_.push(ctx.dt, ctx.total_power_w);
 }
 
-// Thermal step (RC network + skin estimator).
+// Thermal step (RC network + skin estimator), then the post-step
+// temperatures the guards and governors read.
 void Engine::stage_thermal(TickContext& ctx) {
   network_.step(node_power_, util::seconds(ctx.dt));
-  tick_thermal_post(ctx);
-}
-
-// Post-physics bookkeeping at the freshly stepped temperatures. Split out
-// of stage_thermal so the lockstep runner can run it after scattering a
-// lane's column of the fused block step back into the network.
-void Engine::tick_thermal_post(TickContext& ctx) {
   if (skin_.has_value()) {
     skin_->step(network_.temperature(board_node_), util::seconds(ctx.dt));
   }

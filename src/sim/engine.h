@@ -45,8 +45,6 @@
 
 namespace mobitherm::sim {
 
-class LockstepRunner;
-
 struct EngineConfig {
   double tick_s = 0.001;
   double trace_period_s = 0.1;
@@ -243,12 +241,6 @@ class Engine {
   }
 
  private:
-  /// The lockstep runner drives the same tick pieces the scalar tick()
-  /// runs (tick_begin / physics / tick_thermal_post / tick_finish), fusing
-  /// only the thermal-network step across lanes — the shared code is what
-  /// makes per-lane bit-identity structural rather than coincidental.
-  friend class LockstepRunner;
-
   /// Scratch state threaded through one tick's stages. Vector-valued
   /// scratch lives in engine-owned members (node_power_, node_temp_scratch_,
   /// caps_scratch_) reused across ticks so the hot loop never allocates.
@@ -266,20 +258,6 @@ class Engine {
   };
 
   void tick();
-
-  // The tick pipeline split at the physics stage, so a lockstep driver can
-  // substitute the fused multi-lane network step between the halves.
-  // tick() is exactly tick_begin + network step + tick_thermal_post +
-  // tick_finish — keep them in sync.
-  void tick_begin(TickContext& ctx);         // stages input..power
-  void tick_thermal_post(TickContext& ctx);  // skin step + post-step temps
-  void tick_finish(TickContext& ctx);        // sensors..trace, guards,
-                                             // publish, clock advance
-
-  /// Convert `seconds` into whole ticks, carrying the fractional remainder
-  /// across calls (shared by run() and the lockstep runner so both advance
-  /// by exactly the same tick count for the same call sequence).
-  long long claim_ticks(double seconds);
 
   // Pipeline stages, in tick order.
   void stage_input(TickContext& ctx);        // injected touch events

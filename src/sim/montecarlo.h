@@ -108,10 +108,9 @@ SeedStats across_seeds(const std::function<double(std::uint64_t)>& metric,
                        unsigned threads = 1);
 
 /// Factory-based variant: builds one engine per seed via `factory` (see
-/// sim/batch.h), runs each for `duration_s` through BatchRunner::run — so
-/// same-platform seed fans execute on the lockstep multi-lane path — and
-/// summarizes `metric(record)` over the per-seed records. Bit-identical to
-/// evaluating the seeds one at a time.
+/// sim/batch.h), runs each for `duration_s` through BatchRunner::run —
+/// one pool job per seed — and summarizes `metric(record)` over the
+/// per-seed records. Bit-identical to evaluating the seeds one at a time.
 SeedStats across_seeds(const EngineFactory& factory, double duration_s,
                        const std::function<double(const BatchRecord&)>&
                            metric,

@@ -185,22 +185,16 @@ void ThermalNetwork::prepare_exact(double dt) {
   }
   phi_ = linalg::expm(a);
   // Psi = (I - Phi) G^{-1}. G^{-1} is symmetric, so row i of Psi is the
-  // Cholesky solve of G x = row i of (I - Phi) — no explicit inverse. All
-  // n rows are solved as one multi-RHS block (column i of the RHS block is
-  // row i of I - Phi); each column's solve is bit-identical to the old
-  // one-row-at-a-time loop.
+  // Cholesky solve of G x = row i of (I - Phi) — no explicit inverse.
   psi_ = Matrix(n, n);
-  Matrix rhs(n, n);
+  Vector row(n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      rhs(j, i) = (i == j ? 1.0 : 0.0) - phi_(i, j);
+      row[j] = (i == j ? 1.0 : 0.0) - phi_(i, j);
     }
-  }
-  Matrix sol(n, n);
-  g_chol_->solve_into(rhs, sol);
-  for (std::size_t i = 0; i < n; ++i) {
+    g_chol_->solve_into(row, row);
     for (std::size_t j = 0; j < n; ++j) {
-      psi_(i, j) = sol(j, i);
+      psi_(i, j) = row[j];
     }
   }
   cached_dt_ = dt;
@@ -221,53 +215,6 @@ void ThermalNetwork::step_exact(const Vector& power_w, double dt) {
   for (std::size_t i = 0; i < n; ++i) {
     temp_[i] = scratch_a_[i] + scratch_b_[i];
   }
-}
-
-void ThermalNetwork::ensure_exact_prepared(util::Seconds dt) {
-  if (method_ != StepMethod::kExact) {
-    throw ConfigError(
-        "ThermalNetwork: exact propagator requires StepMethod::kExact");
-  }
-  if (dt <= util::seconds(0.0)) {
-    throw ConfigError("ThermalNetwork: step size must be positive");
-  }
-  prepare_exact(dt.value());
-}
-
-void ThermalNetwork::step_block(const Matrix& power_w, Matrix& temps,
-                                util::Seconds dt) {
-  if (method_ != StepMethod::kExact) {
-    throw ConfigError(
-        "ThermalNetwork: step_block requires StepMethod::kExact");
-  }
-  const std::size_t n = spec_.nodes.size();
-  if (power_w.rows() != n || temps.rows() != n ||
-      power_w.cols() != temps.cols()) {
-    throw ConfigError("ThermalNetwork: lane block shape mismatch");
-  }
-  if (dt <= util::seconds(0.0)) {
-    return;
-  }
-  step_block_exact(power_w, temps, dt.value());
-}
-
-// Warm path is allocation-free at a fixed lane count; the block scratch
-// rebuilds only when K changes (cold by design). Column k performs the
-// step_exact operation sequence verbatim, so lanes stepped here are
-// bit-identical to lanes stepped one network at a time.
-// MOBILINT: hot-path
-void ThermalNetwork::step_block_exact(const Matrix& power_w, Matrix& temps,
-                                      double dt) {
-  prepare_exact(dt);
-  if (scratch_bp_.rows() != power_w.rows() ||
-      scratch_bp_.cols() != power_w.cols()) {
-    // K changed; MOBILINT: alloc-ok
-    scratch_bp_ = Matrix(power_w.rows(), power_w.cols());
-  }
-  linalg::axpy_broadcast_into(1.0, amb_inject_, power_w, scratch_bp_);
-  linalg::gemm_into(phi_, temps, scratch_ba_);
-  linalg::gemm_into(psi_, scratch_bp_, scratch_bb_);
-  linalg::add_block_into(scratch_ba_, scratch_bb_, temps);
 }
 
 const Matrix& ThermalNetwork::exact_phi() const {

@@ -75,23 +75,6 @@ class ThermalNetwork {
   /// over the step; entries in watts — the linalg boundary is raw).
   void step(const linalg::Vector& power_w, util::Seconds dt);
 
-  /// Batched exact step over a structure-of-arrays lane block: `temps` and
-  /// `power_w` are num_nodes x K matrices whose column k holds lane k's
-  /// temperatures / power injection. Applies T' = Phi T + Psi (P + amb) to
-  /// all K columns in one pass over the cached Phi/Psi; column k is
-  /// bit-identical to step() on a scalar network holding that lane's
-  /// state. The network's own temperatures are untouched — lockstep
-  /// drivers own the lane state and use this network only for its cached
-  /// propagator. kExact only (throws ConfigError under kRk4);
-  /// allocation-free once warm at a fixed lane count.
-  void step_block(const linalg::Matrix& power_w, linalg::Matrix& temps,
-                  util::Seconds dt);
-
-  /// Build (or reuse) the exact propagator for step size `dt` without
-  /// stepping. Lockstep drivers call this before comparing Phi/Psi across
-  /// lanes to decide whether they can be fused. kExact only.
-  void ensure_exact_prepared(util::Seconds dt);
-
   /// Steady-state temperatures for constant power (solves G_total T = P +
   /// g_amb T_amb) against the factorization cached at construction.
   linalg::Vector steady_state(const linalg::Vector& power_w) const;
@@ -137,8 +120,6 @@ class ThermalNetwork {
   void prepare_exact(double dt);
   void step_rk4(const linalg::Vector& power_w, double dt);
   void step_exact(const linalg::Vector& power_w, double dt);
-  void step_block_exact(const linalg::Matrix& power_w,
-                        linalg::Matrix& temps, double dt);
   void derivative_into(const linalg::Vector& temps,
                        const linalg::Vector& power_w,
                        linalg::Vector& out) const;
@@ -163,12 +144,6 @@ class ThermalNetwork {
   linalg::Vector scratch_a_;   // Phi T
   linalg::Vector scratch_b_;   // Psi (P + amb)
   linalg::Vector k1_, k2_, k3_, k4_, rk_stage_;
-
-  // Lane-block scratch for step_block (sized on the first block step and
-  // re-sized only when the lane count changes).
-  linalg::Matrix scratch_bp_;  // P + amb, one lane per column
-  linalg::Matrix scratch_ba_;  // Phi T
-  linalg::Matrix scratch_bb_;  // Psi (P + amb)
 
   // slowest_time_constant() memo (the spec is immutable, so it never
   // invalidates).

@@ -1,16 +1,22 @@
 // Batch-runner tests: the parallel multi-seed sweep must be bit-identical
 // to the serial evaluation (one isolated engine per run, results stored by
-// index), and worker failures must surface as exceptions, not hangs.
+// index), and worker failures must surface as exceptions, not hangs — the
+// lowest failing run's, whatever the thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/batch.h"
 #include "sim/experiment.h"
 #include "sim/montecarlo.h"
+#include "sim/report.h"
 #include "util/error.h"
 #include "workload/presets.h"
 
@@ -114,6 +120,98 @@ TEST(BatchRunner, RunProducesOrderedFullRecords) {
     EXPECT_EQ(records[i].metrics.peak_temp_c, again[i].metrics.peak_temp_c);
     EXPECT_EQ(records[i].metrics.mean_power_w,
               again[i].metrics.mean_power_w);
+  }
+}
+
+// A fan that mixes platforms the way the benchmark sweep does: even runs
+// are Nexus Paper.io, odd runs Odroid 3DMark+BML under the proposed policy.
+std::unique_ptr<Engine> mixed_fan_engine(std::size_t index,
+                                         std::uint64_t seed) {
+  if (index % 2 == 0) {
+    NexusRun run;
+    run.app = workload::paperio();
+    run.seed = seed;
+    return make_nexus_engine(run);
+  }
+  OdroidRun run;
+  run.foreground = workload::threedmark();
+  run.policy = ThermalPolicy::kProposed;
+  run.with_bml = true;
+  run.seed = seed;
+  return make_odroid_engine(run);
+}
+
+void expect_same_record(const BatchRecord& a, const BatchRecord& b) {
+  EXPECT_EQ(a.index, b.index);
+  EXPECT_EQ(a.seed, b.seed);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.metrics.temp_trace_c, b.metrics.temp_trace_c);
+  EXPECT_EQ(a.metrics.peak_temp_c, b.metrics.peak_temp_c);
+  EXPECT_EQ(a.metrics.final_temp_c, b.metrics.final_temp_c);
+  EXPECT_EQ(a.metrics.mean_power_w, b.metrics.mean_power_w);
+  EXPECT_EQ(a.metrics.residency, b.metrics.residency);
+  EXPECT_EQ(a.metrics.mean_rail_w, b.metrics.mean_rail_w);
+  EXPECT_EQ(a.metrics.median_fps, b.metrics.median_fps);
+  EXPECT_EQ(a.metrics.phase_fps, b.metrics.phase_fps);
+  EXPECT_EQ(format_report(a.report), format_report(b.report));
+}
+
+TEST(BatchRunner, FansAreIdenticalAtAnyThreadCount) {
+  // The fan sizes a Table I confidence fan (16) and a CompareRunner round
+  // (8) produce; every run is its own pool job, so the records must not
+  // depend on how many workers shared them out.
+  for (const std::size_t runs : {std::size_t{8}, std::size_t{16}}) {
+    BatchOptions serial_opts;
+    serial_opts.threads = 1;
+    const std::vector<BatchRecord> serial =
+        BatchRunner(serial_opts).run(runs, 61, 2.0, mixed_fan_engine);
+    ASSERT_EQ(serial.size(), runs);
+    for (std::size_t i = 0; i < runs; ++i) {
+      EXPECT_EQ(serial[i].index, i);
+      EXPECT_EQ(serial[i].seed, 61 + i);
+      EXPECT_TRUE(serial[i].completed);
+      EXPECT_GT(serial[i].wall_s, 0.0);
+    }
+    for (const unsigned threads : {2u, 4u}) {
+      BatchOptions opts;
+      opts.threads = threads;
+      const std::vector<BatchRecord> parallel =
+          BatchRunner(opts).run(runs, 61, 2.0, mixed_fan_engine);
+      ASSERT_EQ(parallel.size(), runs);
+      for (std::size_t i = 0; i < runs; ++i) {
+        SCOPED_TRACE("runs=" + std::to_string(runs) +
+                     " threads=" + std::to_string(threads) +
+                     " index=" + std::to_string(i));
+        expect_same_record(serial[i], parallel[i]);
+      }
+    }
+  }
+}
+
+TEST(BatchRunner, RethrowsLowestFailingRunAtAnyThreadCount) {
+  // Run 3 fails late and run 6 fails at once, so in wall-clock order run
+  // 6 usually fails first. The batch must still report run 3, as the
+  // serial loop does.
+  const EngineFactory factory = [](std::size_t index,
+                                   std::uint64_t seed) {
+    if (index == 3) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      throw std::runtime_error("run 3 failed");
+    }
+    if (index == 6) {
+      throw std::runtime_error("run 6 failed");
+    }
+    return mixed_fan_engine(index, seed);
+  };
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    BatchOptions opts;
+    opts.threads = threads;
+    try {
+      BatchRunner(opts).run(8, 1, 2.0, factory);
+      ADD_FAILURE() << "no exception at threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "run 3 failed") << "threads=" << threads;
+    }
   }
 }
 

@@ -190,8 +190,6 @@ TEST(ShardedService, PerShardStatsSumToFleetRollup) {
     sum.queued += s.queued;
     sum.retry_backlog += s.retry_backlog;
     sum.running += s.running;
-    sum.wide_jobs += s.wide_jobs;
-    sum.lockstep_lanes += s.lockstep_lanes;
     sum.workers += s.workers;
     sum.queue_capacity += s.queue_capacity;
     sum.cache.hits += s.cache.hits;
@@ -204,8 +202,6 @@ TEST(ShardedService, PerShardStatsSumToFleetRollup) {
   EXPECT_EQ(total.rejected, sum.rejected);
   EXPECT_EQ(total.queued, sum.queued);
   EXPECT_EQ(total.retry_backlog, sum.retry_backlog);
-  EXPECT_EQ(total.wide_jobs, sum.wide_jobs);
-  EXPECT_EQ(total.lockstep_lanes, sum.lockstep_lanes);
   EXPECT_EQ(total.workers, sum.workers);
   EXPECT_EQ(total.queue_capacity, sum.queue_capacity);
   EXPECT_EQ(total.cache.hits, 4u);
@@ -232,22 +228,32 @@ TEST(ShardedService, ShardedResultsMatchUnshardedByteForByte) {
   }
 }
 
-TEST(ShardedService, WideSubmitScattersLanesAndKeepsLaneOrder) {
+TEST(ShardedService, FanScattersLanesAndKeepsLaneOrder) {
+  // A "seeds":8 fan through the protocol: the server submits lane k (seed
+  // 100 + k) as a plain request, so lanes scatter across shards by key and
+  // the response still lists them in lane order.
   ShardedService fleet(ScenarioRegistry::standard(), small_config(), 4);
   SimService plain(ScenarioRegistry::standard(), small_config());
+  SimServer server(fleet);
   const std::size_t lanes = 8;
-  const std::vector<SubmitOutcome> wide =
-      fleet.submit_many(short_request(100), lanes);
-  ASSERT_EQ(wide.size(), lanes);
+  const json::Value fan = json::Value::parse(server.handle_line(
+      "{\"op\":\"submit\",\"scenario\":\"nexus\",\"duration_s\":2,"
+      "\"seed\":100,\"seeds\":8}"));
+  ASSERT_TRUE(fan.find("ok")->as_bool());
+  const std::vector<json::Value>& jobs = fan.find("jobs")->items();
+  ASSERT_EQ(jobs.size(), lanes);
   for (std::size_t k = 0; k < lanes; ++k) {
-    ASSERT_TRUE(wide[k].accepted) << wide[k].reject_reason;
-    ASSERT_TRUE(fleet.wait(wide[k].id, 600.0));
+    ASSERT_TRUE(jobs[k].find("accepted")->as_bool()) << "lane " << k;
+    const auto id =
+        static_cast<std::uint64_t>(jobs[k].find("job")->as_number());
+    // The global id names the shard that owns the lane's canonical key.
+    EXPECT_EQ(id % 4, fleet.shard_of(short_request(100 + k)));
+    ASSERT_TRUE(fleet.wait(id, 600.0));
     // Lane k is seed+k; its payload must match a scalar run of that seed.
     const SubmitOutcome ref = plain.submit(short_request(100 + k));
     ASSERT_TRUE(ref.accepted);
     ASSERT_TRUE(plain.wait(ref.id, 600.0));
-    EXPECT_EQ(fleet.result(wide[k].id)->payload,
-              plain.result(ref.id)->payload);
+    EXPECT_EQ(fleet.result(id)->payload, plain.result(ref.id)->payload);
   }
 }
 
@@ -422,8 +428,7 @@ TEST(NetServer, StatsOpReportsPerShardDepths) {
     EXPECT_EQ(s.find("shard")->as_number(), static_cast<double>(i));
     ASSERT_NE(s.find("queued"), nullptr);
     ASSERT_NE(s.find("retry_backlog"), nullptr);
-    ASSERT_NE(s.find("wide_jobs"), nullptr);
-    ASSERT_NE(s.find("lockstep_lanes"), nullptr);
+    ASSERT_NE(s.find("running"), nullptr);
   }
   EXPECT_NE(stats.find("retry_backlog"), nullptr);
 }

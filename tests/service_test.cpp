@@ -522,6 +522,187 @@ TEST(SimServer, ResultOnUnfinishedJobReportsState) {
   server.handle_line("{\"op\":\"cancel\",\"job\":1}");
 }
 
+// --- "seeds":N fans ---------------------------------------------------------
+//
+// A fan is N ordinary submits made by the server in lane order, so each
+// lane must answer exactly as a plain submit of its seed would: same
+// canonical key, same payload bytes, same cache and backpressure rules.
+
+/// A submit line for short_request(seed); `seeds` > 0 adds the fan field.
+std::string submit_line(std::uint64_t seed, int seeds = 0) {
+  std::string line =
+      "{\"op\":\"submit\",\"scenario\":\"nexus\",\"app\":\"paperio\","
+      "\"duration_s\":2,\"seed\":" +
+      std::to_string(seed);
+  if (seeds > 0) {
+    line += ",\"seeds\":" + std::to_string(seeds);
+  }
+  return line + "}";
+}
+
+/// The response entry of one accepted fan lane.
+std::string accepted_lane(std::uint64_t job, bool cached, bool stale) {
+  return std::string("{\"accepted\":true,\"job\":") + std::to_string(job) +
+         ",\"cached\":" + (cached ? "true" : "false") +
+         ",\"stale\":" + (stale ? "true" : "false") + "}";
+}
+
+std::string fan_response(bool ok, int seeds,
+                         const std::vector<std::string>& lanes) {
+  std::string out = std::string("{\"ok\":") + (ok ? "true" : "false") +
+                    ",\"op\":\"submit\",\"seeds\":" +
+                    std::to_string(seeds) + ",\"jobs\":[";
+  for (std::size_t k = 0; k < lanes.size(); ++k) {
+    out += (k == 0 ? "" : ",") + lanes[k];
+  }
+  return out + "]}";
+}
+
+TEST(SimServer, FanLanesAreByteIdenticalToPlainSubmits) {
+  SimService fan_service(ScenarioRegistry::standard(), small_config(2, 8));
+  SimService plain_service(ScenarioRegistry::standard(), small_config(2, 8));
+  SimServer fan_server(fan_service);
+  SimServer plain_server(plain_service);
+
+  EXPECT_EQ(fan_server.handle_line(submit_line(301, 3)),
+            fan_response(true, 3,
+                         {accepted_lane(1, false, false),
+                          accepted_lane(2, false, false),
+                          accepted_lane(3, false, false)}));
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(plain_server.handle_line(submit_line(301 + k)),
+              "{\"ok\":true,\"op\":\"submit\",\"job\":" +
+                  std::to_string(k + 1) +
+                  ",\"cached\":false,\"stale\":false}");
+  }
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    ASSERT_TRUE(fan_service.wait(id, 600.0));
+    ASSERT_TRUE(plain_service.wait(id, 600.0));
+    const auto lane = fan_service.result(id);
+    const auto plain = plain_service.result(id);
+    ASSERT_NE(lane, nullptr) << "lane " << id;
+    ASSERT_NE(plain, nullptr) << "seed " << 300 + id;
+    EXPECT_EQ(lane->payload, plain->payload) << "lane " << id;
+    EXPECT_EQ(fan_service.status(id)->canonical,
+              plain_service.status(id)->canonical);
+  }
+
+  // The same fan again is served from the cache lane for lane.
+  EXPECT_EQ(fan_server.handle_line(submit_line(301, 3)),
+            fan_response(true, 3,
+                         {accepted_lane(4, true, false),
+                          accepted_lane(5, true, false),
+                          accepted_lane(6, true, false)}));
+  for (std::uint64_t id = 4; id <= 6; ++id) {
+    ASSERT_NE(fan_service.result(id), nullptr);
+    EXPECT_EQ(fan_service.result(id)->payload,
+              fan_service.result(id - 3)->payload);
+  }
+  const ServiceStats stats = fan_service.stats();
+  EXPECT_EQ(stats.completed, 6u);
+  EXPECT_EQ(stats.cache.hits, 3u);
+  EXPECT_EQ(stats.cache.misses, 3u);
+}
+
+TEST(SimServer, PartlyCachedFanRunsOnlyTheMissingLanes) {
+  SimService service(ScenarioRegistry::standard(), small_config(1, 8));
+  SimServer server(service);
+  // Warm the middle seed with a plain submit first.
+  ASSERT_NE(server.handle_line(submit_line(402)).find("\"job\":1"),
+            std::string::npos);
+  ASSERT_TRUE(service.wait(1, 600.0));
+
+  EXPECT_EQ(server.handle_line(submit_line(401, 3)),
+            fan_response(true, 3,
+                         {accepted_lane(2, false, false),
+                          accepted_lane(3, true, false),
+                          accepted_lane(4, false, false)}));
+  for (std::uint64_t id = 2; id <= 4; ++id) {
+    ASSERT_TRUE(service.wait(id, 600.0));
+    EXPECT_NE(service.result(id), nullptr);
+  }
+  EXPECT_EQ(service.result(3)->payload, service.result(1)->payload);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cache.hits, 1u);
+  EXPECT_EQ(stats.cache.misses, 3u);  // seed 402 once, then 401 and 403
+}
+
+TEST(SimServer, OneSeedFanIsAPlainSubmit) {
+  SimService fan_service(ScenarioRegistry::standard(), small_config());
+  SimService plain_service(ScenarioRegistry::standard(), small_config());
+  SimServer fan_server(fan_service);
+  SimServer plain_server(plain_service);
+  const std::string fan = fan_server.handle_line(submit_line(501, 1));
+  EXPECT_EQ(fan,
+            "{\"ok\":true,\"op\":\"submit\",\"job\":1,\"cached\":false,"
+            "\"stale\":false}");
+  EXPECT_EQ(fan, plain_server.handle_line(submit_line(501)));
+  ASSERT_TRUE(fan_service.wait(1, 600.0));
+  ASSERT_TRUE(plain_service.wait(1, 600.0));
+  EXPECT_EQ(fan_service.result(1)->payload, plain_service.result(1)->payload);
+
+  for (const char* bad : {"0", "2.5", "-3"}) {
+    const std::string line =
+        "{\"op\":\"submit\",\"scenario\":\"nexus\",\"seeds\":" +
+        std::string(bad) + "}";
+    EXPECT_NE(fan_server.handle_line(line).find("\"code\":\"bad_request\""),
+              std::string::npos)
+        << bad;
+  }
+}
+
+TEST(SimServer, FanWiderThanTheFreeQueueDegradesLaneByLane) {
+  ServiceConfig config = small_config(/*workers=*/1, /*queue_capacity=*/2);
+  config.cache_capacity = 1;
+  SimService service(ScenarioRegistry::standard(), config);
+  SimServer server(service);
+  // Seed 702 is cached, then evicted into the stale store by seed 900.
+  const SubmitOutcome evicted = service.submit(short_request(702));
+  ASSERT_TRUE(evicted.accepted);
+  ASSERT_TRUE(service.wait(evicted.id, 600.0));
+  const SubmitOutcome evictor = service.submit(short_request(900));
+  ASSERT_TRUE(evictor.accepted);
+  ASSERT_TRUE(service.wait(evictor.id, 600.0));
+  // Occupy the only worker so the queue cannot drain during the fan.
+  const SubmitOutcome blocker = service.submit(long_request(1));
+  ASSERT_TRUE(blocker.accepted);
+  wait_until_running(service, blocker.id);
+
+  // Two free slots: lanes 700 and 701 take them, lane 702 degrades to its
+  // stale entry, lanes 703 and 704 are rejected.
+  const json::Value fan =
+      json::Value::parse(server.handle_line(submit_line(700, 5)));
+  EXPECT_FALSE(fan.find("ok")->as_bool());
+  const std::vector<json::Value>& lanes = fan.find("jobs")->items();
+  ASSERT_EQ(lanes.size(), 5u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    ASSERT_TRUE(lanes[k].find("accepted")->as_bool()) << "lane " << k;
+    const bool degraded = k == 2;
+    EXPECT_EQ(lanes[k].find("cached")->as_bool(), degraded) << "lane " << k;
+    EXPECT_EQ(lanes[k].find("stale")->as_bool(), degraded) << "lane " << k;
+  }
+  const auto stale = service.result(
+      static_cast<std::uint64_t>(lanes[2].find("job")->as_number()));
+  ASSERT_NE(stale, nullptr);
+  EXPECT_EQ(stale->payload, service.result(evicted.id)->payload);
+  for (std::size_t k = 3; k < 5; ++k) {
+    EXPECT_FALSE(lanes[k].find("accepted")->as_bool()) << "lane " << k;
+    EXPECT_EQ(lanes[k].find("error")->find("code")->as_string(),
+              errc::kQueueFull)
+        << "lane " << k;
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.rejected, 2u);
+  EXPECT_EQ(stats.stale_served, 1u);
+
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_TRUE(service.cancel(
+        static_cast<std::uint64_t>(lanes[k].find("job")->as_number())));
+  }
+  EXPECT_TRUE(service.cancel(blocker.id));
+  EXPECT_TRUE(service.wait(blocker.id, 600.0));
+}
+
 // --- regression: Scenario::fired resets between runs -----------------------
 
 TEST(Scenario, FiredEventsResetBetweenRuns) {
