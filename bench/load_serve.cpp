@@ -43,17 +43,18 @@
 #include <thread>
 #include <vector>
 
-#include "service/json.h"
 #include "service/net_server.h"
 #include "service/scenario_registry.h"
 #include "service/server.h"
 #include "service/service.h"
 #include "service/shard.h"
 #include "util/hash.h"
+#include "util/json.h"
 
 namespace {
 
 using namespace mobitherm;
+namespace json = util::json;
 using clock_type = std::chrono::steady_clock;
 
 constexpr unsigned kShards = 4;
@@ -178,15 +179,15 @@ class ControlClient {
 void warm_cache(int port, const std::vector<std::string>& lines) {
   ControlClient control(port);
   for (const std::string& line : lines) {
-    const service::json::Value submit =
-        service::json::Value::parse(control.request(line));
+    const json::Value submit =
+        json::Value::parse(control.request(line));
     if (!submit.find("ok")->as_bool()) {
       std::fprintf(stderr, "load_serve: warmup submit rejected\n");
       std::abort();
     }
     const auto job =
         static_cast<std::uint64_t>(submit.find("job")->as_number());
-    const service::json::Value wait = service::json::Value::parse(
+    const json::Value wait = json::Value::parse(
         control.request("{\"op\":\"wait\",\"job\":" + std::to_string(job) +
                         ",\"timeout_s\":600}"));
     if (!wait.find("done")->as_bool()) {
@@ -216,10 +217,10 @@ struct LoadConn {
   std::uint64_t counter = 0;                // Zipf sequence counter
 };
 
-std::vector<std::size_t> cache_counts(const service::json::Value& stats) {
+std::vector<std::size_t> cache_counts(const json::Value& stats) {
   std::vector<std::size_t> counts;  // hits, misses per shard, flattened
-  for (const service::json::Value& s : stats.find("shards")->items()) {
-    const service::json::Value* cache = s.find("cache");
+  for (const json::Value& s : stats.find("shards")->items()) {
+    const json::Value* cache = s.find("cache");
     counts.push_back(
         static_cast<std::size_t>(cache->find("hits")->as_number()));
     counts.push_back(
@@ -237,7 +238,7 @@ LoadResult run_load(int port, std::size_t connections, std::size_t window,
 
   ControlClient control(port);
   const std::vector<std::size_t> before =
-      cache_counts(service::json::Value::parse(
+      cache_counts(json::Value::parse(
           control.request("{\"op\":\"stats\"}")));
 
   std::vector<LoadConn> conns(connections);
@@ -312,7 +313,7 @@ LoadResult run_load(int port, std::size_t connections, std::size_t window,
   for (LoadConn& conn : conns) ::close(conn.fd);
 
   const std::vector<std::size_t> after =
-      cache_counts(service::json::Value::parse(
+      cache_counts(json::Value::parse(
           control.request("{\"op\":\"stats\"}")));
 
   LoadResult result;

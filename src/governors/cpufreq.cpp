@@ -2,17 +2,12 @@
 
 #include <algorithm>
 
-#include "util/error.h"
-
 namespace mobitherm::governors {
 
 // Out-of-line default constructors: nested Config default member
 // initializers are not usable as in-class default arguments (CWG 1397).
 Ondemand::Ondemand() : config_(Config{}) {}
-Conservative::Conservative() : config_(Config{}) {}
 Interactive::Interactive() : config_(Config{}) {}
-Schedutil::Schedutil() : config_(Config{}) {}
-
 
 std::size_t Ondemand::decide(const CpufreqInputs& in,
                              const platform::OppTable& table) {
@@ -32,17 +27,6 @@ std::size_t Ondemand::decide(const CpufreqInputs& in,
   const util::Hertz wanted =
       cur_freq * in.utilization / config_.up_threshold;
   return table.ceil_index(wanted);
-}
-
-std::size_t Conservative::decide(const CpufreqInputs& in,
-                                 const platform::OppTable& table) {
-  if (in.utilization >= config_.up_threshold) {
-    return std::min(in.current_index + 1, table.max_index());
-  }
-  if (in.utilization <= config_.down_threshold && in.current_index > 0) {
-    return in.current_index - 1;
-  }
-  return in.current_index;
 }
 
 std::size_t Interactive::decide(const CpufreqInputs& in,
@@ -95,39 +79,6 @@ std::size_t Interactive::decide(const CpufreqInputs& in,
     }
   }
   return std::min(next, table.max_index());
-}
-
-std::size_t Schedutil::decide(const CpufreqInputs& in,
-                              const platform::OppTable& table) {
-  const util::Hertz f_cur = table.at(in.current_index).freq_hz;
-  const util::Hertz wanted = config_.headroom * f_cur * in.utilization;
-  return table.ceil_index(wanted);
-}
-
-std::unique_ptr<CpufreqGovernor> make_cpufreq_governor(
-    const std::string& name) {
-  if (name == "performance") {
-    return std::make_unique<Performance>();
-  }
-  if (name == "powersave") {
-    return std::make_unique<Powersave>();
-  }
-  if (name == "userspace") {
-    return std::make_unique<Userspace>(0);
-  }
-  if (name == "ondemand") {
-    return std::make_unique<Ondemand>();
-  }
-  if (name == "conservative") {
-    return std::make_unique<Conservative>();
-  }
-  if (name == "interactive") {
-    return std::make_unique<Interactive>();
-  }
-  if (name == "schedutil") {
-    return std::make_unique<Schedutil>();
-  }
-  throw util::ConfigError("unknown cpufreq governor: " + name);
 }
 
 }  // namespace mobitherm::governors

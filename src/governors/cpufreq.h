@@ -6,14 +6,12 @@
 // policy is clamped by the thermal framework — the "contradicting
 // governors" interaction the paper discusses in Sec. I.
 //
-// Implemented policies: performance, powersave, userspace, ondemand,
-// conservative, interactive (the Android default the paper names), and
-// schedutil.
+// Implemented policies: userspace (a pinned OPP), ondemand, and
+// interactive (the Android default the paper names).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <memory>
-#include <string>
 
 #include "platform/opp.h"
 #include "util/units.h"
@@ -48,26 +46,6 @@ class CpufreqGovernor {
   /// "highest value whenever it detects user interactions" behaviour the
   /// paper describes.
   virtual void notify_input() {}
-};
-
-/// Always the highest OPP.
-class Performance final : public CpufreqGovernor {
- public:
-  const char* name() const override { return "performance"; }
-  std::size_t decide(const CpufreqInputs&,
-                     const platform::OppTable& table) override {
-    return table.max_index();
-  }
-};
-
-/// Always the lowest OPP.
-class Powersave final : public CpufreqGovernor {
- public:
-  const char* name() const override { return "powersave"; }
-  std::size_t decide(const CpufreqInputs&,
-                     const platform::OppTable&) override {
-    return 0;
-  }
 };
 
 /// Pinned to a caller-chosen OPP.
@@ -111,27 +89,6 @@ class Ondemand final : public CpufreqGovernor {
   int hold_remaining_ = 0;
 };
 
-/// Conservative: single-step moves against up/down thresholds.
-class Conservative final : public CpufreqGovernor {
- public:
-  struct Config {
-    double up_threshold = 0.80;
-    double down_threshold = 0.35;
-    util::Seconds sampling_period_s{0.05};
-  };
-  Conservative();
-  explicit Conservative(Config config) : config_(config) {}
-  const char* name() const override { return "conservative"; }
-  util::Seconds sampling_period_s() const override {
-    return config_.sampling_period_s;
-  }
-  std::size_t decide(const CpufreqInputs& in,
-                     const platform::OppTable& table) override;
-
- private:
-  Config config_;
-};
-
 /// Android interactive: jump to hispeed_freq on high load, raise further
 /// only after above_hispeed_delay, and hold speed for min_sample_time
 /// before dropping. This is the governor whose "highest value on user
@@ -169,29 +126,5 @@ class Interactive final : public CpufreqGovernor {
   util::Seconds time_since_raise_{};
   util::Seconds boost_remaining_s_{};
 };
-
-/// schedutil: f_next = headroom * f_cur * util, snapped up.
-class Schedutil final : public CpufreqGovernor {
- public:
-  struct Config {
-    double headroom = 1.25;
-    util::Seconds sampling_period_s{0.01};
-  };
-  Schedutil();
-  explicit Schedutil(Config config) : config_(config) {}
-  const char* name() const override { return "schedutil"; }
-  util::Seconds sampling_period_s() const override {
-    return config_.sampling_period_s;
-  }
-  std::size_t decide(const CpufreqInputs& in,
-                     const platform::OppTable& table) override;
-
- private:
-  Config config_;
-};
-
-/// Factory by kernel-style name; throws ConfigError for unknown names.
-std::unique_ptr<CpufreqGovernor> make_cpufreq_governor(
-    const std::string& name);
 
 }  // namespace mobitherm::governors

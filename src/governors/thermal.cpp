@@ -1,7 +1,6 @@
 #include "governors/thermal.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.h"
 
@@ -106,97 +105,6 @@ std::size_t StepWiseGovernor::zone_state(std::size_t z) const {
     throw ConfigError("StepWiseGovernor: zone index out of range");
   }
   return state_[z];
-}
-
-BangBangGovernor::BangBangGovernor(const platform::SocSpec& spec,
-                                   Config config)
-    : config_(std::move(config)) {
-  const std::size_t n = spec.clusters.size();
-  is_actor_.assign(n, false);
-  if (config_.actors.empty()) {
-    for (std::size_t c = 0; c < n; ++c) {
-      is_actor_[c] =
-          spec.clusters[c].kind != platform::ResourceKind::kMemory;
-    }
-  } else {
-    for (std::size_t a : config_.actors) {
-      if (a >= n) {
-        throw ConfigError("BangBangGovernor: actor index out of range");
-      }
-      is_actor_[a] = true;
-    }
-  }
-  max_index_.reserve(n);
-  for (const platform::ClusterSpec& c : spec.clusters) {
-    max_index_.push_back(c.opps.max_index());
-  }
-}
-
-void BangBangGovernor::update(const ThermalContext& ctx) {
-  if (ctx.control_temp_k > config_.trip_k) {
-    tripped_ = true;
-  } else if (ctx.control_temp_k < config_.trip_k - config_.hysteresis_k) {
-    tripped_ = false;
-  }
-}
-
-std::size_t BangBangGovernor::cap_index(std::size_t cluster) const {
-  if (cluster >= max_index_.size()) {
-    throw ConfigError("BangBangGovernor: cluster index out of range");
-  }
-  if (!tripped_ || !is_actor_[cluster]) {
-    return max_index_[cluster];
-  }
-  return std::min(config_.floor_index, max_index_[cluster]);
-}
-
-FairShareGovernor::FairShareGovernor(const platform::SocSpec& spec,
-                                     Config config)
-    : config_(std::move(config)) {
-  const std::size_t n = spec.clusters.size();
-  if (config_.max_temp_k <= config_.trip_k) {
-    throw ConfigError("FairShareGovernor: max_temp must exceed trip");
-  }
-  if (config_.weights.empty()) {
-    config_.weights.assign(n, 0.0);
-    for (std::size_t c = 0; c < n; ++c) {
-      if (spec.clusters[c].kind != platform::ResourceKind::kMemory) {
-        config_.weights[c] = 1.0;
-      }
-    }
-  }
-  if (config_.weights.size() != n) {
-    throw ConfigError("FairShareGovernor: weights size mismatch");
-  }
-  max_index_.reserve(n);
-  for (const platform::ClusterSpec& c : spec.clusters) {
-    max_index_.push_back(c.opps.max_index());
-    cap_.push_back(c.opps.max_index());
-  }
-}
-
-void FairShareGovernor::update(const ThermalContext& ctx) {
-  // Depth into the [trip, max_temp] band, in [0, 1].
-  const double depth =
-      std::clamp((ctx.control_temp_k - config_.trip_k) /
-                     (config_.max_temp_k - config_.trip_k),
-                 0.0, 1.0);
-  for (std::size_t c = 0; c < max_index_.size(); ++c) {
-    if (config_.weights[c] <= 0.0) {
-      cap_[c] = max_index_[c];
-      continue;
-    }
-    const double scaled_depth = std::min(1.0, depth * config_.weights[c]);
-    cap_[c] = static_cast<std::size_t>(
-        std::lround((1.0 - scaled_depth) * max_index_[c]));
-  }
-}
-
-std::size_t FairShareGovernor::cap_index(std::size_t cluster) const {
-  if (cluster >= cap_.size()) {
-    throw ConfigError("FairShareGovernor: cluster index out of range");
-  }
-  return cap_[cluster];
 }
 
 IpaGovernor::IpaGovernor(const platform::SocSpec& spec, Config config)

@@ -125,70 +125,6 @@ class StepWiseGovernor final : public ThermalGovernor {
   std::vector<std::size_t> state_;  // per zone
 };
 
-/// Linux bang_bang: a two-position regulator. Above the trip the actuated
-/// clusters are capped at their floor index; once the temperature falls
-/// below trip - hysteresis the cap is fully released. Simple, but the
-/// paper's Sec. III shows why it is harsh: everything slows at once.
-class BangBangGovernor final : public ThermalGovernor {
- public:
-  struct Config {
-    util::Kelvin trip_k{315.15};
-    util::Kelvin hysteresis_k{3.0};
-    util::Seconds polling_period_s{1.0};
-    /// Clusters capped when tripped; empty = all non-memory clusters.
-    std::vector<std::size_t> actors;
-    /// Cap applied while tripped.
-    std::size_t floor_index = 0;
-  };
-
-  BangBangGovernor(const platform::SocSpec& spec, Config config);
-
-  const char* name() const override { return "bang_bang"; }
-  util::Seconds polling_period_s() const override {
-    return config_.polling_period_s;
-  }
-  void update(const ThermalContext& ctx) override;
-  std::size_t cap_index(std::size_t cluster) const override;
-
-  bool tripped() const { return tripped_; }
-
- private:
-  Config config_;
-  std::vector<std::size_t> max_index_;
-  std::vector<bool> is_actor_;
-  bool tripped_ = false;
-};
-
-/// Linux fair_share: above the trip, each actor's cap is scaled down in
-/// proportion to how far the temperature has climbed into the
-/// [trip, max_temp] band, weighted per actor.
-class FairShareGovernor final : public ThermalGovernor {
- public:
-  struct Config {
-    util::Kelvin trip_k{315.15};
-    /// Temperature at which actors are pinned to their lowest OPP.
-    util::Kelvin max_temp_k{335.15};
-    util::Seconds polling_period_s{1.0};
-    /// Per-cluster weights (0 = not actuated); empty = weight 1 for all
-    /// non-memory clusters.
-    std::vector<double> weights;
-  };
-
-  FairShareGovernor(const platform::SocSpec& spec, Config config);
-
-  const char* name() const override { return "fair_share"; }
-  util::Seconds polling_period_s() const override {
-    return config_.polling_period_s;
-  }
-  void update(const ThermalContext& ctx) override;
-  std::size_t cap_index(std::size_t cluster) const override;
-
- private:
-  Config config_;
-  std::vector<std::size_t> max_index_;
-  std::vector<std::size_t> cap_;
-};
-
 /// ARM Intelligent Power Allocation.
 class IpaGovernor final : public ThermalGovernor {
  public:

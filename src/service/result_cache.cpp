@@ -2,11 +2,13 @@
 
 #include <utility>
 
-#include "service/json.h"
 #include "service/scenario_registry.h"
 #include "util/hash.h"
+#include "util/json.h"
 
 namespace mobitherm::service {
+
+namespace json = util::json;
 
 namespace {
 

@@ -38,7 +38,7 @@
 namespace mobitherm::service {
 
 /// A completed run: its summaries plus the canonical serialized payload
-/// (service/json.h) that the NDJSON `result` op embeds verbatim.
+/// (util/json.h) that the NDJSON `result` op embeds verbatim.
 struct JobResult {
   sim::RunMetrics metrics;
   sim::RunReport report;

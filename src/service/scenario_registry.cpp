@@ -3,17 +3,18 @@
 #include <algorithm>
 
 #include "power/model_registry.h"
-#include "service/json.h"
 #include "sim/experiment.h"
 #include "stability/model_analysis.h"
 #include "stability/presets.h"
 #include "util/error.h"
+#include "util/json.h"
 #include "util/units.h"
 #include "workload/presets.h"
 
 namespace mobitherm::service {
 
 using util::ConfigError;
+namespace json = util::json;
 
 workload::AppSpec workload_by_name(const std::string& name, int levels,
                                    double phase_s) {

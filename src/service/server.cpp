@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <exception>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -13,6 +14,8 @@
 #include "workload/pack.h"
 
 namespace mobitherm::service {
+
+namespace json = util::json;
 
 namespace {
 
@@ -45,6 +48,33 @@ bool read_number(const json::Value& request, const std::string& key,
   }
   *value = v->as_number();
   return true;
+}
+
+/// Bounds of the protocol's integer fields. Seeds and job ids stop at 2^53,
+/// the largest integer a JSON number (a double) carries exactly; counts
+/// stop at INT_MAX.
+constexpr std::uint64_t kMaxExactInteger = std::uint64_t{1} << 53;
+constexpr int kMaxInt = std::numeric_limits<int>::max();
+
+/// Reads an optional integer member bounded to [lo, hi] into `*value`,
+/// which keeps its default when the member is absent. Returns an error
+/// message, "" when absent or valid; throws json::ParseError on a type
+/// mismatch like read_number. Both checks run on the double, so a
+/// fractional or out-of-range number is rejected before any cast.
+template <typename Int>
+std::string read_integer(const json::Value& request, const std::string& key,
+                         Int lo, Int hi, Int* value) {
+  double n = 0.0;
+  if (!read_number(request, key, &n)) {
+    return "";
+  }
+  if (!(n >= static_cast<double>(lo) && n <= static_cast<double>(hi)) ||
+      n != std::floor(n)) {
+    return key + " must be an integer in [" + std::to_string(lo) + ", " +
+           std::to_string(hi) + "]";
+  }
+  *value = static_cast<Int>(n);
+  return "";
 }
 
 bool read_bool(const json::Value& request, const std::string& key,
@@ -80,47 +110,33 @@ std::string read_request_fields(const json::Value& v, SimRequest* req) {
   read_bool(v, "with_bml", &req->with_bml);
   read_number(v, "duration_s", &req->duration_s);
   read_number(v, "initial_temp_c", &req->initial_temp_c);
-  double seed = 0.0;
-  if (read_number(v, "seed", &seed)) {
-    if (seed < 0 || seed != std::floor(seed)) {
-      return "seed must be a nonnegative integer";
-    }
-    req->seed = static_cast<std::uint64_t>(seed);
+  const std::string seed_error = read_integer(
+      v, "seed", std::uint64_t{0}, kMaxExactInteger, &req->seed);
+  if (!seed_error.empty()) {
+    return seed_error;
   }
-  double levels = 0.0;
-  if (read_number(v, "app_levels", &levels)) {
-    req->app_levels = static_cast<int>(levels);
+  const std::string levels_error =
+      read_integer(v, "app_levels", 1, kMaxInt, &req->app_levels);
+  if (!levels_error.empty()) {
+    return levels_error;
   }
   read_number(v, "app_phase_s", &req->app_phase_s);
   return "";
 }
 
-/// Reads an optional positive-integer member into `*value`. Returns an
-/// error message, "" when absent or valid.
-std::string read_positive_int(const json::Value& request,
-                              const std::string& key, int* value) {
-  double n = 0.0;
-  if (!read_number(request, key, &n)) {
-    return "";
-  }
-  if (n < 1 || n != std::floor(n)) {
-    return key + " must be a positive integer";
-  }
-  *value = static_cast<int>(n);
-  return "";
-}
-
-/// The "job" member, validated as a nonnegative integer id.
+/// The "job" member, validated as an integer id in [0, 2^53].
 std::uint64_t job_id(const json::Value& request) {
   const json::Value* v = request.find("job");
-  if (v == nullptr) {
+  if (v == nullptr || v->is_null()) {
     throw json::ParseError("missing required field: job");
   }
-  const double n = v->as_number();
-  if (n < 0 || n != std::floor(n)) {
-    throw json::ParseError("job must be a nonnegative integer");
+  std::uint64_t id = 0;
+  const std::string error =
+      read_integer(request, "job", std::uint64_t{0}, kMaxExactInteger, &id);
+  if (!error.empty()) {
+    throw json::ParseError(error);
   }
-  return static_cast<std::uint64_t>(n);
+  return id;
 }
 
 /// Failure detail for a terminal-but-not-done job: the structured error
@@ -228,16 +244,14 @@ std::string SimServer::handle_submit(const json::Value& request) {
 
   // Fan submit: "seeds": N fans the request over seeds seed..seed+N-1 in
   // one request line; every lane is an ordinary submit.
-  double seeds = 0.0;
-  if (read_number(request, "seeds", &seeds)) {
-    if (seeds < 1 || seeds != std::floor(seeds)) {
-      return error_response("submit", errc::kBadRequest,
-                            "seeds must be a positive integer");
-    }
-    if (seeds > 1) {
-      return handle_submit_many(req, static_cast<std::size_t>(seeds),
-                                deadline_s);
-    }
+  std::size_t seeds = 1;
+  const std::string seeds_error = read_integer(
+      request, "seeds", std::size_t{1}, kMaxFanSeeds, &seeds);
+  if (!seeds_error.empty()) {
+    return error_response("submit", errc::kBadRequest, seeds_error);
+  }
+  if (seeds > 1) {
+    return handle_submit_many(req, seeds, deadline_s);
   }
 
   const SubmitOutcome outcome = service_.submit(req, deadline_s);
@@ -321,18 +335,15 @@ std::string SimServer::handle_compare(const json::Value& request) {
        {std::pair<const char*, int*>{"max_seeds", &cmp.max_seeds},
         std::pair<const char*, int*>{"round_seeds", &cmp.round_seeds},
         std::pair<const char*, int*>{"min_seeds", &cmp.min_seeds}}) {
-    const std::string int_error = read_positive_int(request, key, value);
+    const std::string int_error = read_integer(request, key, 1, kMaxInt, value);
     if (!int_error.empty()) {
       return error_response("compare", errc::kBadRequest, int_error);
     }
   }
-  double base_seed = 0.0;
-  if (read_number(request, "base_seed", &base_seed)) {
-    if (base_seed < 0 || base_seed != std::floor(base_seed)) {
-      return error_response("compare", errc::kBadRequest,
-                            "base_seed must be a nonnegative integer");
-    }
-    cmp.base_seed = static_cast<std::uint64_t>(base_seed);
+  const std::string seed_error = read_integer(
+      request, "base_seed", std::uint64_t{0}, kMaxExactInteger, &cmp.base_seed);
+  if (!seed_error.empty()) {
+    return error_response("compare", errc::kBadRequest, seed_error);
   }
   double deadline_s = -1.0;
   read_number(request, "deadline_s", &deadline_s);

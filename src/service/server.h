@@ -10,9 +10,9 @@
 //   submit    (scenario, app?, policy?, with_bml?, duration_s?,
 //              initial_temp_c?, seed?, seeds?, app_levels?, app_phase_s?,
 //              deadline_s?)            -> {ok, job, cached, stale}
-//             With "seeds": N (N >= 2) the submit is a *fan*: lanes
-//             seed..seed+N-1 are admitted in lane order, each exactly as
-//             a plain submit of that seed, and the response is
+//             With "seeds": N (2 <= N <= kMaxFanSeeds) the submit is a
+//             *fan*: lanes seed..seed+N-1 are admitted in lane order, each
+//             exactly as a plain submit of that seed, and the response is
 //             {ok, seeds, jobs:[{accepted, job|error, cached, stale}...]}
 //             in lane order; "ok" is true iff every lane was accepted.
 //   compare   (arms:[{scenario, app?, policy?, with_bml?, duration_s?,
@@ -48,6 +48,11 @@
 //              compare_metrics:[...]}
 //   shutdown  ()                       -> {ok} and the serve loop exits
 //
+// Integer fields must be integers within range, or the request is a
+// bad_request: seed, base_seed and job in [0, 2^53]; max_seeds,
+// min_seeds, round_seeds and app_levels in [1, INT_MAX]; seeds in
+// [1, kMaxFanSeeds].
+//
 // Every response carries "ok" and echoes "op". Failures are structured:
 //   {"ok":false,"op":...,"error":{"code":"...","message":"..."}}
 // with "site" and "attempts" members added when a job failed under fault
@@ -61,15 +66,19 @@
 #include <iosfwd>
 #include <string>
 
-#include "service/json.h"
 #include "service/service.h"
 #include "util/fault.h"
+#include "util/json.h"
 
 namespace mobitherm::service {
 
 /// Upper bound on one request line; longer lines are answered with an
 /// `oversized_line` error without being parsed (bounds parser memory).
 inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
+/// Upper bound on a submit's "seeds" fan width; a wider fan is a
+/// `bad_request`. Bounds a fan's response line to about 100 KB.
+inline constexpr std::size_t kMaxFanSeeds = 1024;
 
 class SimServer {
  public:
@@ -94,14 +103,14 @@ class SimServer {
   void serve(std::istream& in, std::ostream& out);
 
  private:
-  std::string handle_submit(const json::Value& request);
+  std::string handle_submit(const util::json::Value& request);
   std::string handle_submit_many(const SimRequest& request,
                                  std::size_t seeds, double deadline_s);
-  std::string handle_compare(const json::Value& request);
-  std::string handle_status(const json::Value& request);
-  std::string handle_result(const json::Value& request);
-  std::string handle_cancel(const json::Value& request);
-  std::string handle_wait(const json::Value& request);
+  std::string handle_compare(const util::json::Value& request);
+  std::string handle_status(const util::json::Value& request);
+  std::string handle_result(const util::json::Value& request);
+  std::string handle_cancel(const util::json::Value& request);
+  std::string handle_wait(const util::json::Value& request);
   std::string handle_stats();
   std::string handle_scenarios();
 

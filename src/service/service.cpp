@@ -5,17 +5,19 @@
 #include <exception>
 #include <utility>
 
-#include "service/json.h"
 #include "sim/compare.h"
 #include "sim/montecarlo.h"
 #include "sim/report.h"
 #include "sim/sim_error.h"
 #include "util/error.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/seed_schedule.h"
 #include "util/units.h"
 
 namespace mobitherm::service {
+
+namespace json = util::json;
 
 namespace {
 

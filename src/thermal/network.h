@@ -7,10 +7,13 @@
 // definite whenever at least one node is grounded to ambient.
 //
 // Two integrators are provided:
-//  * kRk4   — classic Runge-Kutta with automatic substepping,
 //  * kExact — exact propagator for piecewise-constant power, built once per
 //             step size from the eigendecomposition of the symmetrized
-//             system matrix (robust to stiffness; the default).
+//             system matrix (robust to stiffness; the default, and the
+//             only one any simulation path selects),
+//  * kRk4   — classic Runge-Kutta with automatic substepping, kept as the
+//             independent reference the tests check kExact against
+//             (micro_thermal also times it next to kExact).
 //
 // Hot-path allocation policy: the spec is immutable after construction, so
 // the G factorization is computed once and cached; the exact stepper is

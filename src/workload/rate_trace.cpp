@@ -90,49 +90,6 @@ std::vector<RateSample> synthetic_rate_trace(std::uint64_t seed, int seconds,
   return trace;
 }
 
-std::vector<RateSample> app_to_trace(const AppSpec& app, int seconds,
-                                     std::uint64_t seed) {
-  if (app.phases.empty()) {
-    throw ConfigError("app_to_trace: app has no phases");
-  }
-  if (seconds <= 0) {
-    throw ConfigError("app_to_trace: seconds must be positive");
-  }
-  double total = 0.0;
-  for (const Phase& ph : app.phases) {
-    total += ph.duration_s;
-  }
-  util::Xorshift64Star rng(seed);
-  double jitter_mult = 1.0;
-  double next_jitter_at = 0.0;
-  std::vector<RateSample> trace;
-  trace.reserve(static_cast<std::size_t>(seconds));
-  for (int s = 0; s < seconds; ++s) {
-    const double now = static_cast<double>(s) + 0.5;
-    if (app.jitter > 0.0 && now >= next_jitter_at) {
-      jitter_mult = rng.uniform(1.0 - app.jitter, 1.0 + app.jitter);
-      next_jitter_at = now + app.jitter_interval_s;
-    }
-    // Phase lookup mirrors AppInstance::phase_at.
-    double t = app.loop ? std::fmod(now, total) : std::min(now, total);
-    const Phase* phase = &app.phases.back();
-    for (const Phase& ph : app.phases) {
-      if (t < ph.duration_s) {
-        phase = &ph;
-        break;
-      }
-      t -= ph.duration_s;
-    }
-    RateSample sample;
-    sample.duration_s = 1.0;
-    const double fps = app.target_fps > 0.0 ? app.target_fps : 60.0;
-    sample.cpu_rate = phase->cpu_work_per_frame * fps * jitter_mult;
-    sample.gpu_rate = phase->gpu_work_per_frame * fps * jitter_mult;
-    trace.push_back(sample);
-  }
-  return trace;
-}
-
 AppSpec trace_to_app(const std::string& name,
                      const std::vector<RateSample>& trace, double target_fps,
                      bool loop) {

@@ -45,12 +45,4 @@ AppSpec trace_to_app(const std::string& name,
                      const std::vector<RateSample>& trace,
                      double target_fps = 60.0, bool loop = true);
 
-/// Inverse direction: sample an AppSpec's demand schedule into a
-/// per-second rate trace over `seconds`, reproducing phase looping and the
-/// jitter stream for `seed` (the same seed an AppInstance would use). The
-/// result round-trips through trace_to_app into an app with identical
-/// demands.
-std::vector<RateSample> app_to_trace(const AppSpec& app, int seconds,
-                                     std::uint64_t seed = 1);
-
 }  // namespace mobitherm::workload

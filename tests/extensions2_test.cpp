@@ -1,11 +1,7 @@
-// Tests for the second extension batch: bang_bang / fair_share thermal
-// policies, thermal-network flow introspection, and engine app lifecycle
-// (delayed start, suspend/resume).
+// Tests for the second extension batch: thermal-network flow
+// introspection and engine app lifecycle (delayed start, suspend/resume).
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "governors/thermal.h"
 #include "platform/presets.h"
 #include "sim/engine.h"
 #include "stability/presets.h"
@@ -19,110 +15,6 @@ namespace mobitherm {
 namespace {
 
 using util::ConfigError;
-using util::celsius_to_kelvin;
-
-// --- bang_bang --------------------------------------------------------------
-
-governors::ThermalContext ctx_at(double temp_c) {
-  governors::ThermalContext ctx;
-  ctx.control_temp_k = util::celsius(temp_c);
-  return ctx;
-}
-
-TEST(BangBang, TwoPositionBehaviour) {
-  const platform::SocSpec spec = platform::exynos5422();
-  governors::BangBangGovernor::Config cfg;
-  cfg.trip_k = util::celsius(85.0);
-  cfg.hysteresis_k = util::kelvin(5.0);
-  cfg.floor_index = 2;
-  governors::BangBangGovernor gov(spec, cfg);
-  const std::size_t big = spec.big();
-  const std::size_t top = spec.clusters[big].opps.max_index();
-
-  EXPECT_EQ(gov.cap_index(big), top);
-  gov.update(ctx_at(90.0));
-  EXPECT_TRUE(gov.tripped());
-  EXPECT_EQ(gov.cap_index(big), 2u);
-  // Inside the hysteresis band: still tripped.
-  gov.update(ctx_at(82.0));
-  EXPECT_TRUE(gov.tripped());
-  // Below trip - hysteresis: full release, no intermediate levels.
-  gov.update(ctx_at(79.0));
-  EXPECT_FALSE(gov.tripped());
-  EXPECT_EQ(gov.cap_index(big), top);
-}
-
-TEST(BangBang, MemoryIsNotAnActorByDefault) {
-  const platform::SocSpec spec = platform::exynos5422();
-  governors::BangBangGovernor gov(spec,
-                                  governors::BangBangGovernor::Config{});
-  gov.update(ctx_at(200.0));
-  const std::size_t mem =
-      spec.index_of_kind(platform::ResourceKind::kMemory);
-  EXPECT_EQ(gov.cap_index(mem), spec.clusters[mem].opps.max_index());
-  EXPECT_EQ(gov.cap_index(spec.big()), 0u);
-}
-
-TEST(BangBang, ValidatesActors) {
-  const platform::SocSpec spec = platform::exynos5422();
-  governors::BangBangGovernor::Config cfg;
-  cfg.actors = {99};
-  EXPECT_THROW(governors::BangBangGovernor gov(spec, cfg), ConfigError);
-}
-
-// --- fair_share ----------------------------------------------------------------
-
-TEST(FairShare, CapScalesWithDepthIntoBand) {
-  const platform::SocSpec spec = platform::exynos5422();
-  governors::FairShareGovernor::Config cfg;
-  cfg.trip_k = util::celsius(80.0);
-  cfg.max_temp_k = util::celsius(100.0);
-  governors::FairShareGovernor gov(spec, cfg);
-  const std::size_t big = spec.big();
-  const std::size_t top = spec.clusters[big].opps.max_index();
-
-  gov.update(ctx_at(70.0));  // below trip
-  EXPECT_EQ(gov.cap_index(big), top);
-  gov.update(ctx_at(90.0));  // halfway into the band
-  EXPECT_NEAR(static_cast<double>(gov.cap_index(big)), 0.5 * top, 1.0);
-  gov.update(ctx_at(100.0));  // at max temp
-  EXPECT_EQ(gov.cap_index(big), 0u);
-  gov.update(ctx_at(150.0));  // beyond: clamped
-  EXPECT_EQ(gov.cap_index(big), 0u);
-}
-
-TEST(FairShare, WeightsBiasTheThrottling) {
-  const platform::SocSpec spec = platform::exynos5422();
-  governors::FairShareGovernor::Config cfg;
-  cfg.trip_k = util::celsius(80.0);
-  cfg.max_temp_k = util::celsius(100.0);
-  cfg.weights.assign(spec.clusters.size(), 0.0);
-  cfg.weights[spec.big()] = 2.0;   // throttled twice as hard
-  cfg.weights[spec.gpu()] = 1.0;
-  governors::FairShareGovernor gov(spec, cfg);
-  gov.update(ctx_at(85.0));  // depth 0.25
-  const double big_frac =
-      static_cast<double>(gov.cap_index(spec.big())) /
-      spec.clusters[spec.big()].opps.max_index();
-  const double gpu_frac =
-      static_cast<double>(gov.cap_index(spec.gpu())) /
-      spec.clusters[spec.gpu()].opps.max_index();
-  EXPECT_LT(big_frac, gpu_frac);
-  // Zero-weight clusters are untouched.
-  EXPECT_EQ(gov.cap_index(spec.little()),
-            spec.clusters[spec.little()].opps.max_index());
-}
-
-TEST(FairShare, ValidatesConfig) {
-  const platform::SocSpec spec = platform::exynos5422();
-  governors::FairShareGovernor::Config bad;
-  bad.max_temp_k = bad.trip_k;  // empty band
-  EXPECT_THROW(governors::FairShareGovernor gov(spec, bad), ConfigError);
-  governors::FairShareGovernor::Config wrong;
-  wrong.max_temp_k = wrong.trip_k + util::kelvin(10.0);
-  wrong.weights = {1.0};
-  EXPECT_THROW(governors::FairShareGovernor gov2(spec, wrong), ConfigError);
-}
 
 // --- network flow introspection ----------------------------------------------------
 
@@ -210,30 +102,6 @@ TEST(AppLifecycle, SuspendingTheHogCoolsTheSystem) {
   engine.suspend_app(hog);
   engine.run(60.0);
   EXPECT_LT(engine.network().max_temperature().value(), hot - 2.0);
-}
-
-// --- bang_bang end-to-end --------------------------------------------------------------
-
-TEST(BangBang, EngineOscillatesAroundTrip) {
-  const platform::SocSpec spec = platform::exynos5422();
-  sim::Engine engine(spec, thermal::odroidxu3_network(), odroid_leakage(),
-                     0.25);
-  engine.set_initial_temperature(celsius_to_kelvin(60.0));
-  governors::BangBangGovernor::Config cfg;
-  cfg.trip_k = util::celsius(70.0);
-  cfg.hysteresis_k = util::kelvin(3.0);
-  cfg.polling_period_s = util::seconds(0.5);
-  engine.set_thermal_governor(
-      std::make_unique<governors::BangBangGovernor>(spec, cfg));
-  engine.add_app(workload::threedmark());
-  engine.run(120.0);
-  // The temperature hovers near the trip band instead of running away.
-  EXPECT_LT(engine.network().max_temperature().value(),
-            celsius_to_kelvin(76.0));
-  EXPECT_GT(engine.network().max_temperature().value(),
-            celsius_to_kelvin(62.0));
-  // Bang-bang causes repeated full-throttle episodes (contradictions).
-  EXPECT_GE(engine.conflict_episodes(spec.gpu()), 2u);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 //  * Protocol: a malformed-input corpus (truncated JSON, wrong types,
 //    duplicate keys, deep nesting, oversized lines) must produce a
 //    structured error per line, never crash the server, and never leak a
-//    job slot; plus a randomized round-trip property test for service/json.
+//    job slot; plus a randomized round-trip property test for util::json.
 //  * Degradation: transient injected faults are retried with backoff and
 //    give up into stale cache hits; corruption is detected by checksum and
 //    recomputed; the whole injected schedule replays byte-for-byte.
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "platform/soc.h"
-#include "service/json.h"
 #include "service/result_cache.h"
 #include "service/scenario_registry.h"
 #include "service/server.h"
@@ -38,6 +37,7 @@
 #include "thermal/network.h"
 #include "util/error.h"
 #include "util/fault.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/units.h"
 #include "workload/app.h"
@@ -45,6 +45,7 @@
 namespace mobitherm::service {
 namespace {
 
+namespace json = util::json;
 using util::ConfigError;
 using util::FaultPlan;
 using util::FaultPlanConfig;
@@ -335,6 +336,23 @@ TEST(ServerRobustness, MalformedInputCorpusAlwaysGetsStructuredErrors) {
       "{\"op\":\"submit\",\"scenario\":\"nexus\",\"duration_s\":\"x\"}",
       "{\"op\":\"submit\",\"scenario\":\"nexus\",\"seed\":-4}",
       "{\"op\":\"submit\",\"scenario\":\"nexus\",\"duration_s\":0}",
+      // Integer fields beyond their range or not integers at all: each
+      // is a bad_request before any cast.
+      "{\"op\":\"submit\",\"scenario\":\"nexus\",\"seed\":1e300}",
+      "{\"op\":\"submit\",\"scenario\":\"nexus\","
+      "\"seed\":18446744073709551616}",
+      "{\"op\":\"submit\",\"scenario\":\"nexus\",\"seeds\":1e300}",
+      "{\"op\":\"submit\",\"scenario\":\"nexus\",\"seeds\":1000000}",
+      "{\"op\":\"status\",\"job\":1e300}",
+      "{\"op\":\"submit\",\"scenario\":\"odroid\",\"app\":\"nenamark\","
+      "\"app_levels\":1e12}",
+      "{\"op\":\"submit\",\"scenario\":\"odroid\",\"app\":\"nenamark\","
+      "\"app_levels\":2.7}",
+      "{\"op\":\"submit\",\"scenario\":\"odroid\",\"app\":\"nenamark\","
+      "\"app_levels\":-5}",
+      "{\"op\":\"compare\",\"arms\":[{\"scenario\":\"nexus\"},"
+      "{\"scenario\":\"nexus\",\"policy\":\"unthrottled\"}],"
+      "\"max_seeds\":1e12,\"min_seeds\":1e12}",
       "{\"op\":\"status\"}",                     // missing job
       "{\"op\":\"status\",\"job\":-1}",          // negative job
       "{\"op\":\"status\",\"job\":1.5}",         // fractional job

@@ -33,20 +33,7 @@ CpufreqInputs in(double util, std::size_t index) {
   return i;
 }
 
-// --- trivial policies ----------------------------------------------------------
-
-TEST(Cpufreq, PerformanceAlwaysMax) {
-  Performance gov;
-  const OppTable t = ladder();
-  EXPECT_EQ(gov.decide(in(0.0, 0), t), 4u);
-  EXPECT_EQ(gov.decide(in(1.0, 2), t), 4u);
-}
-
-TEST(Cpufreq, PowersaveAlwaysMin) {
-  Powersave gov;
-  const OppTable t = ladder();
-  EXPECT_EQ(gov.decide(in(1.0, 4), t), 0u);
-}
+// --- userspace ----------------------------------------------------------------
 
 TEST(Cpufreq, UserspacePinsAndClamps) {
   Userspace gov(2);
@@ -79,15 +66,25 @@ TEST(Ondemand, StableAtModerateLoad) {
   EXPECT_EQ(gov.decide(in(0.79, 2), ladder()), 2u);
 }
 
-// --- conservative ------------------------------------------------------------------
+TEST(OndemandSamplingDown, HoldsMaxAfterBurst) {
+  Ondemand::Config cfg;
+  cfg.sampling_down_factor = 3;
+  Ondemand gov(cfg);
+  const OppTable table = OppTable::from_mhz_mv(
+      {{200.0, 900.0}, {600.0, 1000.0}, {1000.0, 1100.0}});
+  EXPECT_EQ(gov.decide(in(0.95, 0), table), 2u);  // jump to max
+  // Held at max for sampling_down_factor - 1 further decisions.
+  EXPECT_EQ(gov.decide(in(0.05, 2), table), 2u);
+  EXPECT_EQ(gov.decide(in(0.05, 2), table), 2u);
+  EXPECT_EQ(gov.decide(in(0.05, 2), table), 0u);  // finally drops
+}
 
-TEST(Conservative, StepsUpAndDownOneAtATime) {
-  Conservative gov;
-  EXPECT_EQ(gov.decide(in(0.9, 2), ladder()), 3u);
-  EXPECT_EQ(gov.decide(in(0.9, 4), ladder()), 4u);  // saturates at max
-  EXPECT_EQ(gov.decide(in(0.1, 2), ladder()), 1u);
-  EXPECT_EQ(gov.decide(in(0.1, 0), ladder()), 0u);  // saturates at min
-  EXPECT_EQ(gov.decide(in(0.5, 2), ladder()), 2u);  // dead band holds
+TEST(OndemandSamplingDown, DefaultDropsImmediately) {
+  Ondemand gov;
+  const OppTable table = OppTable::from_mhz_mv(
+      {{200.0, 900.0}, {600.0, 1000.0}, {1000.0, 1100.0}});
+  EXPECT_EQ(gov.decide(in(0.95, 0), table), 2u);
+  EXPECT_EQ(gov.decide(in(0.05, 2), table), 0u);
 }
 
 // --- interactive --------------------------------------------------------------------
@@ -131,28 +128,18 @@ TEST(Interactive, TargetLoadSizing) {
   EXPECT_EQ(gov.decide(in(0.45, 4), ladder()), 2u);
 }
 
-// --- schedutil -----------------------------------------------------------------------
-
-TEST(Schedutil, HeadroomFormula) {
-  Schedutil gov;
-  // 1.25 * 600 * 0.8 = 600 -> index 2 (stable).
-  EXPECT_EQ(gov.decide(in(0.8, 2), ladder()), 2u);
-  // 1.25 * 600 * 1.0 = 750 -> index 3.
-  EXPECT_EQ(gov.decide(in(1.0, 2), ladder()), 3u);
-  EXPECT_EQ(gov.decide(in(0.0, 4), ladder()), 0u);
-}
-
-// --- factory -------------------------------------------------------------------------
-
-TEST(Factory, MakesAllKnownNames) {
-  for (const char* name : {"performance", "powersave", "userspace",
-                           "ondemand", "conservative", "interactive",
-                           "schedutil"}) {
-    const auto gov = make_cpufreq_governor(name);
-    ASSERT_NE(gov, nullptr);
-    EXPECT_STREQ(gov->name(), name);
+TEST(InputBoost, InteractiveJumpsToHispeedOnInput) {
+  Interactive gov;
+  EXPECT_EQ(gov.decide(in(0.0, 0), ladder()), 0u);
+  gov.notify_input();
+  EXPECT_TRUE(gov.boosted());
+  // Boost holds the request at/above hispeed (0.8 * 1000 -> index 3).
+  EXPECT_EQ(gov.decide(in(0.0, 0), ladder()), 3u);
+  // After the boost duration it decays back.
+  for (int i = 0; i < 60; ++i) {
+    gov.decide(in(0.0, 0), ladder());
   }
-  EXPECT_THROW(make_cpufreq_governor("turbo"), ConfigError);
+  EXPECT_FALSE(gov.boosted());
 }
 
 // --- NoThrottle ----------------------------------------------------------------------

@@ -1,5 +1,4 @@
-// Tests for platform config I/O, PELT load tracking, multi-seed
-// statistics, and logging.
+// Tests for platform config I/O, multi-seed statistics, and logging.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +11,6 @@
 #include "thermal/presets.h"
 #include "util/error.h"
 #include "util/log.h"
-#include "util/pelt.h"
 
 namespace mobitherm {
 namespace {
@@ -120,64 +118,6 @@ TEST(ConfigIo, ParseResourceKind) {
   EXPECT_EQ(platform::parse_resource_kind("memory"),
             platform::ResourceKind::kMemory);
   EXPECT_THROW(platform::parse_resource_kind("npu"), ConfigError);
-}
-
-// --- PELT ------------------------------------------------------------------------
-
-TEST(Pelt, ColdSignalUsesFallback) {
-  util::PeltSignal pelt;
-  EXPECT_DOUBLE_EQ(pelt.load(0.42), 0.42);
-  EXPECT_DOUBLE_EQ(pelt.warmth(), 0.0);
-}
-
-TEST(Pelt, ConstantInputConvergesToInput) {
-  util::PeltSignal pelt(0.032);
-  for (int i = 0; i < 1000; ++i) {
-    pelt.update(0.001, 0.75);
-  }
-  EXPECT_NEAR(pelt.load(), 0.75, 1e-9);
-  EXPECT_NEAR(pelt.warmth(), 1.0, 1e-6);
-}
-
-TEST(Pelt, RecentHistoryDominates) {
-  util::PeltSignal pelt(0.032);
-  for (int i = 0; i < 1000; ++i) {
-    pelt.update(0.001, 0.0);
-  }
-  // One half-life at full load: halfway to 1.0.
-  pelt.update(0.032, 1.0);
-  EXPECT_NEAR(pelt.load(), 0.5, 0.01);
-  // Another few half-lives and the old history is nearly gone.
-  for (int i = 0; i < 5; ++i) {
-    pelt.update(0.032, 1.0);
-  }
-  EXPECT_GT(pelt.load(), 0.98);
-}
-
-TEST(Pelt, FasterDecayForgetsFaster) {
-  util::PeltSignal fast(0.008);
-  util::PeltSignal slow(0.128);
-  for (int i = 0; i < 100; ++i) {
-    fast.update(0.001, 1.0);
-    slow.update(0.001, 1.0);
-  }
-  fast.update(0.016, 0.0);
-  slow.update(0.016, 0.0);
-  EXPECT_LT(fast.load(), slow.load());
-}
-
-TEST(Pelt, ResetClears) {
-  util::PeltSignal pelt;
-  pelt.update(0.1, 1.0);
-  pelt.reset();
-  EXPECT_DOUBLE_EQ(pelt.load(0.3), 0.3);
-}
-
-TEST(Pelt, IgnoresNonPositiveDt) {
-  util::PeltSignal pelt;
-  pelt.update(0.0, 1.0);
-  pelt.update(-1.0, 1.0);
-  EXPECT_DOUBLE_EQ(pelt.load(0.0), 0.0);
 }
 
 // --- montecarlo -------------------------------------------------------------------

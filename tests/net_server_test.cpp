@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "service/json.h"
 #include "service/net_server.h"
 #include "service/scenario_registry.h"
 #include "service/server.h"
@@ -26,9 +25,12 @@
 #include "service/shard.h"
 #include "util/error.h"
 #include "util/hash.h"
+#include "util/json.h"
 
 namespace mobitherm::service {
 namespace {
+
+namespace json = util::json;
 
 SimRequest short_request(std::uint64_t seed = 1, const std::string& app = "") {
   SimRequest req;

@@ -1,14 +1,12 @@
-// Tests for the run report, the battery model, and declarative scenarios.
+// Tests for the run report and a mid-run app launch.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "platform/presets.h"
-#include "power/battery.h"
 #include "sim/engine.h"
 #include "sim/report.h"
 #include "sim/experiment.h"
-#include "sim/scenario.h"
 #include "stability/presets.h"
 #include "thermal/presets.h"
 #include "util/error.h"
@@ -17,8 +15,6 @@
 
 namespace mobitherm {
 namespace {
-
-using util::ConfigError;
 
 power::LeakageParams odroid_leakage() {
   const stability::Params p = stability::odroid_xu3_params();
@@ -30,7 +26,7 @@ sim::Engine make_engine() {
                      odroid_leakage(), 0.25);
 }
 
-// --- RunReport ---------------------------------------------------------------
+// --- RunReport --------------------------------------------------------------
 
 TEST(Report, SummarizesARun) {
   sim::Engine engine = make_engine();
@@ -90,130 +86,11 @@ TEST(Report, FormatsWithoutCrashing) {
   EXPECT_NE(text.find("a15"), std::string::npos);
 }
 
-// --- Battery -------------------------------------------------------------------
+// --- mid-run app launch -----------------------------------------------------
 
-TEST(Battery, ValidatesParams) {
-  power::BatteryParams bad;
-  bad.capacity_mah = 0.0;
-  EXPECT_THROW(power::Battery b(bad), ConfigError);
-  EXPECT_THROW(power::Battery b2(power::BatteryParams{}, 1.5), ConfigError);
-  power::BatteryParams short_curve;
-  short_curve.ocv_curve = {{0.0, 3.3}};
-  EXPECT_THROW(power::Battery b3(short_curve), ConfigError);
-  power::BatteryParams bad_span;
-  bad_span.ocv_curve = {{0.1, 3.3}, {1.0, 4.2}};
-  EXPECT_THROW(power::Battery b4(bad_span), ConfigError);
-}
-
-TEST(Battery, OcvInterpolatesCurve) {
-  power::Battery full(power::BatteryParams{}, 1.0);
-  EXPECT_NEAR(full.ocv_v(), 4.20, 1e-12);
-  power::Battery half(power::BatteryParams{}, 0.5);
-  EXPECT_NEAR(half.ocv_v(), 3.80, 1e-12);
-  power::Battery low(power::BatteryParams{}, 0.05);
-  EXPECT_NEAR(low.ocv_v(), 3.45, 1e-9);  // halfway between 3.3 and 3.6
-}
-
-TEST(Battery, TerminalVoltageSagsUnderLoad) {
-  power::Battery b(power::BatteryParams{}, 0.8);
-  EXPECT_LT(b.terminal_v(5.0), b.ocv_v());
-  EXPECT_NEAR(b.terminal_v(0.0), b.ocv_v(), 1e-12);
-  EXPECT_THROW(b.terminal_v(-1.0), ConfigError);
-}
-
-TEST(Battery, CoulombCountingMatchesHandCalc) {
-  // 3.6 Ah at ~4 V: a 4 W load draws ~1 A, so 1 hour costs ~1/3.6 of SoC.
-  power::BatteryParams params;
-  params.capacity_mah = 3600.0;
-  params.internal_r_ohm = 0.0;
-  power::Battery b(params, 1.0);
-  for (int i = 0; i < 3600; ++i) {
-    b.drain(1.0, 4.2);  // 4.2 W at ~4.2 V = 1 A at full charge
-  }
-  EXPECT_NEAR(b.state_of_charge(), 1.0 - 1.0 / 3.6, 0.03);
-}
-
-TEST(Battery, DrainsToEmptyAndStops) {
-  power::BatteryParams params;
-  params.capacity_mah = 10.0;  // tiny battery
-  power::Battery b(params, 1.0);
-  b.drain(3600.0, 10.0);
-  EXPECT_TRUE(b.empty());
-  EXPECT_DOUBLE_EQ(b.state_of_charge(), 0.0);
-  b.drain(10.0, 10.0);  // no-op when empty
-  EXPECT_DOUBLE_EQ(b.state_of_charge(), 0.0);
-}
-
-TEST(Battery, RuntimeProjectionScalesInversely) {
-  power::Battery b(power::BatteryParams{}, 1.0);
-  const double at_2w = b.projected_runtime_s(2.0);
-  const double at_4w = b.projected_runtime_s(4.0);
-  EXPECT_NEAR(at_2w / at_4w, 2.0, 1e-9);
-  EXPECT_TRUE(std::isinf(b.projected_runtime_s(0.0)));
-  // A 3450 mAh phone at 4 W runs roughly 3 hours.
-  EXPECT_GT(at_4w, 2.0 * 3600.0);
-  EXPECT_LT(at_4w, 5.0 * 3600.0);
-}
-
-TEST(Battery, EnergyRemainingDropsMonotonically) {
-  power::Battery b(power::BatteryParams{}, 1.0);
-  const double full = b.energy_remaining_j();
-  b.drain(600.0, 4.0);
-  const double later = b.energy_remaining_j();
-  EXPECT_LT(later, full);
-  // The drained electrical energy matches the drawn energy within the
-  // OCV/terminal-voltage gap.
-  EXPECT_NEAR(full - later, 600.0 * 4.0, 0.15 * 600.0 * 4.0);
-}
-
-// --- Scenario ---------------------------------------------------------------------
-
-TEST(Scenario, FiresActionsInOrderAtTheRightTimes) {
-  sim::Engine engine = make_engine();
-  const std::size_t game = engine.add_app(workload::threedmark());
-  std::vector<std::string> log;
-
-  sim::Scenario scenario;
-  scenario.at(5.0, "suspend", [&](sim::Engine& e) {
-    e.suspend_app(game);
-    log.push_back("suspend@" + std::to_string(e.now_s()));
-  });
-  scenario.at(10.0, "resume", [&](sim::Engine& e) {
-    e.resume_app(game);
-    log.push_back("resume@" + std::to_string(e.now_s()));
-  });
-  scenario.at(2.0, "early", [&](sim::Engine&) { log.push_back("early"); });
-  scenario.run(engine, 15.0);
-
-  EXPECT_NEAR(engine.now_s(), 15.0, 1e-6);
-  ASSERT_EQ(scenario.fired().size(), 3u);
-  EXPECT_EQ(scenario.fired()[0].second, "early");
-  EXPECT_NEAR(scenario.fired()[1].first, 5.0, 1e-6);
-  EXPECT_EQ(scenario.fired()[2].second, "resume");
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(log[0], "early");
-  EXPECT_FALSE(engine.app_suspended(game));
-}
-
-TEST(Scenario, EventsBeyondDurationDoNotFire) {
-  sim::Engine engine = make_engine();
-  sim::Scenario scenario;
-  int fired = 0;
-  scenario.at(100.0, "never", [&](sim::Engine&) { ++fired; });
-  scenario.run(engine, 10.0);
-  EXPECT_EQ(fired, 0);
-  EXPECT_NEAR(engine.now_s(), 10.0, 1e-6);
-}
-
-TEST(Scenario, ValidatesEvents) {
-  sim::Scenario scenario;
-  EXPECT_THROW(scenario.at(-1.0, "x", [](sim::Engine&) {}), ConfigError);
-  EXPECT_THROW(scenario.at(1.0, "x", nullptr), ConfigError);
-}
-
-TEST(Scenario, MidRunMigrationScenarioEndToEnd) {
-  // Declarative version of the paper's experiment: launch BML at t=30
-  // under the proposed governor, watch the migration happen after it.
+TEST(MidRunLaunch, MigrationFollowsBmlLaunch) {
+  // The paper's experiment: launch BML at t=30 under the proposed
+  // governor, watch the migration happen after it.
   const platform::SocSpec spec = platform::exynos5422();
   const stability::Params params = stability::odroid_xu3_params();
   sim::Engine engine = make_engine();
@@ -222,11 +99,9 @@ TEST(Scenario, MidRunMigrationScenarioEndToEnd) {
       sim::odroid_appaware_config(spec), params));
   engine.add_app(workload::threedmark());
 
-  sim::Scenario scenario;
-  scenario.at(30.0, "launch bml", [](sim::Engine& e) {
-    e.add_app(workload::bml());
-  });
-  scenario.run(engine, 120.0);
+  engine.run(30.0);
+  engine.add_app(workload::bml());
+  engine.run(90.0);
 
   std::size_t migrations = 0;
   double first_migration_at = 0.0;

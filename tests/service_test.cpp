@@ -1,9 +1,8 @@
 // Service-layer tests: JSON round trips, scenario-registry resolution and
 // canonical keys, LRU result-cache behavior, job-queue admission control
 // (backpressure, deadlines, cancellation), the NDJSON protocol, and a
-// concurrent stress run for TSan. Plus the regression tests this PR pins:
-// Scenario::fired() resets between runs, and the cooperative stop token
-// threads through Engine::run and BatchRunner.
+// concurrent stress run for TSan. Plus a regression test that the
+// cooperative stop token threads through Engine::run and BatchRunner.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,20 +13,20 @@
 #include <thread>
 #include <vector>
 
-#include "service/json.h"
 #include "service/result_cache.h"
 #include "service/scenario_registry.h"
 #include "service/server.h"
 #include "service/service.h"
 #include "sim/batch.h"
 #include "sim/experiment.h"
-#include "sim/scenario.h"
 #include "util/error.h"
+#include "util/json.h"
 #include "workload/presets.h"
 
 namespace mobitherm::service {
 namespace {
 
+namespace json = util::json;
 using util::ConfigError;
 
 // --- json.h ----------------------------------------------------------------
@@ -651,6 +650,47 @@ TEST(SimServer, OneSeedFanIsAPlainSubmit) {
   }
 }
 
+TEST(SimServer, IntegerFieldsAreRangeCheckedBeforeUse) {
+  SimService service(ScenarioRegistry::standard(), small_config());
+  SimServer server(service);
+  const std::string arms =
+      "\"arms\":[{\"scenario\":\"nexus\"},"
+      "{\"scenario\":\"nexus\",\"policy\":\"unthrottled\"}]";
+  // Just past each bound (2^53 + 2 is the next double after 2^53).
+  for (const std::string& line : {
+           submit_line(9007199254740994ULL),
+           submit_line(1, static_cast<int>(kMaxFanSeeds) + 1),
+           std::string("{\"op\":\"submit\",\"scenario\":\"odroid\","
+                       "\"app\":\"nenamark\",\"app_levels\":0}"),
+           std::string("{\"op\":\"submit\",\"scenario\":\"odroid\","
+                       "\"app\":\"nenamark\",\"app_levels\":2147483648}"),
+           "{\"op\":\"compare\"," + arms + ",\"base_seed\":9007199254740994}",
+           "{\"op\":\"compare\"," + arms + ",\"round_seeds\":2147483648}",
+           std::string("{\"op\":\"status\",\"job\":9007199254740994}"),
+           std::string("{\"op\":\"cancel\",\"job\":1e300}"),
+       }) {
+    EXPECT_NE(server.handle_line(line).find("\"code\":\"bad_request\""),
+              std::string::npos)
+        << line;
+  }
+  EXPECT_EQ(service.stats().submitted, 0u);
+
+  // The bounds themselves are in range: seed 2^53 keeps its exact key,
+  // and job 2^53 is merely unknown.
+  const std::string accepted =
+      server.handle_line(submit_line(9007199254740992ULL));
+  EXPECT_EQ(accepted,
+            "{\"ok\":true,\"op\":\"submit\",\"job\":1,\"cached\":false,"
+            "\"stale\":false}");
+  ASSERT_TRUE(service.wait(1, 600.0));
+  const std::string canonical = service.status(1)->canonical;
+  EXPECT_EQ(canonical.substr(canonical.rfind(";seed=")),
+            ";seed=9007199254740992");
+  EXPECT_NE(server.handle_line("{\"op\":\"status\",\"job\":9007199254740992}")
+                .find("\"code\":\"unknown_job\""),
+            std::string::npos);
+}
+
 TEST(SimServer, FanWiderThanTheFreeQueueDegradesLaneByLane) {
   ServiceConfig config = small_config(/*workers=*/1, /*queue_capacity=*/2);
   config.cache_capacity = 1;
@@ -701,30 +741,6 @@ TEST(SimServer, FanWiderThanTheFreeQueueDegradesLaneByLane) {
   }
   EXPECT_TRUE(service.cancel(blocker.id));
   EXPECT_TRUE(service.wait(blocker.id, 600.0));
-}
-
-// --- regression: Scenario::fired resets between runs -----------------------
-
-TEST(Scenario, FiredEventsResetBetweenRuns) {
-  const ScenarioRegistry& reg = standard_registry();
-  SimRequest req;
-  req.scenario = "nexus";
-  req.duration_s = 2.0;
-
-  sim::Scenario scenario;
-  int calls = 0;
-  scenario.at(1.0, "poke", [&calls](sim::Engine&) { ++calls; });
-
-  std::unique_ptr<sim::Engine> first = reg.make_engine(req);
-  scenario.run(*first, 2.0);
-  ASSERT_EQ(scenario.fired().size(), 1u);
-
-  // A second run on a fresh engine must not accumulate stale entries.
-  std::unique_ptr<sim::Engine> second = reg.make_engine(req);
-  scenario.run(*second, 2.0);
-  EXPECT_EQ(scenario.fired().size(), 1u);
-  EXPECT_EQ(calls, 2);
-  EXPECT_EQ(scenario.fired()[0].second, "poke");
 }
 
 // --- cooperative stop token ------------------------------------------------

@@ -1,4 +1,5 @@
-// Tests for the simulation engine and trace recorder.
+// Tests for the simulation engine (including DVFS transition costs and
+// input boost) and the trace recorder.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -6,6 +7,7 @@
 #include <memory>
 
 #include "platform/presets.h"
+#include "sched/scheduler.h"
 #include "sim/engine.h"
 #include "stability/presets.h"
 #include "thermal/presets.h"
@@ -124,22 +126,22 @@ TEST(Engine, RailEnergyMatchesMeanPower) {
   EXPECT_NEAR(rail_total + 0.25, engine->windowed_power_w(), 1.0);
 }
 
-TEST(Engine, PerformanceGovernorPinsMax) {
+TEST(Engine, UserspaceGovernorPinsTopOpp) {
   auto engine = make_engine();
   const std::size_t big = engine->soc().spec().big();
+  const std::size_t top = engine->soc().cluster(big).opps.max_index();
   engine->set_cpufreq_governor(big,
-                               std::make_unique<governors::Performance>());
+                               std::make_unique<governors::Userspace>(top));
   engine->add_app(workload::bml());
   engine->run(1.0);
-  EXPECT_EQ(engine->soc().state(big).opp_index,
-            engine->soc().cluster(big).opps.max_index());
+  EXPECT_EQ(engine->soc().state(big).opp_index, top);
 }
 
-TEST(Engine, PowersaveGovernorDropsToMin) {
+TEST(Engine, UserspaceGovernorPinsBottomOpp) {
   auto engine = make_engine();
   const std::size_t big = engine->soc().spec().big();
   engine->set_cpufreq_governor(big,
-                               std::make_unique<governors::Powersave>());
+                               std::make_unique<governors::Userspace>(0));
   engine->add_app(workload::bml());
   engine->run(1.0);
   EXPECT_EQ(engine->soc().state(big).opp_index, 0u);
@@ -225,6 +227,66 @@ TEST(Engine, DaqOnlyWhenEnabled) {
   on->run(0.5);
   ASSERT_NE(on->daq(), nullptr);
   EXPECT_GT(on->daq()->num_samples(), 400u);
+}
+
+// --- DVFS transition cost ---------------------------------------------------
+
+TEST(DvfsCost, TransitionsAreCounted) {
+  auto engine = make_engine();
+  engine->add_app(workload::threedmark());
+  engine->run(5.0);
+  const std::size_t big = engine->soc().spec().big();
+  // The interactive governor moves at least once off the boot OPP.
+  EXPECT_GE(engine->dvfs_transitions(big), 1u);
+  EXPECT_THROW(engine->dvfs_transitions(99), ConfigError);
+}
+
+TEST(DvfsCost, LatencyReducesThroughput) {
+  auto run_with = [](double latency) {
+    EngineConfig cfg;
+    cfg.dvfs_latency_s = latency;
+    auto engine = make_engine(cfg);
+    // Ondemand on a jittery load switches often.
+    workload::AppSpec app = workload::threedmark();
+    app.jitter = 0.3;
+    app.jitter_interval_s = 0.1;
+    const std::size_t big = engine->soc().spec().big();
+    engine->set_cpufreq_governor(big, std::make_unique<governors::Ondemand>());
+    engine->add_app(app);
+    engine->run(20.0);
+    return engine->app(0).total_frames();
+  };
+  const double free_switches = run_with(0.0);
+  const double costly = run_with(0.0008);  // 0.8 ms of every 1 ms tick
+  EXPECT_LT(costly, free_switches);
+}
+
+TEST(DvfsCost, PenaltyValidation) {
+  sched::Scheduler sched(platform::exynos5422());
+  EXPECT_THROW(sched.set_capacity_penalty(99, 0.5), ConfigError);
+  EXPECT_THROW(sched.set_capacity_penalty(0, 1.5), ConfigError);
+}
+
+// --- input boost ------------------------------------------------------------
+
+TEST(InputBoost, EngineInjectionRaisesCpuFrequency) {
+  EngineConfig cfg;
+  cfg.input_event_interval_s = 0.2;  // constant tapping
+  auto engine = make_engine(cfg);
+  // No load at all: without input the interactive governor would sit at
+  // the lowest OPP; the touch boost keeps it at/above hispeed.
+  engine->run(5.0);
+  const std::size_t big = engine->soc().spec().big();
+  const double hispeed =
+      0.8 * engine->soc().cluster(big).opps.highest().freq_hz.value();
+  EXPECT_GE(engine->soc().frequency_hz(big).value(), hispeed * 0.99);
+}
+
+TEST(InputBoost, NoInputMeansIdleFrequency) {
+  auto engine = make_engine();
+  engine->run(5.0);
+  const std::size_t big = engine->soc().spec().big();
+  EXPECT_EQ(engine->soc().state(big).opp_index, 0u);
 }
 
 // --- Trace ------------------------------------------------------------------
