@@ -21,7 +21,8 @@
 //   --queue N            queue capacity per shard (default 16)
 //   --cache N            result-cache entries per shard (default 64;
 //                        0 disables)
-//   --deadline SECONDS   default per-job wall-clock deadline (0 = none)
+//   --deadline SECONDS   default per-job wall-clock deadline (0 = none;
+//                        at most kMaxWaitSeconds, one day)
 //   --retries N          execution attempts per job (default 3)
 //   --fault SPEC         arm deterministic fault injection, e.g.
 //                        "seed=7,crash_before=0.2,corrupt=0.5,latency_s=0.01"
@@ -132,6 +133,11 @@ int main(int argc, char** argv) {
                  "[--cache N] [--deadline SECONDS] [--retries N] "
                  "[--fault SPEC] [--listen PORT] [--shards N] "
                  "[--packs DIR]\n");
+    return 2;
+  }
+  if (!(deadline <= kMaxWaitSeconds)) {
+    std::fprintf(stderr, "mobitherm_serve: --deadline must be <= %g s\n",
+                 kMaxWaitSeconds);
     return 2;
   }
   config.workers = workers < 1 ? 1 : static_cast<unsigned>(workers);

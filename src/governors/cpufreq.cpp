@@ -32,9 +32,6 @@ std::size_t Ondemand::decide(const CpufreqInputs& in,
 std::size_t Interactive::decide(const CpufreqInputs& in,
                                 const platform::OppTable& table) {
   const util::Seconds dt = config_.sampling_period_s;
-  if (boost_remaining_s_ > util::seconds(0.0)) {
-    boost_remaining_s_ -= dt;
-  }
   const util::Hertz f_cur = table.at(in.current_index).freq_hz;
   const util::Hertz f_max = table.highest().freq_hz;
   const std::size_t hispeed_index =
@@ -60,11 +57,6 @@ std::size_t Interactive::decide(const CpufreqInputs& in,
   } else {
     time_above_hispeed_ = util::seconds(0.0);
     next = target_index;
-  }
-
-  if (boost_remaining_s_ > util::seconds(0.0)) {
-    // Touch boost: never fall below hispeed while the boost holds.
-    next = std::max(next, hispeed_index);
   }
 
   if (next > in.current_index) {

@@ -40,12 +40,6 @@ class CpufreqGovernor {
   /// Requested OPP index for the next interval.
   virtual std::size_t decide(const CpufreqInputs& in,
                              const platform::OppTable& table) = 0;
-
-  /// User-input notification (touch/key): governors may boost. Default is
-  /// to ignore it; the interactive governor jumps to hispeed_freq — the
-  /// "highest value whenever it detects user interactions" behaviour the
-  /// paper describes.
-  virtual void notify_input() {}
 };
 
 /// Pinned to a caller-chosen OPP.
@@ -103,8 +97,6 @@ class Interactive final : public CpufreqGovernor {
     util::Seconds above_hispeed_delay_s{0.02};
     util::Seconds min_sample_time_s{0.08};
     util::Seconds sampling_period_s{0.02};
-    /// How long an input event holds the frequency at/above hispeed.
-    util::Seconds input_boost_duration_s{0.5};
   };
   Interactive();
   explicit Interactive(Config config) : config_(config) {}
@@ -114,17 +106,11 @@ class Interactive final : public CpufreqGovernor {
   }
   std::size_t decide(const CpufreqInputs& in,
                      const platform::OppTable& table) override;
-  void notify_input() override {
-    boost_remaining_s_ = config_.input_boost_duration_s;
-  }
-
-  bool boosted() const { return boost_remaining_s_ > util::seconds(0.0); }
 
  private:
   Config config_;
   util::Seconds time_above_hispeed_{};
   util::Seconds time_since_raise_{};
-  util::Seconds boost_remaining_s_{};
 };
 
 }  // namespace mobitherm::governors

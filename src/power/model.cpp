@@ -50,15 +50,9 @@ ClusterPower PowerModel::cluster_power(const platform::Soc& soc,
   const util::Volt v = soc.voltage_v(c);
   const util::Hertz f = soc.frequency_hz(c);
 
-  if (activity.idle_power_scale < 0.0 || activity.idle_power_scale > 1.0) {
-    throw ConfigError("PowerModel: idle_power_scale out of [0, 1] for " +
-                      cs.name);
-  }
   ClusterPower p;
   p.dynamic_w = activity.busy_cores * cs.ceff_f * v * v * f;
-  p.idle_w = st.online_cores > 0
-                 ? cs.idle_power_w * activity.idle_power_scale
-                 : util::watts(0.0);
+  p.idle_w = st.online_cores > 0 ? cs.idle_power_w : util::watts(0.0);
   const util::Kelvin t = activity.temp_k;
   // The baseline branch keeps the original expression (and evaluation
   // order) exactly: regression traces pin the baseline model bitwise.

@@ -54,9 +54,6 @@ struct ClusterActivity {
   double busy_cores = 0.0;
   /// Absolute temperature of the cluster's thermal node.
   util::Kelvin temp_k{300.0};
-  /// Multiplier on the idle floor, from the cpuidle model (1 = no C-state
-  /// savings).
-  double idle_power_scale = 1.0;
 };
 
 /// Breakdown of one cluster's power.

@@ -158,12 +158,6 @@ double Scheduler::cluster_busy_cores(std::size_t c) const {
   return cluster_busy_cores_[c];
 }
 
-double Scheduler::cluster_utilization(const platform::Soc& soc,
-                                      std::size_t c) const {
-  const int online = soc.state(c).online_cores;
-  return online > 0 ? cluster_busy_cores(c) / online : 0.0;
-}
-
 void Scheduler::attribute_power(std::size_t c, double cluster_dynamic_w,
                                 double dt) {
   const double total = cluster_busy_cores(c);

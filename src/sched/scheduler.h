@@ -50,9 +50,6 @@ class Scheduler {
   /// Fractional busy cores on cluster `c` from the last allocation.
   double cluster_busy_cores(std::size_t c) const;
 
-  /// Utilization in [0, 1]: busy cores / online cores at last allocation.
-  double cluster_utilization(const platform::Soc& soc, std::size_t c) const;
-
   /// Utilization as a DVFS governor sees it: granted work relative to the
   /// capacity of the cores the demanding processes can actually occupy
   /// (kernel governors track the busiest CPUs, not the cluster average, so

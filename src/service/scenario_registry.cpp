@@ -182,8 +182,11 @@ SimRequest ScenarioRegistry::resolve(const SimRequest& request) const {
       r.app_phase_s = -1.0;
     }
   }
-  if (r.duration_s <= 0.0) {
-    throw ConfigError("service: request duration must be positive");
+  // At least one full second, which the fps metric needs. Written so that
+  // NaN fails the check.
+  if (!(r.duration_s >= 1.0 && r.duration_s <= kMaxDurationS)) {
+    throw ConfigError("service: request duration must lie in [1, " +
+                      json::format_number(kMaxDurationS) + "] s");
   }
   return r;
 }

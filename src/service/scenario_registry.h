@@ -40,6 +40,11 @@ namespace mobitherm::service {
 /// stale cache can never serve results computed by different code.
 inline constexpr const char* kSimCodeVersion = "mobitherm-sim-v5";
 
+/// Longest simulated run a request may ask for, in seconds; resolve()
+/// rejects longer ones so one request cannot hold a worker for days. The
+/// paper's longest run is 250 s.
+inline constexpr double kMaxDurationS = 100000.0;
+
 /// A parameterized simulation request. Field semantics are interpreted by
 /// the scenario named in `scenario`; sentinel values (empty strings,
 /// negative numbers) mean "use the scenario default" and are replaced by
@@ -132,7 +137,8 @@ class ScenarioRegistry {
   /// policy and power-model names, and normalize inapplicable overrides.
   /// The result is the canonical request: resolve(resolve(r)) ==
   /// resolve(r). Throws util::ConfigError on unknown
-  /// scenario/app/policy/model.
+  /// scenario/app/policy/model and on a duration outside
+  /// [1, kMaxDurationS] seconds.
   SimRequest resolve(const SimRequest& request) const;
 
   /// The app spec a *resolved* request simulates: a built-in preset or an

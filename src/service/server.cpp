@@ -77,6 +77,25 @@ std::string read_integer(const json::Value& request, const std::string& key,
   return "";
 }
 
+/// Reads an optional number member that must be finite and at most `hi`
+/// into `*value`, which keeps its default when the member is absent.
+/// Returns an error message, "" when absent or valid; throws
+/// json::ParseError on a type mismatch like read_number. The comparison
+/// fails for NaN and for both infinities.
+std::string read_finite_at_most(const json::Value& request,
+                                const std::string& key, double hi,
+                                double* value) {
+  double n = 0.0;
+  if (!read_number(request, key, &n)) {
+    return "";
+  }
+  if (!(n >= std::numeric_limits<double>::lowest() && n <= hi)) {
+    return key + " must be a finite number <= " + json::format_number(hi);
+  }
+  *value = n;
+  return "";
+}
+
 bool read_bool(const json::Value& request, const std::string& key,
                bool* value) {
   const json::Value* v = request.find(key);
@@ -115,8 +134,9 @@ std::string read_request_fields(const json::Value& v, SimRequest* req) {
   if (!seed_error.empty()) {
     return seed_error;
   }
-  const std::string levels_error =
-      read_integer(v, "app_levels", 1, kMaxInt, &req->app_levels);
+  const std::string levels_error = read_integer(
+      v, "app_levels", 1, static_cast<int>(workload::kMaxAppPhases),
+      &req->app_levels);
   if (!levels_error.empty()) {
     return levels_error;
   }
@@ -240,7 +260,11 @@ std::string SimServer::handle_submit(const json::Value& request) {
     return error_response("submit", errc::kBadRequest, field_error);
   }
   double deadline_s = -1.0;
-  read_number(request, "deadline_s", &deadline_s);
+  const std::string deadline_error = read_finite_at_most(
+      request, "deadline_s", kMaxWaitSeconds, &deadline_s);
+  if (!deadline_error.empty()) {
+    return error_response("submit", errc::kBadRequest, deadline_error);
+  }
 
   // Fan submit: "seeds": N fans the request over seeds seed..seed+N-1 in
   // one request line; every lane is an ordinary submit.
@@ -346,7 +370,11 @@ std::string SimServer::handle_compare(const json::Value& request) {
     return error_response("compare", errc::kBadRequest, seed_error);
   }
   double deadline_s = -1.0;
-  read_number(request, "deadline_s", &deadline_s);
+  const std::string deadline_error = read_finite_at_most(
+      request, "deadline_s", kMaxWaitSeconds, &deadline_s);
+  if (!deadline_error.empty()) {
+    return error_response("compare", errc::kBadRequest, deadline_error);
+  }
 
   const SubmitOutcome outcome = service_.submit_compare(cmp, deadline_s);
   json::Value out = json::Value::object();
@@ -443,7 +471,11 @@ std::string SimServer::handle_cancel(const json::Value& request) {
 std::string SimServer::handle_wait(const json::Value& request) {
   const std::uint64_t id = job_id(request);
   double timeout_s = 60.0;
-  read_number(request, "timeout_s", &timeout_s);
+  const std::string timeout_error =
+      read_finite_at_most(request, "timeout_s", kMaxWaitSeconds, &timeout_s);
+  if (!timeout_error.empty()) {
+    return error_response("wait", errc::kBadRequest, timeout_error);
+  }
   // The wait op blocks the serving thread by contract; net_server.h
   // documents the caveat and tells clients to keep timeouts short.
   // LOCKCHECK: ok(wait op blocks by contract, documented in net_server.h)

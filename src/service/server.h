@@ -50,8 +50,11 @@
 //
 // Integer fields must be integers within range, or the request is a
 // bad_request: seed, base_seed and job in [0, 2^53]; max_seeds,
-// min_seeds, round_seeds and app_levels in [1, INT_MAX]; seeds in
-// [1, kMaxFanSeeds].
+// min_seeds and round_seeds in [1, INT_MAX]; app_levels in
+// [1, workload::kMaxAppPhases]; seeds in [1, kMaxFanSeeds]. deadline_s and
+// timeout_s must be finite and at most kMaxWaitSeconds, or the request is
+// a bad_request. duration_s outside [1, kMaxDurationS] is rejected at
+// admission as an invalid_request (scenario_registry.h).
 //
 // Every response carries "ok" and echoes "op". Failures are structured:
 //   {"ok":false,"op":...,"error":{"code":"...","message":"..."}}
@@ -79,6 +82,11 @@ inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
 /// Upper bound on a submit's "seeds" fan width; a wider fan is a
 /// `bad_request`. Bounds a fan's response line to about 100 KB.
 inline constexpr std::size_t kMaxFanSeeds = 1024;
+
+/// Upper bound, in seconds, on a request's "deadline_s" and a wait's
+/// "timeout_s" (one day); a larger or non-finite value is a `bad_request`.
+/// Keeps the conversion to clock ticks in range.
+inline constexpr double kMaxWaitSeconds = 86400.0;
 
 class SimServer {
  public:

@@ -74,7 +74,7 @@ Engine::Engine(platform::SocSpec soc_spec,
     requested_index_[c] = soc_.cluster(c).opps.max_index();
   }
 
-  // Sensors: one per thermal node, one rail per cluster.
+  // Sensors: one per thermal node.
   for (std::size_t node = 0; node < network_.num_nodes(); ++node) {
     thermal::TemperatureSensor::Config sc;
     sc.name = network_.spec().nodes[node].name;
@@ -84,14 +84,6 @@ Engine::Engine(platform::SocSpec soc_spec,
     sc.seed = util::derive_seed(config_.seed, 100 + node);
     node_sensors_.emplace_back(sc);
     node_sensors_.back().prime(network_.ambient_k().value());
-  }
-  for (std::size_t c = 0; c < n; ++c) {
-    power::RailSensor::Config rc;
-    rc.name = soc_.cluster(c).name;
-    rc.period_s = util::seconds(config_.rail_sensor_period_s);
-    rc.noise_stddev_w = util::watts(config_.rail_sensor_noise_w);
-    rc.seed = util::derive_seed(config_.seed, 200 + c);
-    rails_.emplace_back(rc);
   }
 
   // Built-in instrumentation observers; they serve the legacy accessors
@@ -108,20 +100,10 @@ Engine::Engine(platform::SocSpec soc_spec,
     daq_observer_ = std::make_unique<DaqObserver>(dc);
     observers_.push_back(daq_observer_.get());
   }
-  num_builtin_observers_ = observers_.size();
 }
 
 std::size_t Engine::add_app(const workload::AppSpec& spec,
                             std::optional<std::size_t> cpu_cluster) {
-  return add_app_at(spec, 0.0, cpu_cluster);
-}
-
-std::size_t Engine::add_app_at(const workload::AppSpec& spec,
-                               double delay_s,
-                               std::optional<std::size_t> cpu_cluster) {
-  if (delay_s < 0.0) {
-    throw ConfigError("Engine: app start delay must be non-negative");
-  }
   const std::size_t cpu =
       cpu_cluster.value_or(soc_.spec().big());
   std::optional<std::size_t> gpu;
@@ -132,30 +114,9 @@ std::size_t Engine::add_app_at(const workload::AppSpec& spec,
   slot.instance = std::make_unique<workload::AppInstance>(
       spec, scheduler_, cpu, gpu,
       util::derive_seed(config_.seed, 400 + apps_.size()));
-  slot.start_s = now_ + delay_s;
+  slot.start_s = now_;
   apps_.push_back(std::move(slot));
   return apps_.size() - 1;
-}
-
-void Engine::suspend_app(std::size_t index) {
-  if (index >= apps_.size()) {
-    throw ConfigError("Engine: app index out of range");
-  }
-  apps_[index].suspended = true;
-}
-
-void Engine::resume_app(std::size_t index) {
-  if (index >= apps_.size()) {
-    throw ConfigError("Engine: app index out of range");
-  }
-  apps_[index].suspended = false;
-}
-
-bool Engine::app_suspended(std::size_t index) const {
-  if (index >= apps_.size()) {
-    throw ConfigError("Engine: app index out of range");
-  }
-  return apps_[index].suspended;
 }
 
 workload::AppInstance& Engine::app(std::size_t index) {
@@ -215,19 +176,6 @@ void Engine::add_observer(SimObserver* observer) {
   observers_.push_back(observer);
 }
 
-void Engine::remove_observer(SimObserver* observer) {
-  for (std::size_t i = num_builtin_observers_; i < observers_.size(); ++i) {
-    if (observers_[i] == observer) {
-      observers_.erase(observers_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
-}
-
-std::size_t Engine::num_observers() const {
-  return observers_.size() - num_builtin_observers_;
-}
-
 double Engine::skin_temp_k() const {
   if (!skin_.has_value()) {
     throw ConfigError("Engine: skin estimator not enabled");
@@ -242,27 +190,11 @@ double Engine::conflict_time_s(std::size_t cluster) const {
   return conflicts_->time_s(cluster);
 }
 
-std::size_t Engine::conflict_episodes(std::size_t cluster) const {
-  if (cluster >= conflicts_->num_clusters()) {
-    throw ConfigError("Engine: cluster index out of range");
-  }
-  return conflicts_->episodes(cluster);
-}
-
 std::size_t Engine::dvfs_transitions(std::size_t cluster) const {
   if (cluster >= dvfs_counter_->num_clusters()) {
     throw ConfigError("Engine: cluster index out of range");
   }
   return dvfs_counter_->transitions(cluster);
-}
-
-void Engine::inject_input() {
-  for (std::size_t c = 0; c < soc_.num_clusters(); ++c) {
-    const ResourceKind kind = soc_.cluster(c).kind;
-    if (kind == ResourceKind::kCpuLittle || kind == ResourceKind::kCpuBig) {
-      cpufreq_[c].gov->notify_input();
-    }
-  }
 }
 
 double Engine::control_temp_k() const {
@@ -278,13 +210,6 @@ double Engine::control_temp_k() const {
 
 double Engine::windowed_power_w() const {
   return power_window_.mean(last_total_power_w_);
-}
-
-const power::RailSensor& Engine::rail(std::size_t cluster) const {
-  if (cluster >= rails_.size()) {
-    throw ConfigError("Engine: rail index out of range");
-  }
-  return rails_[cluster];
 }
 
 void Engine::set_initial_temperature(double t_k) {
@@ -318,7 +243,6 @@ void Engine::run(double seconds, const std::atomic<bool>* stop) {
 void Engine::tick() {
   TickContext ctx;
   ctx.dt = config_.tick_s;
-  stage_input(ctx);
   stage_demand(ctx);
   stage_allocate(ctx);
   stage_contention(ctx);
@@ -356,28 +280,9 @@ void Engine::tick() {
   now_ += ctx.dt;
 }
 
-// Injected user input (touch boost).
-void Engine::stage_input(TickContext& ctx) {
-  if (config_.input_event_interval_s <= 0.0) {
-    return;
-  }
-  input_accum_ += ctx.dt;
-  if (input_accum_ >= config_.input_event_interval_s) {
-    inject_input();
-    input_accum_ = 0.0;
-  }
-}
-
-// Workload demands (suspended or not-yet-started apps demand zero).
+// Workload demands, each app on its own clock.
 void Engine::stage_demand(TickContext& ctx) {
   for (AppSlot& slot : apps_) {
-    if (slot.suspended || now_ < slot.start_s) {
-      scheduler_.process(slot.instance->cpu_pid()).set_demand_rate(0.0);
-      if (slot.instance->gpu_pid() >= 0) {
-        scheduler_.process(slot.instance->gpu_pid()).set_demand_rate(0.0);
-      }
-      continue;
-    }
     slot.instance->set_demands(scheduler_, now_ - slot.start_s, ctx.dt);
   }
 }
@@ -453,12 +358,6 @@ void Engine::stage_power(TickContext& ctx) {
     } else {
       activity.busy_cores = last_busy_cores_[c];
     }
-    if (config_.enable_cpuidle && kind != ResourceKind::kMemory) {
-      // Expected idle gaps at tick granularity scaled by a scheduler
-      // quantum (~10 ms), matching menu-governor horizons.
-      activity.idle_power_scale = cpuidle_.idle_power_fraction(
-          scheduler_.cluster_utilization(soc_, c), 0.01);
-    }
     activity.temp_k = network_.temperature(soc_.cluster(c).thermal_node);
     const power::ClusterPower p =
         power_model_.cluster_power(soc_, c, activity);
@@ -466,7 +365,6 @@ void Engine::stage_power(TickContext& ctx) {
     node_power_[soc_.cluster(c).thermal_node] += total_w;
     ctx.total_power_w += total_w;
     scheduler_.attribute_power(c, p.dynamic_w.value(), ctx.dt);
-    rails_[c].feed(ctx.dt, total_w);
     trace_.add_rail_energy(c, total_w * ctx.dt);
   }
   last_total_power_w_ = ctx.total_power_w;
@@ -648,10 +546,6 @@ void Engine::apply_dvfs() {
       e.from_index = soc_.state(c).opp_index;
       e.to_index = index;
       publish_dvfs_transition(e);
-      if (config_.dvfs_latency_s > 0.0) {
-        scheduler_.set_capacity_penalty(
-            c, std::min(1.0, config_.dvfs_latency_s / config_.tick_s));
-      }
     }
     soc_.set_opp(c, index);
   }

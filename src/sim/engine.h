@@ -2,7 +2,7 @@
 //
 // Binds the platform, power model, thermal network, scheduler, workloads
 // and governors into a staged tick pipeline:
-//   input -> demand -> allocate/account -> contention -> power -> thermal
+//   demand -> allocate/account -> contention -> power -> thermal
 //   -> sensors -> residency -> governors -> dvfs -> trace
 // Each stage is a private method receiving an explicit TickContext, so the
 // stages are independently testable and the loop reads as the methodology
@@ -30,7 +30,6 @@
 #include "governors/hotplug.h"
 #include "governors/thermal.h"
 #include "platform/soc.h"
-#include "power/idle.h"
 #include "power/model.h"
 #include "power/sensors.h"
 #include "sched/scheduler.h"
@@ -54,8 +53,6 @@ struct EngineConfig {
 
   double temp_sensor_period_s = 0.05;
   double temp_sensor_noise_k = 0.1;
-  double rail_sensor_period_s = 0.1;
-  double rail_sensor_noise_w = 0.005;
   /// Record the whole-device DAQ trace (1 kHz) like the Nexus setup.
   bool enable_daq = false;
 
@@ -63,19 +60,6 @@ struct EngineConfig {
   /// mem_cpu_coeff * (cpu busy cores) + mem_gpu_coeff * (gpu busy cores).
   double mem_cpu_coeff = 0.08;
   double mem_gpu_coeff = 0.45;
-
-  /// Model cpuidle (C-state) savings on the CPU clusters' idle floors
-  /// using power::CpuIdleModel::default_arm(). Off by default: the board
-  /// presets were characterized with the floor always on.
-  bool enable_cpuidle = false;
-
-  /// Time lost per DVFS transition (voltage regulator settle + relock);
-  /// charged to the transitioning cluster's next tick. 0 = free switches.
-  double dvfs_latency_s = 0.0;
-
-  /// Inject a user-input event (touch) every this many seconds; boosts
-  /// interactive governors. 0 = no injected input.
-  double input_event_interval_s = 0.0;
 
   /// Model DRAM bandwidth contention: when the apps' aggregate traffic
   /// (granted work x AppSpec::mem_bytes_per_work) exceeds the peak
@@ -104,21 +88,11 @@ class Engine {
   // --- wiring -------------------------------------------------------------
 
   /// Add an app; its CPU process starts on `cpu_cluster` (default: the big
-  /// cluster). Returns the app index.
+  /// cluster). Returns the app index. The app's clock starts now, so an
+  /// app added mid-run (a background task launched mid-experiment) begins
+  /// at its own t = 0.
   std::size_t add_app(const workload::AppSpec& spec,
                       std::optional<std::size_t> cpu_cluster = std::nullopt);
-
-  /// Add an app that starts demanding work `delay_s` seconds from now
-  /// (e.g. a background task launched mid-experiment).
-  std::size_t add_app_at(const workload::AppSpec& spec, double delay_s,
-                         std::optional<std::size_t> cpu_cluster =
-                             std::nullopt);
-
-  /// Suspend / resume an app (a suspended app demands nothing; its clock
-  /// keeps running, like an Android app moved to the cached state).
-  void suspend_app(std::size_t index);
-  void resume_app(std::size_t index);
-  bool app_suspended(std::size_t index) const;
 
   workload::AppInstance& app(std::size_t index);
   const workload::AppInstance& app(std::size_t index) const;
@@ -140,12 +114,6 @@ class Engine {
   /// Observers are notified in attachment order, after the built-in
   /// instrumentation observers.
   void add_observer(SimObserver* observer);
-
-  /// Detach a previously attached external observer (no-op if absent).
-  void remove_observer(SimObserver* observer);
-
-  /// Number of externally attached observers.
-  std::size_t num_observers() const;
 
   // --- execution ----------------------------------------------------------
 
@@ -195,7 +163,6 @@ class Engine {
   /// Windowed (1 s) true total power (W).
   double windowed_power_w() const;
 
-  const power::RailSensor& rail(std::size_t cluster) const;
   const power::DaqSimulator* daq() const {
     return daq_observer_ ? daq_observer_->daq() : nullptr;
   }
@@ -212,19 +179,13 @@ class Engine {
 
   /// Governor-contradiction accounting (paper Sec. I: "the outputs of the
   /// thermal and frequency governors may contradict each other"): time the
-  /// cluster spent with the cpufreq request clamped by a thermal cap, and
-  /// the number of distinct contradiction episodes. Served by the built-in
-  /// ConflictAccountingObserver.
+  /// cluster spent with the cpufreq request clamped by a thermal cap.
+  /// Served by the built-in ConflictAccountingObserver.
   double conflict_time_s(std::size_t cluster) const;
-  std::size_t conflict_episodes(std::size_t cluster) const;
 
   /// Number of OPP changes applied on `cluster` so far (built-in
   /// DvfsTransitionCounter).
   std::size_t dvfs_transitions(std::size_t cluster) const;
-
-  /// Deliver a user-input event to every CPU cluster's governor now
-  /// (interactive governors boost to hispeed, per the paper's Sec. I).
-  void inject_input();
 
   /// Aggregate DRAM traffic demanded during the last tick (GB/s); 0 when
   /// the contention model is disabled.
@@ -260,7 +221,6 @@ class Engine {
   void tick();
 
   // Pipeline stages, in tick order.
-  void stage_input(TickContext& ctx);        // injected touch events
   void stage_demand(TickContext& ctx);       // app demand rates
   void stage_allocate(TickContext& ctx);     // scheduler + frame accounting
   void stage_contention(TickContext& ctx);   // DRAM bandwidth stalls
@@ -290,7 +250,6 @@ class Engine {
   struct AppSlot {
     std::unique_ptr<workload::AppInstance> instance;
     double start_s = 0.0;
-    bool suspended = false;
   };
   std::vector<AppSlot> apps_;
 
@@ -315,13 +274,11 @@ class Engine {
   std::optional<thermal::SkinEstimator> skin_;
 
   std::vector<bool> in_conflict_;
-  double input_accum_ = 0.0;
   double last_mem_bw_gbps_ = 0.0;
   double last_mem_stall_ = 0.0;
 
   // Sensors.
   std::vector<thermal::TemperatureSensor> node_sensors_;
-  std::vector<power::RailSensor> rails_;
 
   // Observer bus: built-ins first (owned), then external attachments.
   std::unique_ptr<DecisionLogObserver> decision_log_;
@@ -329,7 +286,6 @@ class Engine {
   std::unique_ptr<DvfsTransitionCounter> dvfs_counter_;
   std::unique_ptr<DaqObserver> daq_observer_;
   std::vector<SimObserver*> observers_;
-  std::size_t num_builtin_observers_ = 0;
 
   // Per-tick scratch hoisted out of TickContext (sized at construction,
   // reused every tick; see the hot-path allocation policy in DESIGN.md).
@@ -337,7 +293,6 @@ class Engine {
   std::vector<double> node_temp_scratch_;    // thermal-governor sensor view
   std::vector<std::size_t> caps_scratch_;    // thermal-governor cap snapshot
 
-  power::CpuIdleModel cpuidle_ = power::CpuIdleModel::default_arm();
   util::SlidingWindow power_window_;
   double last_total_power_w_ = 0.0;
   std::vector<double> last_busy_cores_;

@@ -35,25 +35,17 @@ class DecisionLogObserver final : public SimObserver {
 };
 
 /// Governor-contradiction accounting (paper Sec. I): time each cluster
-/// spent with its cpufreq request clamped by a thermal cap, and the number
-/// of distinct contradiction episodes. Episode boundaries arrive as
-/// ThermalEvents; time accrues per tick while an episode is open.
+/// spent with its cpufreq request clamped by a thermal cap. Episode
+/// boundaries arrive as ThermalEvents; time accrues per tick while an
+/// episode is open.
 class ConflictAccountingObserver final : public SimObserver {
  public:
   explicit ConflictAccountingObserver(std::size_t num_clusters)
-      : time_s_(num_clusters, 0.0),
-        episodes_(num_clusters, 0),
-        open_(num_clusters, false) {}
+      : time_s_(num_clusters, 0.0), open_(num_clusters, false) {}
 
   void on_thermal_event(const ThermalEvent& e) override {
-    if (e.cluster >= open_.size()) {
-      return;
-    }
-    if (e.kind == ThermalEvent::Kind::kConflictBegin) {
-      open_[e.cluster] = true;
-      ++episodes_[e.cluster];
-    } else {
-      open_[e.cluster] = false;
+    if (e.cluster < open_.size()) {
+      open_[e.cluster] = e.kind == ThermalEvent::Kind::kConflictBegin;
     }
   }
 
@@ -66,14 +58,10 @@ class ConflictAccountingObserver final : public SimObserver {
   }
 
   double time_s(std::size_t cluster) const { return time_s_[cluster]; }
-  std::size_t episodes(std::size_t cluster) const {
-    return episodes_[cluster];
-  }
   std::size_t num_clusters() const { return open_.size(); }
 
  private:
   std::vector<double> time_s_;
-  std::vector<std::size_t> episodes_;
   std::vector<bool> open_;
 };
 

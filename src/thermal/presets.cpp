@@ -1,7 +1,5 @@
 #include "thermal/presets.h"
 
-#include "util/error.h"
-
 namespace mobitherm::thermal {
 
 namespace {
@@ -61,17 +59,6 @@ ThermalNetworkSpec odroidxu3_network(util::Kelvin t_ambient) {
       link(kBig, kBoard, 0.50),   link(kGpu, kBoard, 0.45),
       link(kMem, kBoard, 0.30),
   };
-  return spec;
-}
-
-ThermalNetworkSpec odroidxu3_network_with_fan(util::Kelvin t_ambient,
-                                              double fan_factor) {
-  ThermalNetworkSpec spec = odroidxu3_network(t_ambient);
-  if (fan_factor < 1.0) {
-    throw util::ConfigError(
-        "odroidxu3_network_with_fan: fan factor must be >= 1");
-  }
-  spec.nodes.back().g_ambient_w_per_k *= fan_factor;
   return spec;
 }
 

@@ -22,12 +22,6 @@ ThermalNetworkSpec nexus6p_network(util::Kelvin t_ambient = util::kelvin(298.15)
 ThermalNetworkSpec odroidxu3_network(
     util::Kelvin t_ambient = util::kelvin(298.15));
 
-/// Odroid-XU3 with the stock fan running: forced convection multiplies
-/// the board's ambient conductance, which is why the board never throttles
-/// in its shipping configuration.
-ThermalNetworkSpec odroidxu3_network_with_fan(
-    util::Kelvin t_ambient = util::kelvin(298.15), double fan_factor = 5.0);
-
 /// Reduce a network to the lumped form used by the stability analyzer:
 /// G = total ambient conductance, C = total capacitance, plus the given
 /// leakage coefficients.

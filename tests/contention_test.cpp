@@ -1,5 +1,4 @@
-// Tests for the fan-on thermal preset and the memory-bandwidth contention
-// model.
+// Tests for the memory-bandwidth contention model.
 #include <gtest/gtest.h>
 
 #include "platform/presets.h"
@@ -16,38 +15,6 @@ namespace {
 power::LeakageParams odroid_leakage() {
   const stability::Params p = stability::odroid_xu3_params();
   return power::LeakageParams{p.leak_theta_k, p.leak_a_w_per_k2};
-}
-
-// --- fan ---------------------------------------------------------------------
-
-TEST(Fan, MultipliesBoardConductance) {
-  const thermal::ThermalNetworkSpec off = thermal::odroidxu3_network();
-  const thermal::ThermalNetworkSpec on =
-      thermal::odroidxu3_network_with_fan(util::kelvin(298.15), 5.0);
-  EXPECT_NEAR(on.nodes.back().g_ambient_w_per_k.value(),
-              5.0 * off.nodes.back().g_ambient_w_per_k.value(), 1e-12);
-  EXPECT_THROW(thermal::odroidxu3_network_with_fan(util::kelvin(298.15), 0.5),
-               util::ConfigError);
-}
-
-TEST(Fan, KeepsTheBoardCoolUnderFullLoad) {
-  // The paper disables the fan "since it is not feasible for mobile
-  // platforms" — with the fan on, the same 3DMark+BML load that reaches
-  // ~95 degC stays tens of degrees cooler and never needs throttling.
-  auto run_with = [&](thermal::ThermalNetworkSpec net) {
-    sim::Engine engine(platform::exynos5422(), std::move(net),
-                       odroid_leakage(), 0.25);
-    engine.set_initial_temperature(util::celsius_to_kelvin(50.0));
-    engine.add_app(workload::threedmark());
-    engine.add_app(workload::bml());
-    engine.run(150.0);
-    return util::kelvin_to_celsius(
-        engine.network().max_temperature().value());
-  };
-  const double fanless = run_with(thermal::odroidxu3_network());
-  const double fanned = run_with(thermal::odroidxu3_network_with_fan());
-  EXPECT_GT(fanless, 85.0);
-  EXPECT_LT(fanned, 60.0);
 }
 
 // --- memory contention -----------------------------------------------------------

@@ -338,7 +338,6 @@ TEST(EngineExtensions, ConflictAccountingCountsThermalClamps) {
   engine.add_app(workload::bml());
   engine.run(5.0);
   EXPECT_GT(engine.conflict_time_s(spec.big()), 3.0);
-  EXPECT_GE(engine.conflict_episodes(spec.big()), 1u);
   // The LITTLE cluster was never clamped.
   EXPECT_DOUBLE_EQ(engine.conflict_time_s(spec.little()), 0.0);
   EXPECT_THROW(engine.conflict_time_s(99), ConfigError);
@@ -354,7 +353,6 @@ TEST(EngineExtensions, NoConflictsWithoutThermalGovernor) {
   engine.run(5.0);
   for (std::size_t c = 0; c < engine.soc().num_clusters(); ++c) {
     EXPECT_DOUBLE_EQ(engine.conflict_time_s(c), 0.0);
-    EXPECT_EQ(engine.conflict_episodes(c), 0u);
   }
 }
 

@@ -353,6 +353,18 @@ TEST(ServerRobustness, MalformedInputCorpusAlwaysGetsStructuredErrors) {
       "{\"op\":\"compare\",\"arms\":[{\"scenario\":\"nexus\"},"
       "{\"scenario\":\"nexus\",\"policy\":\"unthrottled\"}],"
       "\"max_seeds\":1e12,\"min_seeds\":1e12}",
+      // Waits, durations and phase counts beyond their bounds: each is
+      // refused at admission instead of expiring at once, failing after
+      // the run, or holding a worker for days.
+      "{\"op\":\"submit\",\"scenario\":\"nexus\",\"duration_s\":2,"
+      "\"deadline_s\":1e300}",
+      "{\"op\":\"compare\",\"arms\":[{\"scenario\":\"nexus\"},"
+      "{\"scenario\":\"nexus\",\"policy\":\"unthrottled\"}],"
+      "\"deadline_s\":1e300}",
+      "{\"op\":\"submit\",\"scenario\":\"nexus\",\"duration_s\":0.05}",
+      "{\"op\":\"submit\",\"scenario\":\"nexus\",\"duration_s\":1e9}",
+      "{\"op\":\"submit\",\"scenario\":\"odroid\",\"app\":\"nenamark\","
+      "\"app_levels\":100000000}",
       "{\"op\":\"status\"}",                     // missing job
       "{\"op\":\"status\",\"job\":-1}",          // negative job
       "{\"op\":\"status\",\"job\":1.5}",         // fractional job
@@ -683,12 +695,13 @@ TEST(Degradation, CorruptedCacheEntryIsDetectedAndRecomputed) {
   EXPECT_GE(service.stats().cache.corruptions, 1u);
 }
 
-// --- final-partial-slice deadline (regression) ------------------------------
+// --- final-slice deadline (regression) --------------------------------------
 
-TEST(Deadline, FiresWhenItLapsesDuringTheFinalPartialSlice) {
-  // The injected slice latency makes the job's only (partial) slice
-  // overshoot its deadline; before PR 5 the deadline was only checked at
-  // the top of the slice loop, so the job completed as if on time.
+TEST(Deadline, FiresWhenItLapsesDuringTheFinalSlice) {
+  // The injected slice latency makes the job's only slice overshoot its
+  // deadline; a deadline checked only at the top of the slice loop would
+  // let the job complete as if on time. One second is the shortest run a
+  // request may ask for.
   FaultPlanConfig config;
   config.seed = 6;
   config.probability[site_index(FaultSite::kSliceLatency)] = 1.0;
@@ -699,7 +712,7 @@ TEST(Deadline, FiresWhenItLapsesDuringTheFinalPartialSlice) {
   SimService service(ScenarioRegistry::standard(), cfg);
 
   const SubmitOutcome out =
-      service.submit(short_request(42, /*duration_s=*/0.5),
+      service.submit(short_request(42, /*duration_s=*/1.0),
                      /*deadline_s=*/0.05);
   ASSERT_TRUE(out.accepted);
   ASSERT_TRUE(service.wait(out.id, 600.0));

@@ -128,20 +128,6 @@ TEST(Interactive, TargetLoadSizing) {
   EXPECT_EQ(gov.decide(in(0.45, 4), ladder()), 2u);
 }
 
-TEST(InputBoost, InteractiveJumpsToHispeedOnInput) {
-  Interactive gov;
-  EXPECT_EQ(gov.decide(in(0.0, 0), ladder()), 0u);
-  gov.notify_input();
-  EXPECT_TRUE(gov.boosted());
-  // Boost holds the request at/above hispeed (0.8 * 1000 -> index 3).
-  EXPECT_EQ(gov.decide(in(0.0, 0), ladder()), 3u);
-  // After the boost duration it decays back.
-  for (int i = 0; i < 60; ++i) {
-    gov.decide(in(0.0, 0), ladder());
-  }
-  EXPECT_FALSE(gov.boosted());
-}
-
 // --- NoThrottle ----------------------------------------------------------------------
 
 TEST(NoThrottle, NeverCaps) {

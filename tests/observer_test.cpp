@@ -171,7 +171,6 @@ TEST(ObserverBus, ExternalBuiltinsMatchLegacyAccessors) {
 
   for (std::size_t c = 0; c < n; ++c) {
     EXPECT_DOUBLE_EQ(conflicts.time_s(c), engine->conflict_time_s(c));
-    EXPECT_EQ(conflicts.episodes(c), engine->conflict_episodes(c));
     EXPECT_EQ(dvfs.transitions(c), engine->dvfs_transitions(c));
   }
   const std::size_t big = engine->soc().spec().big();
@@ -196,6 +195,7 @@ TEST(ObserverBus, GovernorDecisionEventsFire) {
       std::make_unique<governors::HotplugGovernor>(spec, hcfg));
 
   CountingObserver counter;
+  EXPECT_THROW(engine->add_observer(nullptr), ConfigError);
   engine->add_observer(&counter);
   engine->add_app(workload::bml());
   engine->run(2.0);
@@ -209,23 +209,6 @@ TEST(ObserverBus, GovernorDecisionEventsFire) {
   EXPECT_TRUE(counter.decision_seen);
   EXPECT_EQ(counter.appaware, engine->decisions().size());
   EXPECT_GE(counter.conflict_begin, counter.conflict_end);
-}
-
-TEST(ObserverBus, AddRemoveObserverLifecycle) {
-  auto engine = make_engine();
-  EXPECT_EQ(engine->num_observers(), 0u);
-  EXPECT_THROW(engine->add_observer(nullptr), ConfigError);
-  CountingObserver counter;
-  engine->add_observer(&counter);
-  EXPECT_EQ(engine->num_observers(), 1u);
-  engine->run(0.01);
-  const std::size_t seen = counter.ticks;
-  EXPECT_EQ(seen, 10u);
-  engine->remove_observer(&counter);
-  EXPECT_EQ(engine->num_observers(), 0u);
-  engine->run(0.01);
-  EXPECT_EQ(counter.ticks, seen);  // detached: no further ticks observed
-  engine->remove_observer(&counter);  // double-remove is a no-op
 }
 
 TEST(MetricsObserver, MatchesNexusScenarioSummaries) {

@@ -128,70 +128,6 @@ TEST(PowerModel, IdleClusterDrawsIdleFloorPlusLeakage) {
   EXPECT_NEAR(p.total().value(), (p.idle_w + p.leakage_w).value(), 1e-12);
 }
 
-// --- RailSensor -----------------------------------------------------------------
-
-TEST(RailSensor, LatchesOncePerPeriod) {
-  RailSensor::Config cfg;
-  cfg.period_s = util::seconds(0.1);
-  RailSensor sensor(cfg);
-  EXPECT_DOUBLE_EQ(sensor.last_sample_w(), 0.0);
-  sensor.feed(0.05, 2.0);
-  EXPECT_DOUBLE_EQ(sensor.last_sample_w(), 0.0);  // not yet
-  sensor.feed(0.05, 2.0);
-  EXPECT_NEAR(sensor.last_sample_w(), 2.0, 1e-9);
-}
-
-TEST(RailSensor, SampleIsPeriodAverage) {
-  RailSensor::Config cfg;
-  cfg.period_s = util::seconds(0.1);
-  RailSensor sensor(cfg);
-  sensor.feed(0.05, 1.0);
-  sensor.feed(0.05, 3.0);
-  EXPECT_NEAR(sensor.last_sample_w(), 2.0, 1e-9);
-}
-
-TEST(RailSensor, QuantizationApplies) {
-  RailSensor::Config cfg;
-  cfg.period_s = util::seconds(0.1);
-  cfg.lsb_w = util::watts(0.25);
-  RailSensor sensor(cfg);
-  sensor.feed(0.1, 1.13);
-  EXPECT_DOUBLE_EQ(sensor.last_sample_w(), 1.25);
-}
-
-TEST(RailSensor, NoiseIsDeterministicPerSeed) {
-  RailSensor::Config cfg;
-  cfg.period_s = util::seconds(0.01);
-  cfg.noise_stddev_w = util::watts(0.1);
-  cfg.seed = 5;
-  RailSensor a(cfg);
-  RailSensor b(cfg);
-  for (int i = 0; i < 100; ++i) {
-    a.feed(0.01, 1.0);
-    b.feed(0.01, 1.0);
-    EXPECT_DOUBLE_EQ(a.last_sample_w(), b.last_sample_w());
-  }
-}
-
-TEST(RailSensor, WindowedTracksRecentPower) {
-  RailSensor::Config cfg;
-  cfg.period_s = util::seconds(0.1);
-  RailSensor sensor(cfg);
-  for (int i = 0; i < 20; ++i) {
-    sensor.feed(0.1, 1.0);
-  }
-  for (int i = 0; i < 10; ++i) {
-    sensor.feed(0.1, 3.0);
-  }
-  EXPECT_NEAR(sensor.windowed_w(), 3.0, 1e-6);
-}
-
-TEST(RailSensor, RejectsBadPeriod) {
-  RailSensor::Config cfg;
-  cfg.period_s = util::seconds(0.0);
-  EXPECT_THROW(RailSensor sensor(cfg), ConfigError);
-}
-
 // --- DaqSimulator ----------------------------------------------------------------
 
 TEST(Daq, SamplesAtConfiguredRate) {
@@ -203,15 +139,6 @@ TEST(Daq, SamplesAtConfiguredRate) {
   // ~1000 samples in 1 s (first at t=0).
   EXPECT_NEAR(static_cast<double>(daq.num_samples()), 1001.0, 2.0);
   EXPECT_NEAR(daq.mean_power_w(), 2.5, 1e-9);
-}
-
-TEST(Daq, TraceIsDecimated) {
-  DaqSimulator::Config cfg;
-  cfg.sample_rate_hz = util::hertz(1000.0);
-  cfg.trace_decimation = 100;
-  DaqSimulator daq(cfg);
-  daq.feed(1.0, 1.0);
-  EXPECT_NEAR(static_cast<double>(daq.trace().size()), 11.0, 1.0);
 }
 
 TEST(Daq, NoiseAffectsSamplesButNotDeterminism) {
@@ -230,23 +157,6 @@ TEST(Daq, RejectsBadConfig) {
   DaqSimulator::Config cfg;
   cfg.sample_rate_hz = util::hertz(0.0);
   EXPECT_THROW(DaqSimulator daq(cfg), ConfigError);
-  DaqSimulator::Config cfg2;
-  cfg2.trace_decimation = 0;
-  EXPECT_THROW(DaqSimulator daq2(cfg2), ConfigError);
-}
-
-// --- EnergyCounter ------------------------------------------------------------------
-
-TEST(EnergyCounter, IntegratesExactly) {
-  EnergyCounter ec;
-  ec.add(2.0, 3.0);
-  ec.add(1.0, 6.0);
-  EXPECT_DOUBLE_EQ(ec.energy_j(), 12.0);
-  EXPECT_DOUBLE_EQ(ec.mean_power_w(), 4.0);
-  EXPECT_DOUBLE_EQ(ec.elapsed_s(), 3.0);
-  ec.reset();
-  EXPECT_DOUBLE_EQ(ec.energy_j(), 0.0);
-  EXPECT_DOUBLE_EQ(ec.mean_power_w(), 0.0);
 }
 
 }  // namespace

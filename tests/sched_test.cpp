@@ -97,7 +97,6 @@ TEST(Scheduler, ContentionScalesProportionally) {
   EXPECT_NEAR(f.sched.process(a).granted_rate(), 8.0e9, 1e3);
   EXPECT_NEAR(f.sched.process(b).granted_rate(), 8.0e9, 1e3);
   EXPECT_NEAR(f.sched.cluster_busy_cores(big), 4.0, 1e-9);
-  EXPECT_NEAR(f.sched.cluster_utilization(f.soc, big), 1.0, 1e-9);
 }
 
 TEST(Scheduler, AsymmetricContentionKeepsProportions) {
@@ -132,14 +131,14 @@ TEST(Scheduler, MigrationMovesLoadBetweenClusters) {
 }
 
 TEST(Scheduler, GovernorUtilizationSeesSaturatedSingleThread) {
-  // One batch thread saturating its core must read ~1.0 even though the
-  // cluster average is 0.25.
+  // One batch thread saturating its core must read ~1.0 even though only
+  // one of the cluster's four cores is busy.
   Fixture f;
   const std::size_t big = f.spec.big();
   const Pid pid = f.spawn("bml", big, 1);
   f.sched.process(pid).set_demand_rate(1.0e18);
   f.sched.allocate(f.soc, 0.01);
-  EXPECT_NEAR(f.sched.cluster_utilization(f.soc, big), 0.25, 1e-9);
+  EXPECT_NEAR(f.sched.cluster_busy_cores(big), 1.0, 1e-9);
   EXPECT_NEAR(f.sched.governor_utilization(big), 1.0, 1e-9);
 }
 
@@ -228,7 +227,7 @@ TEST(Scheduler, ZeroOnlineCoresGrantNothing) {
   f.sched.process(pid).set_demand_rate(1.0e9);
   f.sched.allocate(f.soc, 0.01);
   EXPECT_DOUBLE_EQ(f.sched.process(pid).granted_rate(), 0.0);
-  EXPECT_DOUBLE_EQ(f.sched.cluster_utilization(f.soc, big), 0.0);
+  EXPECT_DOUBLE_EQ(f.sched.cluster_busy_cores(big), 0.0);
 }
 
 TEST(Process, ClassNames) {

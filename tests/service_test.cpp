@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/result_cache.h"
@@ -21,6 +22,7 @@
 #include "sim/experiment.h"
 #include "util/error.h"
 #include "util/json.h"
+#include "workload/pack.h"
 #include "workload/presets.h"
 
 namespace mobitherm::service {
@@ -689,6 +691,59 @@ TEST(SimServer, IntegerFieldsAreRangeCheckedBeforeUse) {
   EXPECT_NE(server.handle_line("{\"op\":\"status\",\"job\":9007199254740992}")
                 .find("\"code\":\"unknown_job\""),
             std::string::npos);
+}
+
+TEST(SimServer, WaitsDurationsAndAppLevelsAreBoundedAtAdmission) {
+  SimService service(ScenarioRegistry::standard(),
+                     small_config(/*workers=*/1, /*queue_capacity=*/8));
+  SimServer server(service);
+  // Occupy the only worker so job 2 stays queued.
+  const SubmitOutcome blocker = service.submit(long_request(1));
+  ASSERT_TRUE(blocker.accepted);
+  wait_until_running(service, blocker.id);
+  const SubmitOutcome queued = service.submit(short_request(2));
+  ASSERT_TRUE(queued.accepted);
+
+  // A timeout beyond kMaxWaitSeconds is refused before any conversion to
+  // clock ticks, instead of returning at once with "done":false.
+  const std::string wait =
+      server.handle_line("{\"op\":\"wait\",\"job\":" +
+                         std::to_string(queued.id) + ",\"timeout_s\":1e300}");
+  EXPECT_NE(wait.find("\"code\":\"bad_request\""), std::string::npos)
+      << wait;
+
+  const auto duration_line = [](const std::string& duration_s) {
+    return "{\"op\":\"submit\",\"scenario\":\"nexus\",\"app\":\"paperio\","
+           "\"duration_s\":" +
+           duration_s + "}";
+  };
+  const auto levels_line = [](int levels) {
+    return "{\"op\":\"submit\",\"scenario\":\"odroid\","
+           "\"app\":\"nenamark\",\"app_levels\":" +
+           std::to_string(levels) + "}";
+  };
+  // Just outside [1, kMaxDurationS] and [1, kMaxAppPhases].
+  for (const std::string& line :
+       {duration_line("0.999"), duration_line("100000.5"),
+        levels_line(static_cast<int>(workload::kMaxAppPhases) + 1)}) {
+    const json::Value v = json::Value::parse(server.handle_line(line));
+    EXPECT_FALSE(v.find("ok")->as_bool()) << line;
+  }
+  EXPECT_EQ(service.stats().submitted, 2u);
+
+  // The bounds themselves are admitted, with the keys they always had.
+  for (const auto& [line, field] :
+       {std::pair<std::string, std::string>{duration_line("1"),
+                                            ";duration_s=1;"},
+        {duration_line("100000"), ";duration_s=100000;"},
+        {levels_line(static_cast<int>(workload::kMaxAppPhases)),
+         ";levels=4096;"}}) {
+    const json::Value v = json::Value::parse(server.handle_line(line));
+    ASSERT_TRUE(v.find("ok")->as_bool()) << line;
+    const auto id = static_cast<std::uint64_t>(v.find("job")->as_number());
+    EXPECT_NE(service.status(id)->canonical.find(field), std::string::npos)
+        << line;
+  }
 }
 
 TEST(SimServer, FanWiderThanTheFreeQueueDegradesLaneByLane) {

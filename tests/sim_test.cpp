@@ -82,7 +82,6 @@ TEST(Engine, AppAccessorsValidate) {
   EXPECT_NO_THROW(engine->app(0));
   EXPECT_THROW(engine->set_cpufreq_governor(99, nullptr), ConfigError);
   EXPECT_THROW(engine->set_cpufreq_governor(0, nullptr), ConfigError);
-  EXPECT_THROW(engine->rail(99), ConfigError);
 }
 
 TEST(Engine, ResidencyAccountsAllTime) {
@@ -154,6 +153,13 @@ TEST(Engine, InteractiveRampsUpUnderLoad) {
   engine->run(2.0);
   EXPECT_GT(engine->soc().frequency_hz(big).value(),
             util::mhz_to_hz(1500.0));
+}
+
+TEST(Engine, InteractiveIdlesAtLowestOppWithoutLoad) {
+  auto engine = make_engine();
+  engine->run(5.0);
+  const std::size_t big = engine->soc().spec().big();
+  EXPECT_EQ(engine->soc().state(big).opp_index, 0u);
 }
 
 TEST(Engine, ThermalGovernorCapsDvfs) {
@@ -229,7 +235,7 @@ TEST(Engine, DaqOnlyWhenEnabled) {
   EXPECT_GT(on->daq()->num_samples(), 400u);
 }
 
-// --- DVFS transition cost ---------------------------------------------------
+// --- DVFS transitions and the capacity penalty ------------------------------
 
 TEST(DvfsCost, TransitionsAreCounted) {
   auto engine = make_engine();
@@ -241,52 +247,10 @@ TEST(DvfsCost, TransitionsAreCounted) {
   EXPECT_THROW(engine->dvfs_transitions(99), ConfigError);
 }
 
-TEST(DvfsCost, LatencyReducesThroughput) {
-  auto run_with = [](double latency) {
-    EngineConfig cfg;
-    cfg.dvfs_latency_s = latency;
-    auto engine = make_engine(cfg);
-    // Ondemand on a jittery load switches often.
-    workload::AppSpec app = workload::threedmark();
-    app.jitter = 0.3;
-    app.jitter_interval_s = 0.1;
-    const std::size_t big = engine->soc().spec().big();
-    engine->set_cpufreq_governor(big, std::make_unique<governors::Ondemand>());
-    engine->add_app(app);
-    engine->run(20.0);
-    return engine->app(0).total_frames();
-  };
-  const double free_switches = run_with(0.0);
-  const double costly = run_with(0.0008);  // 0.8 ms of every 1 ms tick
-  EXPECT_LT(costly, free_switches);
-}
-
 TEST(DvfsCost, PenaltyValidation) {
   sched::Scheduler sched(platform::exynos5422());
   EXPECT_THROW(sched.set_capacity_penalty(99, 0.5), ConfigError);
   EXPECT_THROW(sched.set_capacity_penalty(0, 1.5), ConfigError);
-}
-
-// --- input boost ------------------------------------------------------------
-
-TEST(InputBoost, EngineInjectionRaisesCpuFrequency) {
-  EngineConfig cfg;
-  cfg.input_event_interval_s = 0.2;  // constant tapping
-  auto engine = make_engine(cfg);
-  // No load at all: without input the interactive governor would sit at
-  // the lowest OPP; the touch boost keeps it at/above hispeed.
-  engine->run(5.0);
-  const std::size_t big = engine->soc().spec().big();
-  const double hispeed =
-      0.8 * engine->soc().cluster(big).opps.highest().freq_hz.value();
-  EXPECT_GE(engine->soc().frequency_hz(big).value(), hispeed * 0.99);
-}
-
-TEST(InputBoost, NoInputMeansIdleFrequency) {
-  auto engine = make_engine();
-  engine->run(5.0);
-  const std::size_t big = engine->soc().spec().big();
-  EXPECT_EQ(engine->soc().state(big).opp_index, 0u);
 }
 
 // --- Trace ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Tests for the power-temperature stability analysis — the paper's core
 // machinery (Sec. IV-A / Fig. 7): concavity of the fixed-point function,
-// root structure vs. power, critical power, trajectories, calibration.
+// root structure vs. power, the auxiliary-temperature iteration, critical
+// power, trajectories, calibration.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -311,6 +312,63 @@ TEST(Calibrate, RejectsInconsistentTargets) {
 
   CalibrationTargets t3;
   EXPECT_THROW(calibrate(t3, -1.0), NumericError);
+}
+
+// --- fixed-point iteration (Fig. 7 arrows) --------------------------------
+
+TEST(Iteration, ConvergesToStableRootFromBetweenRoots) {
+  const Params p = odroid();
+  const FixedPointResult r = analyze(p, 2.0);
+  const double start = 0.5 * (r.unstable_x + r.stable_x);
+  const auto xs = iterate_auxiliary(p, 2.0, start, 400);
+  // Between the roots f > 0: the auxiliary temperature increases
+  // monotonically toward the stable root (the paper's rightward arrows).
+  for (std::size_t i = 1; i < xs.size(); ++i) {
+    EXPECT_GE(xs[i], xs[i - 1] - 1e-12);
+    EXPECT_LE(xs[i], r.stable_x + 1e-6);
+  }
+  EXPECT_NEAR(xs.back(), r.stable_x, 1e-3);
+}
+
+TEST(Iteration, FallsBackFromRightOfStableRoot) {
+  const Params p = odroid();
+  const FixedPointResult r = analyze(p, 2.0);
+  const auto xs = iterate_auxiliary(p, 2.0, r.stable_x + 1.0, 400);
+  // Right of the stable root f < 0: iterates decrease back to it.
+  for (std::size_t i = 1; i < xs.size(); ++i) {
+    EXPECT_LE(xs[i], xs[i - 1] + 1e-12);
+  }
+  EXPECT_NEAR(xs.back(), r.stable_x, 1e-3);
+}
+
+TEST(Iteration, RunsAwayLeftOfUnstableRoot) {
+  const Params p = odroid();
+  const FixedPointResult r = analyze(p, 2.0);
+  const auto xs = iterate_auxiliary(p, 2.0, 0.9 * r.unstable_x, 4000);
+  // Left of the unstable root f < 0: the auxiliary temperature keeps
+  // falling (actual temperature keeps rising — thermal runaway).
+  EXPECT_LT(xs.back(), 0.5 * r.unstable_x);
+}
+
+TEST(Iteration, NoFixedPointAlwaysRunsAway) {
+  const Params p = odroid();
+  const auto xs = iterate_auxiliary(p, 8.0, 4.5, 20000);
+  EXPECT_NEAR(xs.back(), 1e-3, 1e-9);  // hit the floor (T -> infinity)
+}
+
+TEST(Iteration, FixedPointIsStationary) {
+  const Params p = odroid();
+  const FixedPointResult r = analyze(p, 2.0);
+  const auto xs = iterate_auxiliary(p, 2.0, r.stable_x, 10);
+  for (double x : xs) {
+    EXPECT_NEAR(x, r.stable_x, 1e-9);
+  }
+}
+
+TEST(Iteration, ValidatesArguments) {
+  const Params p = odroid();
+  EXPECT_THROW(iterate_auxiliary(p, 2.0, 0.0, 10), NumericError);
+  EXPECT_THROW(iterate_auxiliary(p, 2.0, 1.0, -1), NumericError);
 }
 
 TEST(Calibrate, InfeasibleTargetsThrowWithDiagnostics) {
