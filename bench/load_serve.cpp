@@ -1,7 +1,7 @@
 // Socket front-end load generator: many concurrent pipelined connections
-// driving a sharded in-process NetServer with a Zipf-distributed request
-// mix, reporting end-to-end latency percentiles (p50/p95/p99), saturation
-// throughput and per-shard cache hit rates.
+// driving an in-process NetServer with a Zipf-distributed request mix,
+// reporting end-to-end latency percentiles (p50/p95/p99), saturation
+// throughput and the cache hit rate.
 //
 // The pinned invariant, asserted in main() before the benchmarks run: on
 // loopback with a cache-warm Zipf mix the server must sustain at least
@@ -9,7 +9,7 @@
 // warmed keys — every request is a cache probe plus response splice, which
 // is exactly the service's steady state when a fleet of clients re-runs a
 // shared scenario mix — so the number measures the front end (epoll loop,
-// line framing, shard routing, cache lookup), not simulation speed.
+// line framing, cache lookup), not simulation speed.
 //
 // The load loop is a single poll()-driven thread with a fixed per-
 // connection pipeline window: with C connections x W window there are
@@ -47,7 +47,6 @@
 #include "service/scenario_registry.h"
 #include "service/server.h"
 #include "service/service.h"
-#include "service/shard.h"
 #include "util/hash.h"
 #include "util/json.h"
 
@@ -57,20 +56,18 @@ using namespace mobitherm;
 namespace json = util::json;
 using clock_type = std::chrono::steady_clock;
 
-constexpr unsigned kShards = 4;
 constexpr std::size_t kDistinctKeys = 32;
 constexpr double kZipfExponent = 0.99;
 
 service::ServiceConfig serve_config() {
   service::ServiceConfig cfg;
-  cfg.workers = 1;           // per shard
-  cfg.queue_capacity = 64;   // per shard
-  cfg.cache_capacity = 64;   // per shard: the whole key set stays resident
+  cfg.workers = 4;
+  cfg.queue_capacity = 256;
+  cfg.cache_capacity = 256;  // the whole key set stays resident
   return cfg;
 }
 
-/// The K distinct request lines of the mix (seed varies the canonical
-/// key, so the keys spread across shards by the routing hash).
+/// The K distinct request lines of the mix; the seed varies the key.
 std::vector<std::string> request_lines() {
   std::vector<std::string> lines;
   lines.reserve(kDistinctKeys);
@@ -105,8 +102,7 @@ std::size_t zipf_pick(const std::vector<double>& cdf, std::uint64_t counter) {
 /// its event loop on a background thread.
 struct ServeFixture {
   ServeFixture()
-      : service(service::ScenarioRegistry::standard(), serve_config(),
-                kShards),
+      : service(service::ScenarioRegistry::standard(), serve_config()),
         server(service),
         net(server),
         thread([this] { net.run(); }) {}
@@ -115,7 +111,7 @@ struct ServeFixture {
     thread.join();
   }
 
-  service::ShardedService service;
+  service::SimService service;
   service::SimServer server;
   service::NetServer net;
   std::thread thread;
@@ -203,9 +199,8 @@ struct LoadResult {
   double p50_us = 0.0;
   double p95_us = 0.0;
   double p99_us = 0.0;
-  double hit_rate = 0.0;  // over the timed phase, from shard stats deltas
+  double hit_rate = 0.0;  // over the timed phase, from stats deltas
   std::size_t responses = 0;
-  std::vector<double> shard_hit_rates;  // lifetime hits/(hits+misses)
 };
 
 struct LoadConn {
@@ -217,16 +212,15 @@ struct LoadConn {
   std::uint64_t counter = 0;                // Zipf sequence counter
 };
 
-std::vector<std::size_t> cache_counts(const json::Value& stats) {
-  std::vector<std::size_t> counts;  // hits, misses per shard, flattened
-  for (const json::Value& s : stats.find("shards")->items()) {
-    const json::Value* cache = s.find("cache");
-    counts.push_back(
-        static_cast<std::size_t>(cache->find("hits")->as_number()));
-    counts.push_back(
-        static_cast<std::size_t>(cache->find("misses")->as_number()));
-  }
-  return counts;
+struct CacheCounts {
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+};
+
+CacheCounts cache_counts(const json::Value& stats) {
+  const json::Value* cache = stats.find("cache");
+  return {static_cast<std::size_t>(cache->find("hits")->as_number()),
+          static_cast<std::size_t>(cache->find("misses")->as_number())};
 }
 
 /// The pipelined load loop: `connections` sockets, each keeping `window`
@@ -237,7 +231,7 @@ LoadResult run_load(int port, std::size_t connections, std::size_t window,
   const std::vector<double> cdf = zipf_cdf();
 
   ControlClient control(port);
-  const std::vector<std::size_t> before =
+  const CacheCounts before =
       cache_counts(json::Value::parse(
           control.request("{\"op\":\"stats\"}")));
 
@@ -312,7 +306,7 @@ LoadResult run_load(int port, std::size_t connections, std::size_t window,
   const auto t1 = clock_type::now();
   for (LoadConn& conn : conns) ::close(conn.fd);
 
-  const std::vector<std::size_t> after =
+  const CacheCounts after =
       cache_counts(json::Value::parse(
           control.request("{\"op\":\"stats\"}")));
 
@@ -331,14 +325,9 @@ LoadResult run_load(int port, std::size_t connections, std::size_t window,
   result.p95_us = percentile(0.95);
   result.p99_us = percentile(0.99);
 
-  std::size_t hits_delta = 0, lookups_delta = 0;
-  for (std::size_t i = 0; i + 1 < after.size(); i += 2) {
-    hits_delta += after[i] - before[i];
-    lookups_delta += (after[i] - before[i]) + (after[i + 1] - before[i + 1]);
-    const double lifetime = static_cast<double>(after[i] + after[i + 1]);
-    result.shard_hit_rates.push_back(
-        lifetime > 0.0 ? after[i] / lifetime : 0.0);
-  }
+  const std::size_t hits_delta = after.hits - before.hits;
+  const std::size_t lookups_delta =
+      hits_delta + (after.misses - before.misses);
   result.hit_rate = lookups_delta > 0
                         ? static_cast<double>(hits_delta) / lookups_delta
                         : 0.0;
@@ -351,11 +340,6 @@ void report(const char* tag, const LoadResult& r) {
       "p95 %.1f us p99 %.1f us | timed-phase hit rate %.3f\n",
       tag, r.responses, r.elapsed_s, r.req_per_s, r.p50_us, r.p95_us,
       r.p99_us, r.hit_rate);
-  std::printf("%s: per-shard lifetime hit rates:", tag);
-  for (std::size_t s = 0; s < r.shard_hit_rates.size(); ++s) {
-    std::printf(" shard%zu=%.3f", s, r.shard_hit_rates[s]);
-  }
-  std::printf("\n");
 }
 
 /// The pinned invariant: the cache-warm Zipf mix sustains >= 5,000 req/s

@@ -13,14 +13,16 @@
 // port is announced as a JSON line on stdout so callers can pass
 // --listen 0 for an ephemeral port:
 //
-//   $ ./mobitherm_serve --listen 0 --shards 4
-//   {"event":"listening","host":"127.0.0.1","port":37201,"shards":4}
+//   $ ./mobitherm_serve --listen 0 --workers 4
+//   {"event":"listening","host":"127.0.0.1","port":37201}
+//
+// Every request goes through one SimService: one job queue, one worker
+// pool and one result cache.
 //
 // Flags:
-//   --workers N          worker threads per shard (default 1)
-//   --queue N            queue capacity per shard (default 16)
-//   --cache N            result-cache entries per shard (default 64;
-//                        0 disables)
+//   --workers N          worker threads (default 1)
+//   --queue N            job-queue capacity (default 16)
+//   --cache N            result-cache entries (default 64; 0 disables)
 //   --deadline SECONDS   default per-job wall-clock deadline (0 = none;
 //                        at most kMaxWaitSeconds, one day)
 //   --retries N          execution attempts per job (default 3)
@@ -30,9 +32,9 @@
 //                        corrupt, latency, malformed; see util/fault.h)
 //   --listen PORT        serve a TCP socket on 127.0.0.1:PORT instead of
 //                        stdin/stdout (0 = pick an ephemeral port)
-//   --shards N           share-nothing service shards partitioned by
-//                        canonical key (default 1; requests route as
-//                        fnv1a64(canonical) % N)
+//   --shards 1           accepted and ignored, for old command lines;
+//                        sharding was removed, so any other value is a
+//                        usage error (exit 2)
 //   --packs DIR          load every workload pack (*.json) in DIR on top
 //                        of the built-in "synthetic" stressor pack; pack
 //                        apps are requested as "app":"<pack>/<app>". A
@@ -48,12 +50,12 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "service/net_server.h"
 #include "service/scenario_registry.h"
 #include "service/server.h"
 #include "service/service.h"
-#include "service/shard.h"
 #include "util/fault.h"
 #include "workload/pack.h"
 #include "workload/synthetic.h"
@@ -131,8 +133,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: mobitherm_serve [--workers N] [--queue N] "
                  "[--cache N] [--deadline SECONDS] [--retries N] "
-                 "[--fault SPEC] [--listen PORT] [--shards N] "
-                 "[--packs DIR]\n");
+                 "[--fault SPEC] [--listen PORT] [--packs DIR]\n");
+    return 2;
+  }
+  if (shards != 1) {
+    std::fprintf(stderr,
+                 "mobitherm_serve: sharding was removed; --shards accepts "
+                 "only 1 (use --workers, --queue and --cache to size the "
+                 "service)\n");
     return 2;
   }
   if (!(deadline <= kMaxWaitSeconds)) {
@@ -164,8 +172,7 @@ int main(int argc, char** argv) {
   ScenarioRegistry registry = ScenarioRegistry::standard();
   {
     // The built-in synthetic stressor pack is always available; --packs
-    // layers JSON packs from disk on top. Every shard's registry copy
-    // shares the one immutable pack set.
+    // layers JSON packs from disk on top.
     auto packs = std::make_shared<mobitherm::workload::PackSet>();
     packs->add(mobitherm::workload::synthetic_stressor_pack());
     if (!packs_dir.empty()) {
@@ -183,8 +190,7 @@ int main(int argc, char** argv) {
     registry.attach_packs(std::move(packs));
   }
 
-  const unsigned shard_count = shards < 1 ? 1 : static_cast<unsigned>(shards);
-  ShardedService service(registry, config, shard_count);
+  SimService service(std::move(registry), config);
   SimServer server(service, config.faults);
 
   if (!listen) {
@@ -198,10 +204,8 @@ int main(int argc, char** argv) {
     NetServer net(server, net_config);
     // Announce the bound port (ephemeral when --listen 0) before serving
     // so a parent process can parse it and connect.
-    std::printf(
-        "{\"event\":\"listening\",\"host\":\"%s\",\"port\":%d,"
-        "\"shards\":%u}\n",
-        net_config.host.c_str(), net.port(), shard_count);
+    std::printf("{\"event\":\"listening\",\"host\":\"%s\",\"port\":%d}\n",
+                net_config.host.c_str(), net.port());
     std::fflush(stdout);
     net.run();
   } catch (const std::exception& e) {

@@ -295,12 +295,11 @@ def run_smoke(client, timeout_s):
             pack_runs += 1
 
     # Fan submit: "seeds": N admits lanes seed..seed+N-1 in one request,
-    # each an ordinary submit of its seed (on a sharded server the lanes
-    # scatter by canonical key). Every lane's payload must equal a plain
-    # submit of that seed, which shares the lane's canonical key and so
-    # comes back cached, and a repeat of the fan must be fully cached.
-    shards = len(stats.get("shards", [])) or 1
-    lane_count = max(3, shards + 1)
+    # each an ordinary submit of its seed, one more lane than there are
+    # workers. Every lane's payload must equal a plain submit of that seed,
+    # which shares the lane's canonical key and so comes back cached, and a
+    # repeat of the fan must be fully cached.
+    lane_count = max(3, stats.get("workers", 1) + 1)
     fan = dict(request)
     fan.update({"op": "submit", "seed": 7, "seeds": lane_count})
     response = client.request(fan)

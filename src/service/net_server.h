@@ -12,9 +12,9 @@
 // Connection lifecycle:
 //   accept  -> non-blocking fd, per-connection read/write buffers
 //   read    -> bytes append to the read buffer; every complete line is
-//              handled inline (submit on a sharded backend is a cache
-//              probe + queue push — milliseconds of simulation never run
-//              on this thread) and its response is appended to the write
+//              handled inline (a submit is a cache probe + queue push —
+//              milliseconds of simulation never run on this thread) and
+//              its response is appended to the write
 //              buffer. A line exceeding kMaxLineBytes is answered with
 //              the same oversized_line error as stdin mode and the
 //              overflow is discarded up to the next newline, so the

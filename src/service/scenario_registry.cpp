@@ -188,6 +188,22 @@ SimRequest ScenarioRegistry::resolve(const SimRequest& request) const {
     throw ConfigError("service: request duration must lie in [1, " +
                       json::format_number(kMaxDurationS) + "] s");
   }
+  if (!(r.initial_temp_c >= kMinInitialTempC &&
+        r.initial_temp_c <= kMaxInitialTempC)) {
+    throw ConfigError("service: initial_temp_c must lie in [" +
+                      json::format_number(kMinInitialTempC) + ", " +
+                      json::format_number(kMaxInitialTempC) + "] degC");
+  }
+  // Every negative phase length means "the preset's own", so it gets one
+  // canonical spelling. fps is sampled once per simulated second, so a
+  // phase shorter than that is never measured.
+  if (r.app_phase_s < 0.0) {
+    r.app_phase_s = -1.0;
+  } else if (!(r.app_phase_s >= 1.0 && r.app_phase_s <= kMaxDurationS)) {
+    throw ConfigError("service: app_phase_s must be negative (the preset "
+                      "default) or lie in [1, " +
+                      json::format_number(kMaxDurationS) + "] s");
+  }
   return r;
 }
 

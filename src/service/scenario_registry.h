@@ -45,6 +45,13 @@ inline constexpr const char* kSimCodeVersion = "mobitherm-sim-v5";
 /// paper's longest run is 250 s.
 inline constexpr double kMaxDurationS = 100000.0;
 
+/// Range of a request's starting temperature, in degC; resolve() rejects a
+/// value outside it, non-finite ones included. It holds both boards'
+/// defaults (36 and 50 degC) and Table II's 78 degC start, and stays below
+/// the service's 150 degC runaway guard.
+inline constexpr double kMinInitialTempC = -40.0;
+inline constexpr double kMaxInitialTempC = 125.0;
+
 /// A parameterized simulation request. Field semantics are interpreted by
 /// the scenario named in `scenario`; sentinel values (empty strings,
 /// negative numbers) mean "use the scenario default" and are replaced by
@@ -70,9 +77,9 @@ struct SimRequest {
   static constexpr double kUnsetTemp = -1.0e9;
 };
 
-/// FNV-1a 64-bit hash of a canonical request string (the result-cache key
-/// and the shard router's partition input). Forwards to the one audited
-/// implementation in util/hash.h.
+/// FNV-1a 64-bit hash of a canonical request string: the result-cache key,
+/// which also keys the request's injected-fault decisions. Forwards to the
+/// one audited implementation in util/hash.h.
 inline std::uint64_t fnv1a64(const std::string& text) {
   return util::fnv1a64(text);
 }
@@ -136,9 +143,10 @@ class ScenarioRegistry {
   /// Fill scenario defaults into every sentinel field, validate the app,
   /// policy and power-model names, and normalize inapplicable overrides.
   /// The result is the canonical request: resolve(resolve(r)) ==
-  /// resolve(r). Throws util::ConfigError on unknown
-  /// scenario/app/policy/model and on a duration outside
-  /// [1, kMaxDurationS] seconds.
+  /// resolve(r). A negative app_phase_s becomes the -1 sentinel. Throws
+  /// util::ConfigError on unknown scenario/app/policy/model, on a duration
+  /// or an app_phase_s outside [1, kMaxDurationS] seconds, and on an
+  /// initial_temp_c outside [kMinInitialTempC, kMaxInitialTempC].
   SimRequest resolve(const SimRequest& request) const;
 
   /// The app spec a *resolved* request simulates: a built-in preset or an

@@ -544,47 +544,6 @@ std::string SimServer::handle_stats() {
   cache.set("capacity",
             json::Value::number(static_cast<double>(s.cache.capacity)));
   out.set("cache", cache);
-  // Per-shard breakdown (a single pool reports itself as shard 0), so a
-  // saturated shard is diagnosable even when the fleet rollup looks
-  // healthy: queue depth and retry backlog are the per-shard saturation
-  // signals, cache hits/misses the per-shard load.
-  json::Value shards = json::Value::array();
-  const std::vector<ServiceStats> per_shard = service_.shard_stats();
-  for (std::size_t i = 0; i < per_shard.size(); ++i) {
-    const ServiceStats& sh = per_shard[i];
-    json::Value entry = json::Value::object();
-    entry.set("shard", json::Value::number(static_cast<double>(i)));
-    entry.set("queued", json::Value::number(static_cast<double>(sh.queued)));
-    entry.set("retry_backlog",
-              json::Value::number(static_cast<double>(sh.retry_backlog)));
-    entry.set("running",
-              json::Value::number(static_cast<double>(sh.running)));
-    entry.set("compares",
-              json::Value::number(static_cast<double>(sh.compares)));
-    entry.set("compare_rounds",
-              json::Value::number(static_cast<double>(sh.compare_rounds)));
-    entry.set("compare_lane_runs",
-              json::Value::number(static_cast<double>(sh.compare_lane_runs)));
-    entry.set("compare_lane_hits",
-              json::Value::number(static_cast<double>(sh.compare_lane_hits)));
-    entry.set("compare_early_stops",
-              json::Value::number(
-                  static_cast<double>(sh.compare_early_stops)));
-    entry.set("submitted",
-              json::Value::number(static_cast<double>(sh.submitted)));
-    entry.set("completed",
-              json::Value::number(static_cast<double>(sh.completed)));
-    json::Value shard_cache = json::Value::object();
-    shard_cache.set("hits",
-                    json::Value::number(static_cast<double>(sh.cache.hits)));
-    shard_cache.set("misses",
-                    json::Value::number(static_cast<double>(sh.cache.misses)));
-    shard_cache.set("size",
-                    json::Value::number(static_cast<double>(sh.cache.size)));
-    entry.set("cache", shard_cache);
-    shards.push(entry);
-  }
-  out.set("shards", shards);
   return out.dump();
 }
 

@@ -37,13 +37,11 @@
 //   result    (job)                    -> {ok, job, state, result:{...}}
 //   cancel    (job)                    -> {ok, job, cancelled}
 //   wait      (job, timeout_s?)        -> {ok, job, done, state}
-//   stats     ()                       -> {ok, fleet rollup + cache
-//              counters, shards:[{shard, queued, retry_backlog, running,
-//              ...}]} — per-shard queue depth and retry backlog make
-//              saturation diagnosable per shard;
-//              compare counters (compares, compare_rounds,
-//              compare_lane_runs/hits, compare_early_stops) ride along in
-//              both the rollup and the per-shard entries
+//   stats     ()                       -> {ok, submitted, completed,
+//              queued, retry_backlog, running, ..., cache:{hits, misses,
+//              evictions, ...}} — the service's counters, with the compare
+//              counters (compares, compare_rounds, compare_lane_runs/hits,
+//              compare_early_stops) alongside
 //   scenarios ()                       -> {ok, scenarios:[...],
 //              compare_metrics:[...]}
 //   shutdown  ()                       -> {ok} and the serve loop exits
@@ -90,12 +88,10 @@ inline constexpr double kMaxWaitSeconds = 86400.0;
 
 class SimServer {
  public:
-  /// `service` is any ServiceApi backend — a single SimService pool or a
-  /// ShardedService fleet; `faults` optionally arms the
-  /// kMalformedResponse injection site, which truncates responses
-  /// mid-line to exercise client-side recovery; non-owning, nullptr =
-  /// never injected.
-  explicit SimServer(ServiceApi& service, util::FaultPlan* faults = nullptr)
+  /// `faults` optionally arms the kMalformedResponse injection site,
+  /// which truncates responses mid-line to exercise client-side recovery;
+  /// non-owning, nullptr = never injected.
+  explicit SimServer(SimService& service, util::FaultPlan* faults = nullptr)
       : service_(service), faults_(faults) {}
 
   /// Handle one request line, returning the response line (no trailing
@@ -127,7 +123,7 @@ class SimServer {
   /// JSON), modeling a connection dropped mid-write.
   std::string finish_response(std::string response);
 
-  ServiceApi& service_;
+  SimService& service_;
   util::FaultPlan* faults_;
   bool shutdown_requested_ = false;
 };

@@ -107,36 +107,28 @@ SimService::~SimService() {
   }
 }
 
-PreparedRequest SimService::prepare(const SimRequest& request) const {
-  PreparedRequest prepared;
-  try {
-    prepared.resolved = registry_.resolve(request);
-    prepared.canonical = registry_.canonical_key(prepared.resolved);
-    prepared.key = fnv1a64(prepared.canonical);
-    prepared.valid = true;
-  } catch (const std::exception& e) {
-    prepared.error = e.what();
-  }
-  return prepared;
-}
-
 SubmitOutcome SimService::submit(const SimRequest& request,
                                  double deadline_s) {
-  return submit_prepared(prepare(request), deadline_s);
+  SimRequest resolved;
+  std::string canonical;
+  try {
+    resolved = registry_.resolve(request);
+    canonical = registry_.canonical_key(resolved);
+  } catch (const std::exception& e) {
+    return reject_invalid(e.what());
+  }
+  const std::uint64_t key = fnv1a64(canonical);
+  return admit_unit(key, std::move(canonical), std::move(resolved), nullptr,
+                    deadline_s);
 }
 
-SubmitOutcome SimService::submit_prepared(PreparedRequest prepared,
-                                          double deadline_s) {
-  if (!prepared.valid) {
-    util::MutexLock lock(mutex_);
-    ++rejected_;
-    SubmitOutcome out;
-    out.reject_reason = prepared.error;
-    out.reject_code = errc::kInvalidRequest;
-    return out;
-  }
-  return admit_unit(prepared.key, std::move(prepared.canonical),
-                    std::move(prepared.resolved), nullptr, deadline_s);
+SubmitOutcome SimService::reject_invalid(std::string reason) {
+  util::MutexLock lock(mutex_);
+  ++rejected_;
+  SubmitOutcome out;
+  out.reject_reason = std::move(reason);
+  out.reject_code = errc::kInvalidRequest;
+  return out;
 }
 
 SubmitOutcome SimService::admit_unit(
@@ -227,33 +219,32 @@ SubmitOutcome SimService::admit_unit(
   return out;
 }
 
-PreparedCompare SimService::prepare_compare(
-    const CompareRequest& request) const {
-  PreparedCompare prepared;
+SubmitOutcome SimService::submit_compare(const CompareRequest& request,
+                                         double deadline_s) {
+  CompareRequest spec = request;
+  std::string canonical;
   try {
-    if (request.arms.size() < 2) {
+    if (spec.arms.size() < 2) {
       throw util::ConfigError("compare: need at least two arms");
     }
-    if (!(request.confidence > 0.0) || !(request.confidence < 1.0)) {
+    if (!(spec.confidence > 0.0) || !(spec.confidence < 1.0)) {
       throw util::ConfigError("compare: confidence must be in (0, 1)");
     }
-    if (request.min_seeds < 2) {
+    if (spec.min_seeds < 2) {
       throw util::ConfigError("compare: min_seeds must be >= 2");
     }
-    if (request.max_seeds < request.min_seeds) {
+    if (spec.max_seeds < spec.min_seeds) {
       throw util::ConfigError("compare: max_seeds must be >= min_seeds");
     }
-    if (request.round_seeds < 1) {
+    if (spec.round_seeds < 1) {
       throw util::ConfigError("compare: round_seeds must be >= 1");
     }
     // Validates the metric name (and fixes the direction later).
-    (void)sim::compare_metric_higher_is_better(request.metric);
+    (void)sim::compare_metric_higher_is_better(spec.metric);
 
-    CompareRequest spec = request;
     // The compare canonical key embeds every option plus each arm's own
     // canonical form at seed 0 — the schedule supplies real seeds, so the
     // arms' seed fields must not distinguish otherwise equal comparisons.
-    std::string canonical;
     canonical.reserve(256);
     canonical += "cmp=";
     canonical += kSimCodeVersion;
@@ -291,35 +282,13 @@ PreparedCompare SimService::prepare_compare(
       canonical += "@";
       canonical += registry_.canonical_key(keyed);
     }
-    prepared.spec = std::move(spec);
-    prepared.canonical = std::move(canonical);
-    prepared.key = fnv1a64(prepared.canonical);
-    prepared.valid = true;
   } catch (const std::exception& e) {
-    prepared.error = e.what();
+    return reject_invalid(e.what());
   }
-  return prepared;
-}
-
-SubmitOutcome SimService::submit_compare(const CompareRequest& request,
-                                         double deadline_s) {
-  return submit_compare_prepared(prepare_compare(request), deadline_s);
-}
-
-SubmitOutcome SimService::submit_compare_prepared(PreparedCompare prepared,
-                                                  double deadline_s) {
-  if (!prepared.valid) {
-    util::MutexLock lock(mutex_);
-    ++rejected_;
-    SubmitOutcome out;
-    out.reject_reason = prepared.error;
-    out.reject_code = errc::kInvalidRequest;
-    return out;
-  }
-  return admit_unit(
-      prepared.key, std::move(prepared.canonical), SimRequest{},
-      std::make_shared<const CompareRequest>(std::move(prepared.spec)),
-      deadline_s);
+  const std::uint64_t key = fnv1a64(canonical);
+  return admit_unit(key, std::move(canonical), SimRequest{},
+                    std::make_shared<const CompareRequest>(std::move(spec)),
+                    deadline_s);
 }
 
 std::optional<JobStatus> SimService::status(std::uint64_t id) {
@@ -646,7 +615,7 @@ void SimService::execute_compare(const std::shared_ptr<Job>& job,
     if (!out.cancelled && !out.expired) {
       // Verdict payload: a pure function of the ordered per-seed results
       // (json formatting is canonical), so replays are byte-identical at
-      // any worker or shard count.
+      // any worker count.
       json::Value verdict = json::Value::object();
       json::Value body = json::Value::object();
       body.set("metric", json::Value::string(spec.metric));

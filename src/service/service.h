@@ -38,7 +38,7 @@
 // would use, so refinement re-runs and overlapping comparisons are nearly
 // free, and the verdict payload itself is cached under the compare
 // canonical key. The verdict is a pure function of the ordered per-seed
-// results: replays are byte-identical at any worker count, shard count or
+// results: replays are byte-identical at any worker count or
 // injected-fault schedule.
 //
 // Determinism note: job *results* are pure functions of the canonical
@@ -187,18 +187,6 @@ struct ServiceStats {
   CacheStats cache;
 };
 
-/// A request admitted past resolution: the canonical form, its key string
-/// and the FNV-1a hash that both the result cache and the shard router
-/// (service/shard.h) are keyed by. `valid` is false when resolution
-/// failed; `error` then carries the reason.
-struct PreparedRequest {
-  SimRequest resolved;
-  std::string canonical;
-  std::uint64_t key = 0;
-  bool valid = false;
-  std::string error;
-};
-
 /// One arm of a policy comparison: a request variant plus its verdict
 /// label. `request.seed` is ignored — the compare job's seed schedule
 /// supplies every per-sample seed (common random numbers across arms).
@@ -224,46 +212,7 @@ struct CompareRequest {
   std::uint64_t base_seed = 1;
 };
 
-/// A compare request admitted past resolution (compare analog of
-/// PreparedRequest): arms resolved, names filled, and the compare
-/// canonical key — which embeds every option and each arm's canonical
-/// form — plus its FNV-1a hash (the verdict cache key and the shard
-/// router's partition input).
-struct PreparedCompare {
-  CompareRequest spec;
-  std::string canonical;
-  std::uint64_t key = 0;
-  bool valid = false;
-  std::string error;
-};
-
-/// The service surface the NDJSON front end (server.h, net_server.h)
-/// programs against. Implemented by SimService (one pool, one cache) and
-/// ShardedService (shard.h: N share-nothing SimService shards behind one
-/// id space). Virtual dispatch costs nothing next to parsing a request
-/// line, and it lets every protocol test run unchanged against either.
-class ServiceApi {
- public:
-  virtual ~ServiceApi() = default;
-  virtual SubmitOutcome submit(const SimRequest& request,
-                               double deadline_s) = 0;
-  /// Admit a best-arm comparison as one job; the verdict is fetched with
-  /// result() once the job is done (cached verdicts complete immediately).
-  virtual SubmitOutcome submit_compare(const CompareRequest& request,
-                                       double deadline_s = -1.0) = 0;
-  virtual std::optional<JobStatus> status(std::uint64_t id) = 0;
-  virtual std::shared_ptr<const JobResult> result(std::uint64_t id) const = 0;
-  virtual bool cancel(std::uint64_t id) = 0;
-  virtual bool wait(std::uint64_t id, double timeout_s) = 0;
-  /// Fleet-wide rollup (for a single pool: its own counters).
-  virtual ServiceStats stats() const = 0;
-  /// Per-shard breakdown, in shard order; a single pool reports itself as
-  /// shard 0. Sums to stats() field by field.
-  virtual std::vector<ServiceStats> shard_stats() const = 0;
-  virtual const ScenarioRegistry& registry() const = 0;
-};
-
-class SimService : public ServiceApi {
+class SimService {
  public:
   explicit SimService(ScenarioRegistry registry, ServiceConfig config = {});
 
@@ -278,56 +227,36 @@ class SimService : public ServiceApi {
   /// job immediately; a full queue with a stale entry available completes
   /// immediately with `stale` set. `deadline_s` < 0 uses the config
   /// default.
-  SubmitOutcome submit(const SimRequest& request,
-                       double deadline_s = -1.0) override;
+  SubmitOutcome submit(const SimRequest& request, double deadline_s = -1.0);
 
-  /// Resolve + canonicalize + hash a request without admitting it; the
-  /// shard router uses this to pick a shard before calling
-  /// submit_prepared() so resolution happens exactly once per request.
-  PreparedRequest prepare(const SimRequest& request) const;
-
-  /// submit() for an already-prepared request (skips re-resolution). An
-  /// invalid prepared request rejects with kInvalidRequest, like submit().
-  SubmitOutcome submit_prepared(PreparedRequest prepared, double deadline_s);
-
-  /// Admit a best-arm comparison. Admission mirrors submit(): a cached
+  /// Admit a best-arm comparison as one job; the verdict is fetched with
+  /// result() once the job is done. Admission mirrors submit(): a cached
   /// verdict completes the job immediately and byte-identically, a full
   /// queue degrades to a stale verdict or rejects, and the job then runs
   /// rounds of per-(arm, seed) lanes as sliced work under the usual
   /// deadline/cancellation/retry machinery.
   SubmitOutcome submit_compare(const CompareRequest& request,
-                               double deadline_s = -1.0) override;
-
-  /// Resolve + canonicalize + hash a comparison without admitting it (the
-  /// shard router resolves once, then routes by the compare key).
-  PreparedCompare prepare_compare(const CompareRequest& request) const;
-
-  /// submit_compare() for an already-prepared comparison.
-  SubmitOutcome submit_compare_prepared(PreparedCompare prepared,
-                                        double deadline_s);
+                               double deadline_s = -1.0);
 
   /// Snapshot of a job's state; nullopt for unknown ids. Lazily expires
   /// queued jobs whose deadline has passed.
-  std::optional<JobStatus> status(std::uint64_t id) override;
+  std::optional<JobStatus> status(std::uint64_t id);
 
   /// The job's result; nullptr unless the job is kDone.
-  std::shared_ptr<const JobResult> result(std::uint64_t id) const override;
+  std::shared_ptr<const JobResult> result(std::uint64_t id) const;
 
   /// Request cancellation. Queued jobs (including backoff waiters) cancel
   /// immediately; running jobs stop at their next tick. Returns false for
   /// unknown or already terminal jobs.
-  bool cancel(std::uint64_t id) override;
+  bool cancel(std::uint64_t id);
 
   /// Block until the job reaches a terminal state or `timeout_s` elapses.
   /// Returns true when terminal.
-  bool wait(std::uint64_t id, double timeout_s) override;
+  bool wait(std::uint64_t id, double timeout_s);
 
-  ServiceStats stats() const override;
+  ServiceStats stats() const;
 
-  /// A single pool is its own (only) shard.
-  std::vector<ServiceStats> shard_stats() const override { return {stats()}; }
-
-  const ScenarioRegistry& registry() const override { return registry_; }
+  const ScenarioRegistry& registry() const { return registry_; }
   const ServiceConfig& config() const { return config_; }
 
  private:
@@ -402,10 +331,12 @@ class SimService : public ServiceApi {
   /// Map the in-flight exception to an ExecOutcome (call inside catch).
   static void classify_current_exception(ExecOutcome& out);
 
-  /// Shared admission core of submit_prepared() and
-  /// submit_compare_prepared(): cache lookup, shutdown/backpressure
-  /// handling, job creation and queueing for one (key, canonical) unit of
-  /// work. `compare` non-null admits a compare job (`resolved` unused).
+  /// Counts and returns an invalid_request rejection.
+  SubmitOutcome reject_invalid(std::string reason);
+
+  /// Shared admission core of submit() and submit_compare(): cache
+  /// lookup, shutdown/backpressure handling, job creation and queueing for
+  /// one (key, canonical) unit of work. `compare` non-null admits a compare job (`resolved` unused).
   SubmitOutcome admit_unit(std::uint64_t key, std::string canonical,
                            SimRequest resolved,
                            std::shared_ptr<const CompareRequest> compare,

@@ -26,7 +26,7 @@
 // are therefore byte-identical at any thread count (BatchRunner already
 // guarantees per-record bit-identity), and the service layer
 // (service/service.h `compare` jobs) inherits the same guarantee across
-// shard counts and fault-injected retries.
+// worker counts and fault-injected retries.
 #pragma once
 
 #include <atomic>

@@ -53,6 +53,30 @@ double phase_mean_fps(const workload::AppInstance& app, std::size_t phase,
   return count > 0 ? sum / count : 0.0;
 }
 
+std::vector<double> phase_mean_fps_all(const workload::AppInstance& app,
+                                       double duration_s, double skip_s) {
+  const std::size_t phases = app.spec().phases.size();
+  const std::vector<double>& samples = app.fps_samples();
+  std::vector<double> sums(phases, 0.0);
+  std::vector<int> counts(phases, 0);
+  for (std::size_t sec = 0; sec < samples.size() &&
+                            static_cast<double>(sec) < duration_s;
+       ++sec) {
+    const double mid = static_cast<double>(sec) + 0.5;
+    const std::size_t phase = app.phase_index_at(mid);
+    // Skip the transient right after a phase switch.
+    if (app.phase_index_at(std::max(0.0, mid - skip_s)) != phase) {
+      continue;
+    }
+    sums[phase] += samples[sec];
+    ++counts[phase];
+  }
+  for (std::size_t ph = 0; ph < phases; ++ph) {
+    sums[ph] = counts[ph] > 0 ? sums[ph] / counts[ph] : 0.0;
+  }
+  return sums;
+}
+
 RunMetrics summarize_run(const Engine& engine,
                          const MetricsOptions& options) {
   const Trace& trace = engine.trace();
@@ -84,11 +108,7 @@ RunMetrics summarize_run(const Engine& engine,
   for (std::size_t i = 0; i < engine.num_apps(); ++i) {
     const workload::AppInstance& app = engine.app(i);
     m.median_fps.push_back(app.median_fps());
-    std::vector<double> per_phase;
-    for (std::size_t ph = 0; ph < app.spec().phases.size(); ++ph) {
-      per_phase.push_back(phase_mean_fps(app, ph, trace.duration_s()));
-    }
-    m.phase_fps.push_back(std::move(per_phase));
+    m.phase_fps.push_back(phase_mean_fps_all(app, trace.duration_s()));
   }
   return m;
 }

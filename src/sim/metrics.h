@@ -63,6 +63,15 @@ double trace_peak_temp_c(const Trace& trace);
 double phase_mean_fps(const workload::AppInstance& app, std::size_t phase,
                       double duration_s, double skip_s = 2.0);
 
+/// phase_mean_fps for every phase, in one ascending pass over the seconds
+/// that looks up each second's phase and its skip-back phase once. Each
+/// phase sums the same samples in the same order, so every value equals
+/// phase_mean_fps's exactly. Calling phase_mean_fps once per phase costs
+/// phases^2 x seconds; this costs phases x seconds.
+std::vector<double> phase_mean_fps_all(const workload::AppInstance& app,
+                                       double duration_s,
+                                       double skip_s = 2.0);
+
 /// Compute the full summary from a finished (or in-flight) engine.
 RunMetrics summarize_run(const Engine& engine,
                          const MetricsOptions& options = {});

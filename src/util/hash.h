@@ -3,10 +3,10 @@
 // One audited implementation of the two non-cryptographic hashes the
 // project leans on, instead of per-module copies:
 //
-//  * FNV-1a 64-bit — content hashing of canonical request strings and
-//    cached payloads (service/result_cache.h), and the shard router's
-//    partition function (service/shard.h): shard = fnv1a64(key) % N.
-//    Stability matters: cache keys and shard assignments must not move
+//  * FNV-1a 64-bit — content hashing of canonical request strings, workload
+//    packs and cached payloads (service/result_cache.h); a request's hash
+//    also keys its injected-fault decisions (service/service.h).
+//    Stability matters: cache keys and fault schedules must not move
 //    between builds, so the constants below are pinned and the traversal
 //    order is byte order.
 //  * SplitMix64 finalizer — the avalanche mix behind util/rng.h's

@@ -6,7 +6,7 @@
 // reduction). The schedule is a pure function of one base seed: entry i is
 // the splitmix64-derived stream seed for index i, so any consumer that
 // knows (base, i) reconstructs the same seed — independent of round
-// boundaries, thread count, shard count or how many entries were consumed
+// boundaries, thread or worker count, or how many entries were consumed
 // before. Adaptive runners can therefore re-slice their budget freely
 // without perturbing which seed the i-th sample uses.
 #pragma once

@@ -3,12 +3,12 @@
 // the shared seed schedule, the pure decide_best_arm() rule, CompareRunner
 // round slicing, and the service-layer `compare` job (verdict caching,
 // lane-cache sharing with plain submits, fault-injected retries, deadlines
-// and cancellation, shard routing).
+// and cancellation).
 //
 // The load-bearing property is the determinism rule: the stop/continue
 // decision is a pure function of the ordered per-seed results, so a
-// comparison replays byte-identically at any thread count, any shard
-// count, and under fault-injected retries. Every replay comparison here is
+// comparison replays byte-identically at any thread or worker count, and
+// under fault-injected retries. Every replay comparison here is
 // EXPECT_EQ on doubles / payload strings — no tolerances.
 #include <gtest/gtest.h>
 
@@ -25,7 +25,6 @@
 #include "service/scenario_registry.h"
 #include "service/server.h"
 #include "service/service.h"
-#include "service/shard.h"
 #include "sim/batch.h"
 #include "sim/compare.h"
 #include "sim/experiment.h"
@@ -44,7 +43,6 @@ using service::CompareRequest;
 using service::JobState;
 using service::ScenarioRegistry;
 using service::ServiceConfig;
-using service::ShardedService;
 using service::SimService;
 using service::SubmitOutcome;
 using sim::ArmStats;
@@ -366,7 +364,7 @@ ServiceConfig compare_config(unsigned workers = 1) {
   return config;
 }
 
-std::string run_compare_payload(service::ServiceApi& service,
+std::string run_compare_payload(SimService& service,
                                 const CompareRequest& request) {
   const SubmitOutcome out = service.submit_compare(request);
   EXPECT_TRUE(out.accepted) << out.reject_reason;
@@ -423,17 +421,6 @@ TEST(ServiceCompare, WorkerCountDoesNotChangeTheVerdictBytes) {
   const std::string b = run_compare_payload(three, odroid_compare_request());
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
-}
-
-TEST(ServiceCompare, ShardCountDoesNotChangeTheVerdictBytes) {
-  ShardedService one(ScenarioRegistry::standard(), compare_config(), 1);
-  ShardedService four(ScenarioRegistry::standard(), compare_config(), 4);
-  const std::string a = run_compare_payload(one, odroid_compare_request());
-  const std::string b = run_compare_payload(four, odroid_compare_request());
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
-  // The whole fleet saw exactly one comparison.
-  EXPECT_EQ(four.stats().compares, 1u);
 }
 
 TEST(ServiceCompare, LaneResultsShareTheCacheWithPlainSubmits) {

@@ -365,6 +365,17 @@ TEST(ServerRobustness, MalformedInputCorpusAlwaysGetsStructuredErrors) {
       "{\"op\":\"submit\",\"scenario\":\"nexus\",\"duration_s\":1e9}",
       "{\"op\":\"submit\",\"scenario\":\"odroid\",\"app\":\"nenamark\","
       "\"app_levels\":100000000}",
+      // Starting temperatures and phase lengths beyond their bounds: the
+      // former used to fail at t = 0, the latter to run phases that no
+      // once-a-second fps sample can measure.
+      "{\"op\":\"submit\",\"scenario\":\"nexus\",\"duration_s\":1,"
+      "\"initial_temp_c\":1e300}",
+      "{\"op\":\"submit\",\"scenario\":\"nexus\",\"duration_s\":1,"
+      "\"initial_temp_c\":-1e300}",
+      "{\"op\":\"submit\",\"scenario\":\"odroid\",\"app\":\"threedmark\","
+      "\"app_phase_s\":0.001}",
+      "{\"op\":\"submit\",\"scenario\":\"odroid\",\"app\":\"threedmark\","
+      "\"app_phase_s\":1e300}",
       "{\"op\":\"status\"}",                     // missing job
       "{\"op\":\"status\",\"job\":-1}",          // negative job
       "{\"op\":\"status\",\"job\":1.5}",         // fractional job

@@ -1,9 +1,8 @@
-// Sharded socket front-end tests: shard routing as a pure function of the
-// canonical key, per-shard stats summing to the fleet rollup, byte-identity
-// of responses across stdin / one socket / many concurrent connections on a
-// sharded backend, connection-level backpressure that never drops a framed
-// response, and oversized-line / shutdown handling on live sockets. The
-// concurrent cases are the TSan targets for the net front end.
+// Socket front-end tests: byte-identity of responses across stdin / one
+// socket / many concurrent connections, connection-level backpressure that
+// never drops a framed response, the stats op's members, and oversized-line
+// / shutdown handling on live sockets. The concurrent cases are the TSan
+// targets for the net front end.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -22,24 +21,12 @@
 #include "service/scenario_registry.h"
 #include "service/server.h"
 #include "service/service.h"
-#include "service/shard.h"
-#include "util/error.h"
-#include "util/hash.h"
 #include "util/json.h"
 
 namespace mobitherm::service {
 namespace {
 
 namespace json = util::json;
-
-SimRequest short_request(std::uint64_t seed = 1, const std::string& app = "") {
-  SimRequest req;
-  req.scenario = "nexus";
-  req.app = app;
-  req.duration_s = 2.0;
-  req.seed = seed;
-  return req;
-}
 
 ServiceConfig small_config(unsigned workers = 1,
                            std::size_t queue_capacity = 64) {
@@ -123,8 +110,8 @@ class LineClient {
 
 // A NetServer over its own backend, running on a background thread.
 struct ServerHarness {
-  explicit ServerHarness(ServiceApi& api, NetServerConfig cfg = {})
-      : server(api), net(server, cfg), thread([this] { net.run(); }) {}
+  explicit ServerHarness(SimService& service, NetServerConfig cfg = {})
+      : server(service), net(server, cfg), thread([this] { net.run(); }) {}
   ~ServerHarness() {
     net.stop();
     thread.join();
@@ -134,131 +121,6 @@ struct ServerHarness {
   std::thread thread;
 };
 
-// --- shard routing ---------------------------------------------------------
-
-TEST(ShardedService, RoutingIsAPureFunctionOfTheCanonicalKey) {
-  const ServiceConfig cfg = small_config();
-  ShardedService a(ScenarioRegistry::standard(), cfg, 4);
-  ShardedService b(ScenarioRegistry::standard(), cfg, 4);
-  for (std::uint64_t seed = 0; seed < 32; ++seed) {
-    const SimRequest req = short_request(seed);
-    const PreparedRequest prepared = a.shard(0).prepare(req);
-    ASSERT_TRUE(prepared.valid);
-    // The route is derived from the canonical key hash and nothing else —
-    // identical across instances and equal to the documented formula.
-    EXPECT_EQ(a.shard_of(req), util::fnv1a64(prepared.canonical) % 4u);
-    EXPECT_EQ(a.shard_of(req), b.shard_of(req));
-  }
-  EXPECT_THROW(a.shard_of(short_request(1, "gameboy")), util::ConfigError);
-  EXPECT_THROW(
-      ShardedService(ScenarioRegistry::standard(), cfg, 0),
-      util::ConfigError);
-}
-
-TEST(ShardedService, SingleShardJobIdsMatchPlainService) {
-  SimService plain(ScenarioRegistry::standard(), small_config());
-  ShardedService one(ScenarioRegistry::standard(), small_config(), 1);
-  for (std::uint64_t seed = 10; seed < 14; ++seed) {
-    const SubmitOutcome p = plain.submit(short_request(seed));
-    const SubmitOutcome s = one.submit(short_request(seed));
-    ASSERT_TRUE(p.accepted);
-    ASSERT_TRUE(s.accepted);
-    EXPECT_EQ(p.id, s.id);
-  }
-}
-
-TEST(ShardedService, PerShardStatsSumToFleetRollup) {
-  ShardedService fleet(ScenarioRegistry::standard(), small_config(), 4);
-  std::vector<std::uint64_t> jobs;
-  for (std::uint64_t seed = 0; seed < 12; ++seed) {
-    const SubmitOutcome out = fleet.submit(short_request(seed));
-    ASSERT_TRUE(out.accepted);
-    jobs.push_back(out.id);
-  }
-  // Resubmit a few to generate cache hits on whichever shards own them.
-  for (std::uint64_t id : jobs) ASSERT_TRUE(fleet.wait(id, 600.0));
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    ASSERT_TRUE(fleet.submit(short_request(seed)).accepted);
-  }
-
-  const ServiceStats total = fleet.stats();
-  const std::vector<ServiceStats> per = fleet.shard_stats();
-  ASSERT_EQ(per.size(), 4u);
-  ServiceStats sum;
-  for (const ServiceStats& s : per) {
-    sum.submitted += s.submitted;
-    sum.completed += s.completed;
-    sum.rejected += s.rejected;
-    sum.queued += s.queued;
-    sum.retry_backlog += s.retry_backlog;
-    sum.running += s.running;
-    sum.workers += s.workers;
-    sum.queue_capacity += s.queue_capacity;
-    sum.cache.hits += s.cache.hits;
-    sum.cache.misses += s.cache.misses;
-    sum.cache.size += s.cache.size;
-  }
-  EXPECT_EQ(total.submitted, 16u);
-  EXPECT_EQ(total.submitted, sum.submitted);
-  EXPECT_EQ(total.completed, sum.completed);
-  EXPECT_EQ(total.rejected, sum.rejected);
-  EXPECT_EQ(total.queued, sum.queued);
-  EXPECT_EQ(total.retry_backlog, sum.retry_backlog);
-  EXPECT_EQ(total.workers, sum.workers);
-  EXPECT_EQ(total.queue_capacity, sum.queue_capacity);
-  EXPECT_EQ(total.cache.hits, 4u);
-  EXPECT_EQ(total.cache.hits, sum.cache.hits);
-  EXPECT_EQ(total.cache.misses, sum.cache.misses);
-  EXPECT_EQ(total.cache.size, sum.cache.size);
-}
-
-TEST(ShardedService, ShardedResultsMatchUnshardedByteForByte) {
-  SimService plain(ScenarioRegistry::standard(), small_config());
-  ShardedService fleet(ScenarioRegistry::standard(), small_config(), 4);
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    const SubmitOutcome p = plain.submit(short_request(seed));
-    const SubmitOutcome s = fleet.submit(short_request(seed));
-    ASSERT_TRUE(p.accepted && s.accepted);
-    ASSERT_TRUE(plain.wait(p.id, 600.0));
-    ASSERT_TRUE(fleet.wait(s.id, 600.0));
-    const auto a = plain.result(p.id);
-    const auto b = fleet.result(s.id);
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(a->payload, b->payload);
-    EXPECT_FALSE(a->payload.empty());
-  }
-}
-
-TEST(ShardedService, FanScattersLanesAndKeepsLaneOrder) {
-  // A "seeds":8 fan through the protocol: the server submits lane k (seed
-  // 100 + k) as a plain request, so lanes scatter across shards by key and
-  // the response still lists them in lane order.
-  ShardedService fleet(ScenarioRegistry::standard(), small_config(), 4);
-  SimService plain(ScenarioRegistry::standard(), small_config());
-  SimServer server(fleet);
-  const std::size_t lanes = 8;
-  const json::Value fan = json::Value::parse(server.handle_line(
-      "{\"op\":\"submit\",\"scenario\":\"nexus\",\"duration_s\":2,"
-      "\"seed\":100,\"seeds\":8}"));
-  ASSERT_TRUE(fan.find("ok")->as_bool());
-  const std::vector<json::Value>& jobs = fan.find("jobs")->items();
-  ASSERT_EQ(jobs.size(), lanes);
-  for (std::size_t k = 0; k < lanes; ++k) {
-    ASSERT_TRUE(jobs[k].find("accepted")->as_bool()) << "lane " << k;
-    const auto id =
-        static_cast<std::uint64_t>(jobs[k].find("job")->as_number());
-    // The global id names the shard that owns the lane's canonical key.
-    EXPECT_EQ(id % 4, fleet.shard_of(short_request(100 + k)));
-    ASSERT_TRUE(fleet.wait(id, 600.0));
-    // Lane k is seed+k; its payload must match a scalar run of that seed.
-    const SubmitOutcome ref = plain.submit(short_request(100 + k));
-    ASSERT_TRUE(ref.accepted);
-    ASSERT_TRUE(plain.wait(ref.id, 600.0));
-    EXPECT_EQ(fleet.result(id)->payload, plain.result(ref.id)->payload);
-  }
-}
-
 // --- socket front end ------------------------------------------------------
 
 TEST(NetServer, SocketResponsesMatchStdinBytes) {
@@ -267,8 +129,7 @@ TEST(NetServer, SocketResponsesMatchStdinBytes) {
   SimService pipe_service(ScenarioRegistry::standard(), small_config());
   SimServer pipe_server(pipe_service);
 
-  ShardedService socket_service(ScenarioRegistry::standard(), small_config(),
-                                1);
+  SimService socket_service(ScenarioRegistry::standard(), small_config());
   ServerHarness harness(socket_service);
   LineClient client(harness.net.port());
   ASSERT_TRUE(client.ok());
@@ -287,8 +148,8 @@ TEST(NetServer, SocketResponsesMatchStdinBytes) {
 }
 
 TEST(NetServer, ConcurrentConnectionsMatchSingleConnectionBytes) {
-  ShardedService fleet(ScenarioRegistry::standard(), small_config(2), 4);
-  ServerHarness harness(fleet);
+  SimService service(ScenarioRegistry::standard(), small_config(8));
+  ServerHarness harness(service);
   const int port = harness.net.port();
 
   // Reference pass, one connection: warm every distinct request and record
@@ -364,11 +225,11 @@ TEST(NetServer, ConcurrentConnectionsMatchSingleConnectionBytes) {
 }
 
 TEST(NetServer, BackpressureParksReadsWithoutDroppingResponses) {
-  ShardedService fleet(ScenarioRegistry::standard(), small_config(), 2);
+  SimService service(ScenarioRegistry::standard(), small_config(2));
   NetServerConfig cfg;
   cfg.write_buffer_limit = 1024;   // tiny: a few responses trip the stall
   cfg.send_buffer_bytes = 4096;    // cap kernel-side slack deterministically
-  ServerHarness harness(fleet, cfg);
+  ServerHarness harness(service, cfg);
   LineClient client(harness.net.port(), /*rcvbuf=*/4096);
   ASSERT_TRUE(client.ok());
 
@@ -398,8 +259,8 @@ TEST(NetServer, BackpressureParksReadsWithoutDroppingResponses) {
 }
 
 TEST(NetServer, OversizedLineGetsStructuredErrorAndConnectionSurvives) {
-  ShardedService fleet(ScenarioRegistry::standard(), small_config(), 1);
-  ServerHarness harness(fleet);
+  SimService service(ScenarioRegistry::standard(), small_config());
+  ServerHarness harness(service);
   LineClient client(harness.net.port());
   ASSERT_TRUE(client.ok());
 
@@ -414,30 +275,37 @@ TEST(NetServer, OversizedLineGetsStructuredErrorAndConnectionSurvives) {
   EXPECT_EQ(harness.net.counters().oversized_lines, 1u);
 }
 
-TEST(NetServer, StatsOpReportsPerShardDepths) {
-  ShardedService fleet(ScenarioRegistry::standard(), small_config(), 3);
-  ServerHarness harness(fleet);
+TEST(NetServer, StatsOpHasNoShardsAndKeepsTheBenchmarkCounters) {
+  SimService service(ScenarioRegistry::standard(), small_config(3));
+  ServerHarness harness(service);
   LineClient client(harness.net.port());
   ASSERT_TRUE(client.ok());
 
   const json::Value stats =
       json::Value::parse(client.request("{\"op\":\"stats\"}"));
-  ASSERT_NE(stats.find("shards"), nullptr);
-  const std::vector<json::Value>& shards = stats.find("shards")->items();
-  ASSERT_EQ(shards.size(), 3u);
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    const json::Value& s = shards[i];
-    EXPECT_EQ(s.find("shard")->as_number(), static_cast<double>(i));
-    ASSERT_NE(s.find("queued"), nullptr);
-    ASSERT_NE(s.find("retry_backlog"), nullptr);
-    ASSERT_NE(s.find("running"), nullptr);
+  ASSERT_TRUE(stats.find("ok")->as_bool());
+  EXPECT_EQ(stats.find("shards"), nullptr);
+  // Every member the end-to-end benchmark harness reads, and the queue's
+  // saturation signals.
+  for (const char* member :
+       {"submitted", "completed", "compares", "compare_rounds",
+        "compare_lane_runs", "compare_lane_hits", "queued", "retry_backlog",
+        "running"}) {
+    ASSERT_NE(stats.find(member), nullptr) << member;
+    EXPECT_TRUE(stats.find(member)->is_number()) << member;
   }
-  EXPECT_NE(stats.find("retry_backlog"), nullptr);
+  const json::Value* cache = stats.find("cache");
+  ASSERT_NE(cache, nullptr);
+  for (const char* member : {"hits", "misses", "evictions"}) {
+    ASSERT_NE(cache->find(member), nullptr) << member;
+    EXPECT_TRUE(cache->find(member)->is_number()) << member;
+  }
+  EXPECT_EQ(stats.find("workers")->as_number(), 3.0);
 }
 
 TEST(NetServer, ShutdownOpStopsTheLoopAfterAcknowledging) {
-  ShardedService fleet(ScenarioRegistry::standard(), small_config(), 1);
-  SimServer server(fleet);
+  SimService service(ScenarioRegistry::standard(), small_config());
+  SimServer server(service);
   NetServer net(server);
   std::thread thread([&] { net.run(); });
 

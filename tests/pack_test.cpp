@@ -5,9 +5,8 @@
 // offending JSON path — never a crash, never a partially registered pack.
 // Determinism: parsing is a pure function of the document's *semantics*
 // (reformatting changes nothing, editing a field changes the content hash
-// and therefore every canonical key derived from it), and the same pack
-// attached to 1-shard and 4-shard services yields byte-identical cached
-// payloads.
+// and therefore every canonical key derived from it), and a pack run
+// served back from the result cache is byte-identical to the fresh run.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -18,7 +17,6 @@
 
 #include "service/scenario_registry.h"
 #include "service/service.h"
-#include "service/shard.h"
 #include "util/error.h"
 #include "workload/pack.h"
 #include "workload/synthetic.h"
@@ -200,7 +198,7 @@ TEST(PackDeterminism, CanonicalKeysAreStableAcrossRegistryRebuilds) {
   EXPECT_NE(registry.canonical_key(mini_request()), key_a);
 }
 
-std::string run_to_payload(service::ServiceApi& service,
+std::string run_to_payload(service::SimService& service,
                            const service::SimRequest& request) {
   const service::SubmitOutcome out = service.submit(request, -1.0);
   EXPECT_TRUE(out.accepted) << out.reject_code;
@@ -213,23 +211,17 @@ std::string run_to_payload(service::ServiceApi& service,
   return result == nullptr ? "" : result->payload;
 }
 
-TEST(PackDeterminism, ShardCountDoesNotPerturbPackResults) {
+TEST(PackDeterminism, CacheRoundTripKeepsPackResultBytes) {
   service::ServiceConfig config;
   config.workers = 1;
   config.queue_capacity = 8;
   config.cache_capacity = 8;
 
-  service::SimService narrow(registry_with_mini(), config);
-  service::ShardedService wide(registry_with_mini(), config, 4);
-
-  const std::string payload_1 = run_to_payload(narrow, mini_request());
-  const std::string payload_4 = run_to_payload(wide, mini_request());
-  ASSERT_FALSE(payload_1.empty());
-  EXPECT_EQ(payload_1, payload_4);
-
-  // Cache round trip inside each topology is byte-stable too.
-  EXPECT_EQ(run_to_payload(narrow, mini_request()), payload_1);
-  EXPECT_EQ(run_to_payload(wide, mini_request()), payload_4);
+  service::SimService service(registry_with_mini(), config);
+  const std::string payload = run_to_payload(service, mini_request());
+  ASSERT_FALSE(payload.empty());
+  EXPECT_EQ(run_to_payload(service, mini_request()), payload);
+  EXPECT_EQ(service.stats().cache.hits, 1u);
 }
 
 }  // namespace

@@ -126,6 +126,43 @@ TEST(ScenarioRegistry, CanonicalKeyNormalizesInapplicableOverrides) {
   EXPECT_NE(reg.canonical_key(nena), reg.canonical_key(nena6));
 }
 
+TEST(ScenarioRegistry, PhaseLengthAndStartTemperatureAreRangeChecked) {
+  const ScenarioRegistry& reg = standard_registry();
+  SimRequest three;
+  three.scenario = "odroid";
+  three.app = "threedmark";
+  // Every negative phase length means the preset's own: one key.
+  const std::string preset_key = reg.canonical_key(three);
+  for (const double phase_s : {-5.0, -1.0}) {
+    SimRequest r = three;
+    r.app_phase_s = phase_s;
+    EXPECT_EQ(reg.canonical_key(r), preset_key) << phase_s;
+  }
+  for (const double phase_s : {0.0, 0.999, 100000.5}) {
+    SimRequest r = three;
+    r.app_phase_s = phase_s;
+    EXPECT_THROW(reg.resolve(r), ConfigError) << phase_s;
+  }
+  for (const double phase_s : {1.0, 100000.0}) {
+    SimRequest r = three;
+    r.app_phase_s = phase_s;
+    EXPECT_EQ(reg.resolve(r).app_phase_s, phase_s);
+  }
+
+  SimRequest nexus;
+  nexus.scenario = "nexus";
+  nexus.initial_temp_c = -40.0;
+  EXPECT_NE(reg.canonical_key(nexus).find(";initial_temp_c=-40;"),
+            std::string::npos);
+  nexus.initial_temp_c = 125.0;
+  EXPECT_NE(reg.canonical_key(nexus).find(";initial_temp_c=125;"),
+            std::string::npos);
+  for (const double temp_c : {-40.5, 125.5}) {
+    nexus.initial_temp_c = temp_c;
+    EXPECT_THROW(reg.resolve(nexus), ConfigError) << temp_c;
+  }
+}
+
 TEST(ScenarioRegistry, KeySeparatesSeedPolicyAndVersion) {
   const ScenarioRegistry& reg = standard_registry();
   SimRequest a;

@@ -9,6 +9,7 @@
 #include "platform/presets.h"
 #include "sched/scheduler.h"
 #include "sim/engine.h"
+#include "sim/metrics.h"
 #include "stability/presets.h"
 #include "thermal/presets.h"
 #include "util/error.h"
@@ -305,6 +306,26 @@ TEST(Trace, CsvExports) {
   EXPECT_EQ(row, "500,0");
   std::remove(ts.c_str());
   std::remove(rs.c_str());
+}
+
+TEST(Metrics, OnePassPhaseFpsEqualsThePerPhaseReference) {
+  // A few long phases, one phase, phases that recur within the run, and
+  // thousands of one-second phases of which the run reaches only 30.
+  for (const workload::AppSpec& spec :
+       {workload::threedmark(), workload::paperio(),
+        workload::nenamark(6, 15.0), workload::nenamark(4096, 1.0)}) {
+    auto engine = make_engine();
+    engine->add_app(spec);
+    engine->run(30.0);
+    const workload::AppInstance& app = engine->app(0);
+    const double duration = engine->trace().duration_s();
+    const std::vector<double> all = phase_mean_fps_all(app, duration);
+    ASSERT_EQ(all.size(), spec.phases.size()) << spec.name;
+    for (std::size_t ph = 0; ph < all.size(); ++ph) {
+      EXPECT_EQ(all[ph], phase_mean_fps(app, ph, duration))
+          << spec.name << " phase " << ph;
+    }
+  }
 }
 
 }  // namespace
