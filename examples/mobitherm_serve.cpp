@@ -19,19 +19,22 @@
 // Every request goes through one SimService: one job queue, one worker
 // pool and one result cache.
 //
-// Flags:
-//   --workers N          worker threads (default 1)
-//   --queue N            job-queue capacity (default 16)
-//   --cache N            result-cache entries (default 64; 0 disables)
+// Flags (an integer flag outside its range is a usage error, exit 2):
+//   --workers N          worker threads, in [1, 1024] (default 1)
+//   --queue N            job-queue capacity, in [0, 2^53] (default 16)
+//   --cache N            result-cache entries, in [0, 2^53] (default 64;
+//                        0 disables)
 //   --deadline SECONDS   default per-job wall-clock deadline (0 = none;
 //                        at most kMaxWaitSeconds, one day)
-//   --retries N          execution attempts per job (default 3)
+//   --retries N          execution attempts per job, in [1, 1024]
+//                        (default 3)
 //   --fault SPEC         arm deterministic fault injection, e.g.
 //                        "seed=7,crash_before=0.2,corrupt=0.5,latency_s=0.01"
 //                        (sites: admission, crash_before, crash_after,
 //                        corrupt, latency, malformed; see util/fault.h)
-//   --listen PORT        serve a TCP socket on 127.0.0.1:PORT instead of
-//                        stdin/stdout (0 = pick an ephemeral port)
+//   --listen PORT        serve a TCP socket on 127.0.0.1:PORT, in
+//                        [0, 65535], instead of stdin/stdout (0 = pick an
+//                        ephemeral port)
 //   --shards 1           accepted and ignored, for old command lines;
 //                        sharding was removed, so any other value is a
 //                        usage error (exit 2)
@@ -44,6 +47,8 @@
 // scripts/serve_client.py wraps this binary for interactive use, the CI
 // cache smoke test (--smoke) and the fault-injection smoke test
 // (--fault-smoke) — over either transport.
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -61,6 +66,12 @@
 #include "workload/synthetic.h"
 
 namespace {
+
+constexpr std::uint64_t kMaxWorkers = 1024;
+constexpr std::uint64_t kMaxRetries = 1024;
+/// Capacities stay exact as doubles, like the protocol's integer fields.
+constexpr std::uint64_t kMaxCapacity = std::uint64_t{1} << 53;
+constexpr std::uint64_t kMaxPort = 65535;
 
 bool parse_flag(int argc, char** argv, int* i, const char* name,
                 double* value) {
@@ -96,35 +107,60 @@ bool parse_string_flag(int argc, char** argv, int* i, const char* name,
   return true;
 }
 
+/// Reads flag `name` as an integer in [lo, hi], as the protocol's
+/// read_integer reads a field; any other value exits 2.
+bool parse_int_flag(int argc, char** argv, int* i, const char* name,
+                    std::uint64_t lo, std::uint64_t hi,
+                    std::uint64_t* value) {
+  std::string text;
+  if (!parse_string_flag(argc, argv, i, name, &text)) {
+    return false;
+  }
+  char* end = nullptr;
+  const double n = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' ||
+      !(n >= static_cast<double>(lo) && n <= static_cast<double>(hi)) ||
+      n != std::floor(n)) {
+    std::fprintf(stderr,
+                 "mobitherm_serve: %s must be an integer in [%llu, %llu], "
+                 "not %s\n",
+                 name, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi), text.c_str());
+    std::exit(2);
+  }
+  *value = static_cast<std::uint64_t>(n);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace mobitherm::service;
 
   ServiceConfig config;
-  double workers = 1;
-  double queue = 16;
-  double cache = 64;
+  std::uint64_t workers = 1;
+  std::uint64_t queue = 16;
+  std::uint64_t cache = 64;
   double deadline = 0;
-  double retries = 3;
+  std::uint64_t retries = 3;
   double shards = 1;
-  double listen_port = -1;
+  std::uint64_t listen_port = 0;
   bool listen = false;
   std::string fault_spec;
   std::string packs_dir;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--listen") {
+    if (parse_int_flag(argc, argv, &i, "--listen", 0, kMaxPort,
+                       &listen_port)) {
       listen = true;
-      if (!parse_flag(argc, argv, &i, "--listen", &listen_port)) {
-        return 2;  // unreachable: parse_flag exits on a bad value
-      }
       continue;
     }
-    if (parse_flag(argc, argv, &i, "--workers", &workers) ||
-        parse_flag(argc, argv, &i, "--queue", &queue) ||
-        parse_flag(argc, argv, &i, "--cache", &cache) ||
+    if (parse_int_flag(argc, argv, &i, "--workers", 1, kMaxWorkers,
+                       &workers) ||
+        parse_int_flag(argc, argv, &i, "--queue", 0, kMaxCapacity, &queue) ||
+        parse_int_flag(argc, argv, &i, "--cache", 0, kMaxCapacity, &cache) ||
         parse_flag(argc, argv, &i, "--deadline", &deadline) ||
-        parse_flag(argc, argv, &i, "--retries", &retries) ||
+        parse_int_flag(argc, argv, &i, "--retries", 1, kMaxRetries,
+                       &retries) ||
         parse_flag(argc, argv, &i, "--shards", &shards) ||
         parse_string_flag(argc, argv, &i, "--fault", &fault_spec) ||
         parse_string_flag(argc, argv, &i, "--packs", &packs_dir)) {
@@ -148,11 +184,11 @@ int main(int argc, char** argv) {
                  kMaxWaitSeconds);
     return 2;
   }
-  config.workers = workers < 1 ? 1 : static_cast<unsigned>(workers);
+  config.workers = static_cast<unsigned>(workers);
   config.queue_capacity = static_cast<std::size_t>(queue);
   config.cache_capacity = static_cast<std::size_t>(cache);
   config.default_deadline_s = deadline;
-  config.max_attempts = retries < 1 ? 1 : static_cast<int>(retries);
+  config.max_attempts = static_cast<int>(retries);
 
   mobitherm::util::FaultPlanConfig fault_config;
   if (!fault_spec.empty()) {

@@ -90,10 +90,6 @@ AppAwareDecision AppAwareGovernor::update(sched::Scheduler& scheduler,
     // Extension: un-park the most recent victim if adding its windowed
     // power back keeps the fixed point comfortably below the limit.
     const sched::Pid candidate = parked_.back();
-    if (!scheduler.alive(candidate)) {
-      parked_.pop_back();
-      return d;
-    }
     const double extra = scheduler.process(candidate).windowed_power_w();
     const stability::FixedPointResult with_back =
         stability::analyze(params_, d.p_dyn_estimate_w + extra);

@@ -8,13 +8,6 @@ namespace mobitherm::governors {
 
 using util::ConfigError;
 
-std::vector<std::size_t> ThermalGovernor::caps(
-    std::size_t num_clusters) const {
-  std::vector<std::size_t> out;
-  caps_into(num_clusters, out);
-  return out;
-}
-
 void ThermalGovernor::caps_into(std::size_t num_clusters,
                                 std::vector<std::size_t>& out) const {
   out.resize(num_clusters);
@@ -98,13 +91,6 @@ std::size_t StepWiseGovernor::cap_index(std::size_t cluster) const {
     cap = std::min(cap, zone_cap);
   }
   return cap;
-}
-
-std::size_t StepWiseGovernor::zone_state(std::size_t z) const {
-  if (z >= state_.size()) {
-    throw ConfigError("StepWiseGovernor: zone index out of range");
-  }
-  return state_[z];
 }
 
 IpaGovernor::IpaGovernor(const platform::SocSpec& spec, Config config)

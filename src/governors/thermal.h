@@ -54,11 +54,8 @@ class ThermalGovernor {
   virtual std::size_t cap_index(std::size_t cluster) const = 0;
 
   /// Snapshot of cap_index for clusters [0, num_clusters) — the payload of
-  /// a GovernorDecisionEvent on the engine's observer bus.
-  std::vector<std::size_t> caps(std::size_t num_clusters) const;
-
-  /// Allocation-free caps(): writes into caller-owned `out` (resized on
-  /// first use, then reused).
+  /// a GovernorDecisionEvent on the engine's observer bus. Writes into
+  /// caller-owned `out` (resized on first use, then reused).
   void caps_into(std::size_t num_clusters,
                  std::vector<std::size_t>& out) const;
 };
@@ -115,9 +112,6 @@ class StepWiseGovernor final : public ThermalGovernor {
   }
   void update(const ThermalContext& ctx) override;
   std::size_t cap_index(std::size_t cluster) const override;
-
-  /// Throttle state of zone `z` (for tests/traces).
-  std::size_t zone_state(std::size_t z) const;
 
  private:
   Config config_;

@@ -67,17 +67,4 @@ void Cholesky::solve_into(const Vector& b, Vector& x) const {
   }
 }
 
-bool is_spd(const Matrix& a) {
-  if (!a.square() || !a.symmetric(1e-9 * (1.0 + a.norm_inf_entry()))) {
-    return false;
-  }
-  try {
-    Cholesky chol(a);
-    (void)chol;
-    return true;
-  } catch (const NumericError&) {
-    return false;
-  }
-}
-
 }  // namespace mobitherm::linalg

@@ -30,7 +30,4 @@ class Cholesky {
   Matrix l_;
 };
 
-/// True iff `a` is symmetric positive definite (Cholesky succeeds).
-bool is_spd(const Matrix& a);
-
 }  // namespace mobitherm::linalg

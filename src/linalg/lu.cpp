@@ -35,7 +35,6 @@ Lu::Lu(const Matrix& a) : lu_(a), piv_(a.rows()) {
         std::swap(lu_(p, j), lu_(k, j));
       }
       std::swap(piv_[p], piv_[k]);
-      sign_ = -sign_;
     }
     const double pivot = lu_(k, k);
     for (std::size_t i = k + 1; i < n; ++i) {
@@ -94,16 +93,6 @@ Matrix Lu::solve(const Matrix& b) const {
   }
   return x;
 }
-
-double Lu::determinant() const {
-  double det = sign_;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) {
-    det *= lu_(i, i);
-  }
-  return det;
-}
-
-Vector solve(const Matrix& a, const Vector& b) { return Lu(a).solve(b); }
 
 Matrix inverse(const Matrix& a) {
   return Lu(a).solve(Matrix::identity(a.rows()));

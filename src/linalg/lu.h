@@ -22,19 +22,12 @@ class Lu {
   /// Solve A X = B column-by-column.
   Matrix solve(const Matrix& b) const;
 
-  /// Determinant of A.
-  double determinant() const;
-
   std::size_t size() const { return lu_.rows(); }
 
  private:
   Matrix lu_;                     // packed L (unit diagonal) and U
   std::vector<std::size_t> piv_;  // row permutation
-  int sign_ = 1;                  // permutation parity, for the determinant
 };
-
-/// Convenience: solve A x = b in one call.
-Vector solve(const Matrix& a, const Vector& b);
 
 /// Convenience: invert a square matrix (prefer Lu::solve when possible).
 Matrix inverse(const Matrix& a);

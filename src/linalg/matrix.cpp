@@ -178,17 +178,6 @@ Vector operator*(Vector a, double s) {
 
 Vector operator*(double s, Vector a) { return a * s; }
 
-double dot(const Vector& a, const Vector& b) {
-  MOBITHERM_ASSERT(a.size() == b.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    acc += a[i] * b[i];
-  }
-  return acc;
-}
-
-double norm2(const Vector& v) { return std::sqrt(dot(v, v)); }
-
 // Rows run four at a time so their add chains overlap instead of each
 // waiting on the previous row's. Every row still accumulates a(i, j) * x[j]
 // from 0.0 in ascending j, so y is bit-identical to operator*.

@@ -83,8 +83,6 @@ Vector operator-(Vector a, const Vector& b);
 Vector operator*(Vector a, double s);
 Vector operator*(double s, Vector a);
 
-double dot(const Vector& a, const Vector& b);
-double norm2(const Vector& v);
 double norm_inf(const Vector& v);
 
 // In-place kernels for allocation-free hot loops. They write into

@@ -156,37 +156,4 @@ PlatformDescription load_platform(const std::string& path) {
   return desc;
 }
 
-void save_platform(const std::string& path,
-                   const PlatformDescription& desc) {
-  std::ofstream out(path);
-  if (!out) {
-    throw ConfigError("save_platform: cannot open " + path);
-  }
-  out.precision(12);
-  out << "# mobitherm platform description\n";
-  out << "soc " << desc.soc.name << "\n\n";
-  for (const ClusterSpec& c : desc.soc.clusters) {
-    // Serialization boundary: raw magnitudes on disk, typed in memory.
-    out << "cluster " << c.name << " " << to_string(c.kind) << " "
-        << c.num_cores << " " << c.ipc << " " << c.ceff_f.value() << " "
-        << c.idle_power_w.value() << " " << c.leakage_share << " "
-        << c.nominal_voltage_v.value() << " " << c.thermal_node << "\n";
-    for (const OperatingPoint& p : c.opps) {
-      out << "opp " << util::hz_to_mhz(p.freq_hz.value()) << " "
-          << p.voltage_v.value() * 1e3 << "\n";
-    }
-    out << "\n";
-  }
-  out << "thermal ambient_c "
-      << util::to_celsius(desc.network.t_ambient_k).degrees << "\n";
-  for (const thermal::ThermalNodeSpec& n : desc.network.nodes) {
-    out << "node " << n.name << " " << n.capacitance_j_per_k.value() << " "
-        << n.g_ambient_w_per_k.value() << "\n";
-  }
-  for (const thermal::ThermalLinkSpec& l : desc.network.links) {
-    out << "link " << l.a << " " << l.b << " "
-        << l.conductance_w_per_k.value() << "\n";
-  }
-}
-
 }  // namespace mobitherm::platform

@@ -2,8 +2,7 @@
 //
 // Lets users model their own board without recompiling: a single file
 // carries the SoC clusters (with OPP ladders and power coefficients) and
-// the RC thermal network. Round-trips through save_platform /
-// load_platform.
+// the RC thermal network, read by load_platform.
 //
 // Format (line oriented; '#' starts a comment):
 //
@@ -33,10 +32,6 @@ struct PlatformDescription {
 /// Parse a platform file. Throws ConfigError with the offending line
 /// number on malformed input.
 PlatformDescription load_platform(const std::string& path);
-
-/// Write a platform file that load_platform reproduces.
-void save_platform(const std::string& path,
-                   const PlatformDescription& description);
 
 /// Parse a resource kind name ("cpu-big", ...). Throws on unknown names.
 ResourceKind parse_resource_kind(const std::string& name);

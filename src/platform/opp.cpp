@@ -48,18 +48,6 @@ const OperatingPoint& OppTable::at(std::size_t index) const {
   return points_[index];
 }
 
-std::size_t OppTable::floor_index(util::Hertz freq) const {
-  std::size_t best = 0;
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    if (points_[i].freq_hz <= freq) {
-      best = i;
-    } else {
-      break;
-    }
-  }
-  return best;
-}
-
 std::size_t OppTable::ceil_index(util::Hertz freq) const {
   for (std::size_t i = 0; i < points_.size(); ++i) {
     if (points_[i].freq_hz >= freq) {
@@ -67,15 +55,6 @@ std::size_t OppTable::ceil_index(util::Hertz freq) const {
     }
   }
   return max_index();
-}
-
-std::size_t OppTable::index_of(util::Hertz freq) const {
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    if (std::abs((points_[i].freq_hz - freq).value()) < 1.0) {
-      return i;
-    }
-  }
-  throw ConfigError("OppTable: frequency not in table");
 }
 
 }  // namespace mobitherm::platform

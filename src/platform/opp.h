@@ -41,16 +41,9 @@ class OppTable {
   const OperatingPoint& highest() const { return points_.back(); }
   std::size_t max_index() const { return points_.size() - 1; }
 
-  /// Index of the highest OPP with frequency <= freq; 0 if freq is
-  /// below the lowest OPP.
-  std::size_t floor_index(util::Hertz freq) const;
-
   /// Index of the lowest OPP with frequency >= freq; max_index() if
   /// freq is above the highest OPP.
   std::size_t ceil_index(util::Hertz freq) const;
-
-  /// Exact index of `freq` (within 1 Hz); throws ConfigError if absent.
-  std::size_t index_of(util::Hertz freq) const;
 
   auto begin() const { return points_.begin(); }
   auto end() const { return points_.end(); }

@@ -20,15 +20,6 @@ const char* to_string(ResourceKind kind) {
   return "?";
 }
 
-std::size_t SocSpec::cluster_index(const std::string& cluster_name) const {
-  for (std::size_t i = 0; i < clusters.size(); ++i) {
-    if (clusters[i].name == cluster_name) {
-      return i;
-    }
-  }
-  throw ConfigError("SocSpec: no cluster named " + cluster_name);
-}
-
 std::size_t SocSpec::index_of_kind(ResourceKind kind) const {
   for (std::size_t i = 0; i < clusters.size(); ++i) {
     if (clusters[i].kind == kind) {
@@ -102,11 +93,6 @@ util::Hertz Soc::frequency_hz(std::size_t c) const {
 util::Volt Soc::voltage_v(std::size_t c) const {
   check_cluster(c);
   return spec_.clusters[c].opps.at(states_[c].opp_index).voltage_v;
-}
-
-double Soc::capacity(std::size_t c) const {
-  check_cluster(c);
-  return per_core_rate(c) * states_[c].online_cores;
 }
 
 double Soc::per_core_rate(std::size_t c) const {

@@ -56,8 +56,6 @@ struct SocSpec {
   std::string name;
   std::vector<ClusterSpec> clusters;
 
-  std::size_t cluster_index(const std::string& cluster_name) const;
-
   /// Index of the first cluster of the given kind; throws if absent.
   std::size_t index_of_kind(ResourceKind kind) const;
 
@@ -94,10 +92,6 @@ class Soc {
 
   util::Hertz frequency_hz(std::size_t c) const;
   util::Volt voltage_v(std::size_t c) const;
-
-  /// Total work units/s the cluster can retire at its current OPP
-  /// (ipc * freq * online_cores).
-  double capacity(std::size_t c) const;
 
   /// Work units/s available to a single thread (ipc * freq).
   double per_core_rate(std::size_t c) const;

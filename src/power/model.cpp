@@ -8,16 +8,6 @@ namespace mobitherm::power {
 
 using util::ConfigError;
 
-const char* to_string(LeakageForm form) {
-  switch (form) {
-    case LeakageForm::kBsim:
-      return "bsim";
-    case LeakageForm::kExpTempBias:
-      return "exp_temp_bias";
-  }
-  return "?";
-}
-
 PowerModel::PowerModel(const platform::SocSpec& spec, LeakageParams leakage,
                        util::Watt board_base_w)
     : spec_(spec), leakage_(leakage), board_base_w_(board_base_w) {
@@ -76,23 +66,6 @@ util::Watt PowerModel::dynamic_per_core_at(std::size_t c,
   const platform::ClusterSpec& cs = spec_.clusters[c];
   const platform::OperatingPoint& pt = cs.opps.at(opp);
   return cs.ceff_f * pt.voltage_v * pt.voltage_v * pt.freq_hz;
-}
-
-util::Watt PowerModel::leakage_at(std::size_t c, std::size_t opp,
-                                  util::Kelvin temp) const {
-  if (c >= spec_.clusters.size()) {
-    throw ConfigError("PowerModel: cluster index out of range");
-  }
-  const platform::ClusterSpec& cs = spec_.clusters[c];
-  const platform::OperatingPoint& pt = cs.opps.at(opp);
-  if (leakage_.form == LeakageForm::kBsim) {
-    return cs.leakage_share * leakage_.a_w_per_k2 * temp * temp *
-           std::exp(-leakage_.theta_k / temp) *
-           (pt.voltage_v / cs.nominal_voltage_v);
-  }
-  return cs.leakage_share * leakage_.exp_a_w *
-         std::exp(leakage_.exp_b_per_k * temp.value()) *
-         (pt.voltage_v / cs.nominal_voltage_v);
 }
 
 util::Watt PowerModel::soc_leakage_nominal(util::Kelvin temp) const {

@@ -31,8 +31,6 @@ enum class LeakageForm {
   kExpTempBias,
 };
 
-const char* to_string(LeakageForm form);
-
 /// SoC-level leakage parameters (see file comment).
 struct LeakageParams {
   /// Leakage temperature constant theta = q*Vth/(eta*k). (kBsim)
@@ -88,10 +86,6 @@ class PowerModel {
   /// Used by the IPA governor to translate power budgets into frequency
   /// caps.
   util::Watt dynamic_per_core_at(std::size_t c, std::size_t opp) const;
-
-  /// Leakage power of cluster `c` at temperature `temp` and OPP `opp`.
-  util::Watt leakage_at(std::size_t c, std::size_t opp,
-                        util::Kelvin temp) const;
 
   /// SoC leakage at temperature `temp` with every cluster at nominal
   /// voltage (A * T^2 * exp(-theta/T) for the baseline form, A_e * exp(B*T)

@@ -2,18 +2,6 @@
 
 namespace mobitherm::sched {
 
-const char* to_string(ProcessClass cls) {
-  switch (cls) {
-    case ProcessClass::kForeground:
-      return "foreground";
-    case ProcessClass::kBackground:
-      return "background";
-    case ProcessClass::kSystem:
-      return "system";
-  }
-  return "?";
-}
-
 Process::Process(Pid pid, ProcessSpec spec, std::size_t cluster,
                  double window_s)
     : pid_(pid),

@@ -22,8 +22,6 @@ using Pid = int;
 /// apps").
 enum class ProcessClass { kForeground, kBackground, kSystem };
 
-const char* to_string(ProcessClass cls);
-
 struct ProcessSpec {
   std::string name;
   ProcessClass cls = ProcessClass::kForeground;

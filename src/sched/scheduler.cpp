@@ -29,43 +29,22 @@ Pid Scheduler::spawn(ProcessSpec spec, std::size_t cluster) {
   if (spec.threads <= 0) {
     throw ConfigError("Scheduler::spawn: threads must be positive");
   }
-  const Pid pid = next_pid_++;
-  processes_.emplace(pid, Process(pid, std::move(spec), cluster, window_s_));
+  const Pid pid = static_cast<Pid>(processes_.size()) + 1;
+  processes_.emplace_back(pid, std::move(spec), cluster, window_s_);
   return pid;
-}
-
-void Scheduler::kill(Pid pid) {
-  if (processes_.erase(pid) == 0) {
-    throw ConfigError("Scheduler::kill: no such pid");
-  }
 }
 
 void Scheduler::migrate(Pid pid, std::size_t cluster) {
   if (cluster >= num_clusters_) {
     throw ConfigError("Scheduler::migrate: cluster index out of range");
   }
-  process_mutable(pid).set_cluster(cluster);
+  process(pid).set_cluster(cluster);
 }
 
-Process& Scheduler::process(Pid pid) { return process_mutable(pid); }
+Process& Scheduler::process(Pid pid) { return processes_[slot(pid)]; }
 
 const Process& Scheduler::process(Pid pid) const {
-  const auto it = processes_.find(pid);
-  if (it == processes_.end()) {
-    throw ConfigError("Scheduler: no such pid");
-  }
-  return it->second;
-}
-
-bool Scheduler::alive(Pid pid) const { return processes_.count(pid) > 0; }
-
-std::vector<Pid> Scheduler::pids() const {
-  std::vector<Pid> out;
-  out.reserve(processes_.size());
-  for (const auto& [pid, proc] : processes_) {
-    out.push_back(pid);
-  }
-  return out;
+  return processes_[slot(pid)];
 }
 
 void Scheduler::allocate(const platform::Soc& soc, double dt) {
@@ -83,7 +62,7 @@ void Scheduler::allocate(const platform::Soc& soc, double dt) {
     // Pass 1: each process's standalone cap (parallelism-limited demand).
     double total_capped = 0.0;
     int demanding_threads = 0;
-    for (auto& [pid, proc] : processes_) {
+    for (Process& proc : processes_) {
       if (proc.cluster() != c) {
         continue;
       }
@@ -99,7 +78,7 @@ void Scheduler::allocate(const platform::Soc& soc, double dt) {
     const double scale =
         (capacity > 0.0 && total_capped > capacity) ? capacity / total_capped
                                                     : 1.0;
-    for (auto& [pid, proc] : processes_) {
+    for (Process& proc : processes_) {
       if (proc.cluster() != c) {
         continue;
       }
@@ -122,7 +101,7 @@ void Scheduler::allocate(const platform::Soc& soc, double dt) {
     double util = governed_cores > 0 && per_core > 0.0
                       ? std::min(1.0, cluster_busy_cores_[c] / governed_cores)
                       : 0.0;
-    for (const auto& [pid, proc] : processes_) {
+    for (const Process& proc : processes_) {
       if (proc.cluster() != c || proc.demand_rate() <= 0.0 ||
           per_core <= 0.0 || online == 0) {
         continue;
@@ -161,7 +140,7 @@ double Scheduler::cluster_busy_cores(std::size_t c) const {
 void Scheduler::attribute_power(std::size_t c, double cluster_dynamic_w,
                                 double dt) {
   const double total = cluster_busy_cores(c);
-  for (auto& [pid, proc] : processes_) {
+  for (Process& proc : processes_) {
     if (proc.cluster() != c) {
       continue;
     }
@@ -173,25 +152,24 @@ void Scheduler::attribute_power(std::size_t c, double cluster_dynamic_w,
 std::optional<Pid> Scheduler::top_power_process(std::size_t cluster) const {
   std::optional<Pid> best;
   double best_power = -1.0;
-  for (const auto& [pid, proc] : processes_) {
+  for (const Process& proc : processes_) {
     if (proc.cluster() != cluster || proc.spec().realtime) {
       continue;
     }
     const double power = proc.windowed_power_w();
     if (power > best_power) {
       best_power = power;
-      best = pid;
+      best = proc.pid();
     }
   }
   return best;
 }
 
-Process& Scheduler::process_mutable(Pid pid) {
-  const auto it = processes_.find(pid);
-  if (it == processes_.end()) {
+std::size_t Scheduler::slot(Pid pid) const {
+  if (pid < 1 || static_cast<std::size_t>(pid) > processes_.size()) {
     throw ConfigError("Scheduler: no such pid");
   }
-  return it->second;
+  return static_cast<std::size_t>(pid) - 1;
 }
 
 }  // namespace mobitherm::sched

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -25,22 +24,19 @@ class Scheduler {
   /// utilization/power accounting (the paper uses 1 s).
   explicit Scheduler(const platform::SocSpec& spec, double window_s = 1.0);
 
-  /// Create a process on `cluster`. Returns its pid.
+  /// Create a process on `cluster`. Returns its pid: pids are 1, 2, 3, ...
+  /// in spawn order and are never freed.
   Pid spawn(ProcessSpec spec, std::size_t cluster);
-
-  /// Remove a process.
-  void kill(Pid pid);
 
   /// Move a process to another cluster; takes effect next allocation.
   /// Throws ConfigError for GPU/memory targets of CPU-only processes is the
   /// caller's responsibility — the scheduler only validates the index.
   void migrate(Pid pid, std::size_t cluster);
 
+  /// Throws ConfigError for a pid spawn() never returned. The reference is
+  /// invalidated by the next spawn().
   Process& process(Pid pid);
   const Process& process(Pid pid) const;
-  bool alive(Pid pid) const;
-
-  std::vector<Pid> pids() const;
 
   /// Grant work rates for one tick of length dt, given current cluster
   /// frequencies in `soc`. Updates each process's granted rate, busy cores
@@ -74,12 +70,13 @@ class Scheduler {
   std::size_t num_clusters() const { return num_clusters_; }
 
  private:
-  Process& process_mutable(Pid pid);
+  /// Index of `pid` in processes_; throws ConfigError if out of range.
+  std::size_t slot(Pid pid) const;
 
   std::size_t num_clusters_;
   double window_s_;
-  Pid next_pid_ = 1;
-  std::map<Pid, Process> processes_;
+  /// Indexed by pid - 1, so iteration runs in ascending pid order.
+  std::vector<Process> processes_;
   std::vector<double> cluster_busy_cores_;
   std::vector<double> governor_util_;
   std::vector<double> capacity_penalty_;

@@ -55,7 +55,8 @@ namespace mobitherm::service {
 struct NetServerConfig {
   /// Listen address; the default binds loopback only.
   std::string host = "127.0.0.1";
-  /// TCP port; 0 picks an ephemeral port (read it back via port()).
+  /// TCP port in [0, 65535], else the constructor throws ConfigError; 0
+  /// picks an ephemeral port (read it back via port()).
   int port = 0;
   /// listen(2) backlog.
   int backlog = 128;

@@ -111,10 +111,6 @@ void ScenarioRegistry::add(Entry entry) {
   entries_[entry.name] = std::move(entry);
 }
 
-bool ScenarioRegistry::has(const std::string& name) const {
-  return entries_.count(name) != 0;
-}
-
 const ScenarioRegistry::Entry& ScenarioRegistry::at(
     const std::string& name) const {
   const auto it = entries_.find(name);
@@ -270,11 +266,6 @@ std::string ScenarioRegistry::canonical_key(const SimRequest& request) const {
   key += ";seed=";
   key += std::to_string(r.seed);
   return key;
-}
-
-std::uint64_t ScenarioRegistry::request_hash(
-    const SimRequest& request) const {
-  return fnv1a64(canonical_key(request));
 }
 
 std::unique_ptr<sim::Engine> ScenarioRegistry::make_engine(

@@ -129,7 +129,6 @@ class ScenarioRegistry {
   /// missing factory.
   void add(Entry entry);
 
-  bool has(const std::string& name) const;
   const Entry& at(const std::string& name) const;  // throws on unknown
   std::vector<std::string> names() const;          // sorted
   std::size_t size() const { return entries_.size(); }
@@ -164,9 +163,6 @@ class ScenarioRegistry {
   /// so cached results never outlive the code (or pack) that computed
   /// them.
   std::string canonical_key(const SimRequest& request) const;
-
-  /// FNV-1a hash of canonical_key(); the result-cache key.
-  std::uint64_t request_hash(const SimRequest& request) const;
 
   /// Resolve and build the engine for `request`.
   std::unique_ptr<sim::Engine> make_engine(const SimRequest& request) const;

@@ -274,6 +274,12 @@ std::string SimServer::handle_submit(const json::Value& request) {
   if (!seeds_error.empty()) {
     return error_response("submit", errc::kBadRequest, seeds_error);
   }
+  // Every lane's seed must be one a plain submit can ask for.
+  if (req.seed + (seeds - 1) > kMaxExactInteger) {
+    return error_response("submit", errc::kBadRequest,
+                          "seed + seeds - 1 must be at most " +
+                              std::to_string(kMaxExactInteger));
+  }
   if (seeds > 1) {
     return handle_submit_many(req, seeds, deadline_s);
   }
@@ -363,6 +369,14 @@ std::string SimServer::handle_compare(const json::Value& request) {
     if (!int_error.empty()) {
       return error_response("compare", errc::kBadRequest, int_error);
     }
+  }
+  // Two arms that never separate run the whole budget, so one request
+  // line may ask for no more runs than the widest fan.
+  if (cmp.arms.size() * static_cast<std::size_t>(cmp.max_seeds) >
+      kMaxFanSeeds) {
+    return error_response("compare", errc::kBadRequest,
+                          "arms x max_seeds must be at most " +
+                              std::to_string(kMaxFanSeeds));
   }
   const std::string seed_error = read_integer(
       request, "base_seed", std::uint64_t{0}, kMaxExactInteger, &cmp.base_seed);

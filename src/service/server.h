@@ -49,7 +49,9 @@
 // Integer fields must be integers within range, or the request is a
 // bad_request: seed, base_seed and job in [0, 2^53]; max_seeds,
 // min_seeds and round_seeds in [1, INT_MAX]; app_levels in
-// [1, workload::kMaxAppPhases]; seeds in [1, kMaxFanSeeds]. deadline_s and
+// [1, workload::kMaxAppPhases]; seeds in [1, kMaxFanSeeds]. A fan's last
+// lane, seed + seeds - 1, must be at most 2^53, and a compare's run
+// budget, arms x max_seeds, at most kMaxFanSeeds. deadline_s and
 // timeout_s must be finite and at most kMaxWaitSeconds, or the request is
 // a bad_request. duration_s outside [1, kMaxDurationS] is rejected at
 // admission as an invalid_request (scenario_registry.h).
@@ -77,8 +79,10 @@ namespace mobitherm::service {
 /// `oversized_line` error without being parsed (bounds parser memory).
 inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
 
-/// Upper bound on a submit's "seeds" fan width; a wider fan is a
-/// `bad_request`. Bounds a fan's response line to about 100 KB.
+/// Upper bound on a submit's "seeds" fan width and on a compare's
+/// arms x max_seeds; a wider fan or a larger budget is a `bad_request`.
+/// Bounds a fan's response line to about 100 KB, and the runs one request
+/// line can ask for.
 inline constexpr std::size_t kMaxFanSeeds = 1024;
 
 /// Upper bound, in seconds, on a request's "deadline_s" and a wait's

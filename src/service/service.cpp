@@ -465,8 +465,6 @@ std::shared_ptr<JobResult> SimService::run_resolved_sliced(
     engine->set_runaway_guard(registry_.runaway_guard_temp_k(
         resolved, config_.guard_max_temp_c));
   }
-  sim::MetricsObserver tap(config_.metrics);
-  engine->add_observer(&tap);
   double remaining = resolved.duration_s;
   std::uint64_t slice_index = 0;
   while (remaining > 0.0) {
@@ -520,7 +518,7 @@ std::shared_ptr<JobResult> SimService::run_resolved_sliced(
     return nullptr;
   }
   auto result = std::make_shared<JobResult>();
-  result->metrics = tap.metrics(*engine);
+  result->metrics = sim::summarize_run(*engine, config_.metrics);
   result->report = sim::make_report(*engine, config_.metrics.temp_limit_c);
   result->payload = serialize_result(result->metrics, result->report);
   return result;

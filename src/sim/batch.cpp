@@ -109,15 +109,13 @@ std::vector<BatchRecord> BatchRunner::run(std::size_t runs,
     if (!engine) {
       throw util::ConfigError("BatchRunner: factory returned null engine");
     }
-    MetricsObserver tap(metrics);
-    engine->add_observer(&tap);
     engine->run(duration_s, stop);
     rec.wall_s = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - start)
                      .count();
     rec.completed =
         stop == nullptr || !stop->load(std::memory_order_relaxed);
-    rec.metrics = tap.metrics(*engine);
+    rec.metrics = summarize_run(*engine, metrics);
     rec.report = make_report(*engine, metrics.temp_limit_c);
   });
   return records;

@@ -59,6 +59,8 @@ Engine::Engine(platform::SocSpec soc_spec,
   requested_index_.assign(n, 0);
   last_busy_cores_.assign(n, 0.0);
   in_conflict_.assign(n, false);
+  conflict_time_s_.assign(n, 0.0);
+  dvfs_transitions_.assign(n, 0);
   for (std::size_t c = 0; c < n; ++c) {
     const ResourceKind kind = soc_.cluster(c).kind;
     if (kind == ResourceKind::kMemory) {
@@ -86,19 +88,10 @@ Engine::Engine(platform::SocSpec soc_spec,
     node_sensors_.back().prime(network_.ambient_k().value());
   }
 
-  // Built-in instrumentation observers; they serve the legacy accessors
-  // (decisions(), conflict_time_s(), dvfs_transitions(), daq()).
-  decision_log_ = std::make_unique<DecisionLogObserver>();
-  conflicts_ = std::make_unique<ConflictAccountingObserver>(n);
-  dvfs_counter_ = std::make_unique<DvfsTransitionCounter>(n);
-  observers_.push_back(decision_log_.get());
-  observers_.push_back(conflicts_.get());
-  observers_.push_back(dvfs_counter_.get());
   if (config_.enable_daq) {
     power::DaqSimulator::Config dc;
     dc.seed = util::derive_seed(config_.seed, 300);
-    daq_observer_ = std::make_unique<DaqObserver>(dc);
-    observers_.push_back(daq_observer_.get());
+    daq_ = std::make_unique<power::DaqSimulator>(dc);
   }
 }
 
@@ -184,17 +177,17 @@ double Engine::skin_temp_k() const {
 }
 
 double Engine::conflict_time_s(std::size_t cluster) const {
-  if (cluster >= conflicts_->num_clusters()) {
+  if (cluster >= conflict_time_s_.size()) {
     throw ConfigError("Engine: cluster index out of range");
   }
-  return conflicts_->time_s(cluster);
+  return conflict_time_s_[cluster];
 }
 
 std::size_t Engine::dvfs_transitions(std::size_t cluster) const {
-  if (cluster >= dvfs_counter_->num_clusters()) {
+  if (cluster >= dvfs_transitions_.size()) {
     throw ConfigError("Engine: cluster index out of range");
   }
-  return dvfs_counter_->transitions(cluster);
+  return dvfs_transitions_[cluster];
 }
 
 double Engine::control_temp_k() const {
@@ -268,6 +261,14 @@ void Engine::tick() {
                    config_.guard_max_temp_k);
   }
 
+  for (std::size_t c = 0; c < in_conflict_.size(); ++c) {
+    if (in_conflict_[c]) {
+      conflict_time_s_[c] += ctx.dt;
+    }
+  }
+  if (daq_) {
+    daq_->feed(ctx.dt, ctx.total_power_w);
+  }
   TickInfo info;
   info.t_s = now_;
   info.dt = ctx.dt;
@@ -462,6 +463,7 @@ void Engine::stage_governors(TickContext& ctx) {
       const core::AppAwareDecision d = appaware_->update(
           scheduler_, windowed_power_w(), control_temp_k());
       appaware_accum_ = 0.0;
+      decisions_.emplace_back(now_, d);
 
       GovernorDecisionEvent e;
       e.t_s = now_;
@@ -488,24 +490,15 @@ void Engine::stage_governors(TickContext& ctx) {
   }
 }
 
-// Apply min(request, thermal cap) and account governor contradictions: the
+// Apply min(request, thermal cap) and mark governor contradictions: the
 // thermal cap clamping the cpufreq request is the conflict the paper
-// highlights. Episode boundaries are published as thermal events.
+// highlights. tick() accrues conflict time once the tick has passed the
+// numerical guards.
 void Engine::stage_dvfs(TickContext&) {
   apply_dvfs();
   for (std::size_t c = 0; c < soc_.num_clusters(); ++c) {
-    const bool clamped =
-        thermal_gov_ != nullptr &&
-        thermal_gov_->cap_index(c) < requested_index_[c];
-    if (clamped != in_conflict_[c]) {
-      ThermalEvent e;
-      e.kind = clamped ? ThermalEvent::Kind::kConflictBegin
-                       : ThermalEvent::Kind::kConflictEnd;
-      e.t_s = now_;
-      e.cluster = c;
-      publish_thermal_event(e);
-    }
-    in_conflict_[c] = clamped;
+    in_conflict_[c] = thermal_gov_ != nullptr &&
+                      thermal_gov_->cap_index(c) < requested_index_[c];
   }
 }
 
@@ -540,6 +533,7 @@ void Engine::apply_dvfs() {
     }
     index = std::min(index, soc_.cluster(c).opps.max_index());
     if (index != soc_.state(c).opp_index) {
+      ++dvfs_transitions_[c];
       DvfsTransitionEvent e;
       e.t_s = now_;
       e.cluster = c;
@@ -566,12 +560,6 @@ void Engine::publish_governor_decision(const GovernorDecisionEvent& event) {
 void Engine::publish_dvfs_transition(const DvfsTransitionEvent& event) {
   for (SimObserver* o : observers_) {
     o->on_dvfs_transition(event);
-  }
-}
-
-void Engine::publish_thermal_event(const ThermalEvent& event) {
-  for (SimObserver* o : observers_) {
-    o->on_thermal_event(event);
   }
 }
 

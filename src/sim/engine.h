@@ -11,18 +11,19 @@
 // Governors only ever see sensor readings; the physics advances on the
 // true state. All randomness is derived from EngineConfig::seed.
 //
-// Instrumentation flows through the observer bus (sim/observer.h): after
-// every tick, and at every governor decision, DVFS transition, and
-// thermal-conflict boundary, the engine publishes to its observers. The
-// built-in observers (sim/observers.h) provide the legacy accessors
-// (decisions(), conflict_time_s(), dvfs_transitions(), daq()); external
-// observers attach with add_observer() and never perturb the simulation —
-// a run yields a byte-identical Trace with zero, one, or N observers.
+// The engine keeps its own instrumentation as members: the app-aware
+// decision log, per-cluster conflict time, DVFS-transition counts and the
+// optional DAQ capture (decisions(), conflict_time_s(), dvfs_transitions(),
+// daq()). External observers attach with add_observer() (sim/observer.h)
+// and are notified after every tick, governor decision and DVFS
+// transition; they never perturb the simulation — a run yields a
+// byte-identical Trace with zero, one, or N observers.
 #pragma once
 
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/appaware.h"
@@ -34,7 +35,6 @@
 #include "power/sensors.h"
 #include "sched/scheduler.h"
 #include "sim/observer.h"
-#include "sim/observers.h"
 #include "sim/trace.h"
 #include "thermal/network.h"
 #include "thermal/sensors.h"
@@ -111,8 +111,8 @@ class Engine {
   // --- observer bus -------------------------------------------------------
 
   /// Attach a passive observer (non-owning; must outlive any run() call).
-  /// Observers are notified in attachment order, after the built-in
-  /// instrumentation observers.
+  /// Observers are notified in attachment order, after the engine has
+  /// updated its own instrumentation.
   void add_observer(SimObserver* observer);
 
   // --- execution ----------------------------------------------------------
@@ -163,9 +163,10 @@ class Engine {
   /// Windowed (1 s) true total power (W).
   double windowed_power_w() const;
 
-  const power::DaqSimulator* daq() const {
-    return daq_observer_ ? daq_observer_->daq() : nullptr;
-  }
+  /// Whole-device DAQ capture (the Nexus setup's 1 kHz NI-DAQ), fed with
+  /// the true total power of every tick; null unless
+  /// EngineConfig::enable_daq.
+  const power::DaqSimulator* daq() const { return daq_.get(); }
 
   core::AppAwareGovernor* appaware() { return appaware_.get(); }
   governors::ThermalGovernor* thermal_governor() {
@@ -180,11 +181,9 @@ class Engine {
   /// Governor-contradiction accounting (paper Sec. I: "the outputs of the
   /// thermal and frequency governors may contradict each other"): time the
   /// cluster spent with the cpufreq request clamped by a thermal cap.
-  /// Served by the built-in ConflictAccountingObserver.
   double conflict_time_s(std::size_t cluster) const;
 
-  /// Number of OPP changes applied on `cluster` so far (built-in
-  /// DvfsTransitionCounter).
+  /// Number of OPP changes applied on `cluster` so far.
   std::size_t dvfs_transitions(std::size_t cluster) const;
 
   /// Aggregate DRAM traffic demanded during the last tick (GB/s); 0 when
@@ -194,11 +193,10 @@ class Engine {
   /// Fraction of the last tick stalled on memory (0 when uncontended).
   double memory_stall_fraction() const { return last_mem_stall_; }
 
-  /// Timestamped decisions of the application-aware governor (built-in
-  /// DecisionLogObserver).
+  /// Timestamped decisions of the application-aware governor.
   const std::vector<std::pair<double, core::AppAwareDecision>>& decisions()
       const {
-    return decision_log_->decisions();
+    return decisions_;
   }
 
  private:
@@ -238,7 +236,6 @@ class Engine {
   void publish_tick(const TickInfo& info);
   void publish_governor_decision(const GovernorDecisionEvent& event);
   void publish_dvfs_transition(const DvfsTransitionEvent& event);
-  void publish_thermal_event(const ThermalEvent& event);
 
   EngineConfig config_;
   platform::Soc soc_;
@@ -273,18 +270,19 @@ class Engine {
 
   std::optional<thermal::SkinEstimator> skin_;
 
-  std::vector<bool> in_conflict_;
   double last_mem_bw_gbps_ = 0.0;
   double last_mem_stall_ = 0.0;
 
   // Sensors.
   std::vector<thermal::TemperatureSensor> node_sensors_;
 
-  // Observer bus: built-ins first (owned), then external attachments.
-  std::unique_ptr<DecisionLogObserver> decision_log_;
-  std::unique_ptr<ConflictAccountingObserver> conflicts_;
-  std::unique_ptr<DvfsTransitionCounter> dvfs_counter_;
-  std::unique_ptr<DaqObserver> daq_observer_;
+  // Instrumentation, then the external observers (non-owning).
+  std::vector<std::pair<double, core::AppAwareDecision>> decisions_;
+  /// Per cluster: clamped by a thermal cap after the last stage_dvfs.
+  std::vector<bool> in_conflict_;
+  std::vector<double> conflict_time_s_;
+  std::vector<std::size_t> dvfs_transitions_;
+  std::unique_ptr<power::DaqSimulator> daq_;
   std::vector<SimObserver*> observers_;
 
   // Per-tick scratch hoisted out of TickContext (sized at construction,

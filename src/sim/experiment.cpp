@@ -13,18 +13,6 @@ namespace mobitherm::sim {
 
 using platform::SocSpec;
 
-const char* to_string(ThermalPolicy policy) {
-  switch (policy) {
-    case ThermalPolicy::kNone:
-      return "none";
-    case ThermalPolicy::kDefault:
-      return "default";
-    case ThermalPolicy::kProposed:
-      return "proposed";
-  }
-  return "?";
-}
-
 power::LeakageParams nexus_baseline_leakage() {
   return power::LeakageParams{stability::nexus6p_params().leak_theta_k,
                               stability::nexus6p_params().leak_a_w_per_k2};

@@ -24,8 +24,6 @@ namespace mobitherm::sim {
 
 enum class ThermalPolicy { kNone, kDefault, kProposed };
 
-const char* to_string(ThermalPolicy policy);
-
 /// The boards' baseline (BSIM) leakage calibrations, as used by the paper
 /// reproduction. power::ModelRegistry derives alternate model
 /// parameterizations from these.

@@ -116,15 +116,6 @@ RunMetrics summarize_run(const Engine& engine,
 MetricsObserver::MetricsObserver(MetricsOptions options)
     : options_(options) {}
 
-void MetricsObserver::on_tick(const TickInfo& info) {
-  ++ticks_;
-  const double c = kelvin_to_celsius(info.max_chip_temp_k);
-  live_peak_temp_c_ = std::max(live_peak_temp_c_, c);
-  if (c > options_.temp_limit_c) {
-    live_above_limit_s_ += info.dt;
-  }
-}
-
 RunMetrics MetricsObserver::metrics(const Engine& engine) const {
   return summarize_run(engine, options_);
 }

@@ -7,8 +7,7 @@
 // RunMetrics collects them once; summarize_run() computes them from the
 // engine's Trace (so the numbers are identical to what the benches
 // historically hand-rolled), and MetricsObserver is the observer-bus
-// flavour that additionally accrues live per-tick statistics the decimated
-// trace cannot provide (true peak, time above a thermal limit).
+// flavour that attaches to an engine and summarizes it at the end.
 #pragma once
 
 #include <string>
@@ -25,7 +24,7 @@ struct MetricsOptions {
   /// Decimation period of the reported temperature trace (the paper's
   /// figures plot one point per 2 s).
   double temp_trace_period_s = 2.0;
-  /// Thermal limit used for the live time-above-limit accrual (degC).
+  /// Thermal limit of the run report's time-above-limit metric (degC).
   double temp_limit_c = 85.0;
 };
 
@@ -77,26 +76,16 @@ RunMetrics summarize_run(const Engine& engine,
                          const MetricsOptions& options = {});
 
 /// Observer-bus metrics tap: attach before running, call metrics() at the
-/// end. live_peak_temp_c()/live_time_above_limit_s() are accrued at tick
-/// resolution, which the decimated trace cannot see.
+/// end.
 class MetricsObserver final : public SimObserver {
  public:
   explicit MetricsObserver(MetricsOptions options = {});
 
-  void on_tick(const TickInfo& info) override;
-
   /// Full trace-based summary, identical to summarize_run(engine, options).
   RunMetrics metrics(const Engine& engine) const;
 
-  double live_peak_temp_c() const { return live_peak_temp_c_; }
-  double live_time_above_limit_s() const { return live_above_limit_s_; }
-  std::size_t ticks_observed() const { return ticks_; }
-
  private:
   MetricsOptions options_;
-  double live_peak_temp_c_ = 0.0;
-  double live_above_limit_s_ = 0.0;
-  std::size_t ticks_ = 0;
 };
 
 }  // namespace mobitherm::sim

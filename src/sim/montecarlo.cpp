@@ -96,26 +96,4 @@ SeedStats across_seeds(const std::function<double(std::uint64_t)>& metric,
   return summarize(BatchRunner(options).sweep(metric, n, base_seed));
 }
 
-SeedStats across_seeds(const EngineFactory& factory, double duration_s,
-                       const std::function<double(const BatchRecord&)>&
-                           metric,
-                       int n, std::uint64_t base_seed,
-                       BatchOptions options) {
-  if (n <= 0) {
-    throw util::ConfigError("across_seeds: n must be positive");
-  }
-  if (!metric) {
-    throw util::ConfigError("across_seeds: null metric");
-  }
-  const std::vector<BatchRecord> records =
-      BatchRunner(options).run(static_cast<std::size_t>(n), base_seed,
-                               duration_s, factory);
-  std::vector<double> samples;
-  samples.reserve(records.size());
-  for (const BatchRecord& rec : records) {
-    samples.push_back(metric(rec));
-  }
-  return summarize(samples);
-}
-
 }  // namespace mobitherm::sim

@@ -107,14 +107,4 @@ SeedStats across_seeds(const std::function<double(std::uint64_t)>& metric,
                        int n, std::uint64_t base_seed = 1,
                        unsigned threads = 1);
 
-/// Factory-based variant: builds one engine per seed via `factory` (see
-/// sim/batch.h), runs each for `duration_s` through BatchRunner::run —
-/// one pool job per seed — and summarizes `metric(record)` over the
-/// per-seed records. Bit-identical to evaluating the seeds one at a time.
-SeedStats across_seeds(const EngineFactory& factory, double duration_s,
-                       const std::function<double(const BatchRecord&)>&
-                           metric,
-                       int n, std::uint64_t base_seed = 1,
-                       BatchOptions options = {});
-
 }  // namespace mobitherm::sim

@@ -9,11 +9,9 @@
 // a run produces a byte-identical Trace with zero, one, or N observers
 // attached.
 //
-// Built-in observers (sim/observers.h) re-express the engine's historical
-// ad-hoc instrumentation — app-aware decision log, governor-conflict
-// accounting, DVFS-transition counters, DAQ power capture — and
-// MetricsObserver (sim/metrics.h) computes the per-run summaries the
-// figure/table benches report.
+// The engine keeps its own instrumentation (decision log, conflict time,
+// DVFS-transition counts, DAQ capture) as members, so the bus serves
+// outside observers only.
 #pragma once
 
 #include <cstddef>
@@ -72,16 +70,6 @@ struct DvfsTransitionEvent {
   std::size_t to_index = 0;
 };
 
-/// Thermal-subsystem episode boundaries. A "conflict" is the paper's
-/// Sec. I contradiction: the thermal governor's cap clamping the cpufreq
-/// governor's request on a cluster.
-struct ThermalEvent {
-  enum class Kind { kConflictBegin, kConflictEnd };
-  Kind kind = Kind::kConflictBegin;
-  double t_s = 0.0;
-  std::size_t cluster = 0;
-};
-
 /// Passive tap on the engine. Default implementations ignore everything, so
 /// observers override only the events they care about.
 class SimObserver {
@@ -91,7 +79,6 @@ class SimObserver {
   virtual void on_tick(const TickInfo&) {}
   virtual void on_governor_decision(const GovernorDecisionEvent&) {}
   virtual void on_dvfs_transition(const DvfsTransitionEvent&) {}
-  virtual void on_thermal_event(const ThermalEvent&) {}
 };
 
 }  // namespace mobitherm::sim

@@ -1,8 +1,6 @@
 #include "sim/trace.h"
 
-#include "util/csv.h"
 #include "util/error.h"
-#include "util/units.h"
 
 namespace mobitherm::sim {
 
@@ -75,45 +73,6 @@ double Trace::total_rail_energy_j() const {
     total += e;
   }
   return total;
-}
-
-void Trace::write_timeseries_csv(
-    const std::string& path, const std::vector<std::string>& cluster_names,
-    const std::vector<std::string>& app_names) const {
-  std::vector<std::string> header = {"t_s", "max_chip_temp_c",
-                                     "board_temp_c", "total_power_w"};
-  for (const std::string& name : cluster_names) {
-    header.push_back(name + "_freq_mhz");
-  }
-  for (const std::string& name : app_names) {
-    header.push_back(name + "_fps");
-  }
-  util::CsvWriter csv(path, header);
-  for (const TracePoint& p : points_) {
-    std::vector<double> row = {p.t_s,
-                               util::kelvin_to_celsius(p.max_chip_temp_k),
-                               util::kelvin_to_celsius(p.board_temp_k),
-                               p.total_power_w};
-    for (double f : p.cluster_freq_hz) {
-      row.push_back(util::hz_to_mhz(f));
-    }
-    for (double fps : p.app_fps) {
-      row.push_back(fps);
-    }
-    csv.row(row);
-  }
-}
-
-void Trace::write_residency_csv(const std::string& path, std::size_t cluster,
-                                const std::vector<double>& freqs_hz) const {
-  const std::vector<double> frac = residency_fraction(cluster);
-  if (freqs_hz.size() != frac.size()) {
-    throw ConfigError("Trace: frequency list size mismatch");
-  }
-  util::CsvWriter csv(path, {"freq_mhz", "fraction"});
-  for (std::size_t i = 0; i < frac.size(); ++i) {
-    csv.row(std::vector<double>{util::hz_to_mhz(freqs_hz[i]), frac[i]});
-  }
 }
 
 }  // namespace mobitherm::sim

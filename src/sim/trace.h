@@ -3,7 +3,7 @@
 // (temperature profiles, frequency-residency histograms, power pies).
 #pragma once
 
-#include <string>
+#include <cstddef>
 #include <vector>
 
 namespace mobitherm::sim {
@@ -42,16 +42,6 @@ class Trace {
 
   /// Total energy across all rails (J).
   double total_rail_energy_j() const;
-
-  /// Export points to CSV (column per channel). `app_names` labels the fps
-  /// columns; `cluster_names` the frequency columns.
-  void write_timeseries_csv(const std::string& path,
-                            const std::vector<std::string>& cluster_names,
-                            const std::vector<std::string>& app_names) const;
-
-  /// Export residency fractions of one cluster to CSV (freq_mhz, fraction).
-  void write_residency_csv(const std::string& path, std::size_t cluster,
-                           const std::vector<double>& freqs_hz) const;
 
  private:
   std::vector<TracePoint> points_;

@@ -65,13 +65,6 @@ double fixed_point_derivative(const Params& p, double p_dyn_w, double x) {
          p.leak_a_w_per_k2.value() * std::exp(-x);
 }
 
-double auxiliary_of_temperature(const Params& p, double t_k) {
-  if (t_k <= 0.0) {
-    throw NumericError("auxiliary_of_temperature: non-positive temperature");
-  }
-  return p.leak_theta_k.value() / t_k;
-}
-
 double temperature_of_auxiliary(const Params& p, double x) {
   if (x <= 0.0) {
     throw NumericError("temperature_of_auxiliary: non-positive auxiliary");

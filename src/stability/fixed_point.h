@@ -69,8 +69,7 @@ double fixed_point_function(const Params& p, double p_dyn_w, double x);
 /// df/dx.
 double fixed_point_derivative(const Params& p, double p_dyn_w, double x);
 
-/// Convert between auxiliary and actual temperature: x = theta / T.
-double auxiliary_of_temperature(const Params& p, double t_k);
+/// Actual temperature of auxiliary temperature x = theta / T.
 double temperature_of_auxiliary(const Params& p, double x);
 
 /// Full fixed-point analysis at the given dynamic power.

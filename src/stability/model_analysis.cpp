@@ -121,14 +121,6 @@ ModelFixedPoint analyze_exp(const ExpDynamics& d, double p_dyn_w,
 
 }  // namespace
 
-double model_leakage_w(const power::LeakageParams& leakage, double t_k) {
-  if (leakage.form == power::LeakageForm::kBsim) {
-    return leakage.a_w_per_k2.value() * t_k * t_k *
-           std::exp(-leakage.theta_k.value() / t_k);
-  }
-  return leakage.exp_a_w.value() * std::exp(leakage.exp_b_per_k * t_k);
-}
-
 ModelFixedPoint analyze_model(const thermal::LumpedParams& base,
                               const power::LeakageParams& leakage,
                               double p_dyn_w, double critical_tol) {
@@ -154,17 +146,6 @@ double model_critical_power(const thermal::LumpedParams& base,
   const ExpDynamics d = exp_dynamics(base, leakage);
   const double t_star = exp_tangency_temp(d);
   return d.g * (t_star - d.tamb) - d.g / d.b;
-}
-
-double model_stable_temperature(const thermal::LumpedParams& base,
-                                const power::LeakageParams& leakage,
-                                double p_dyn_w) {
-  const ModelFixedPoint r = analyze_model(base, leakage, p_dyn_w);
-  if (r.num_fixed_points == 0) {
-    throw NumericError(
-        "model_stable_temperature: no fixed point (thermal runaway)");
-  }
-  return r.stable_temp_k;
 }
 
 double model_no_return_temp_k(const thermal::LumpedParams& base,

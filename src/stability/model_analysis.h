@@ -46,10 +46,6 @@ struct ModelFixedPoint {
 // powers and temperatures can be swept and bisected directly.
 // MOBILINT: raw-units-ok
 
-/// Lumped leakage power of `leakage` at temperature `t_k` (nominal
-/// voltage), whichever functional form is selected.
-double model_leakage_w(const power::LeakageParams& leakage, double t_k);
-
 /// Full fixed-point analysis of C dT/dt = -G (T - T_amb) + P_dyn + L(T)
 /// where G/T_amb come from `base` and L is `leakage`'s strategy.
 ModelFixedPoint analyze_model(const thermal::LumpedParams& base,
@@ -60,12 +56,6 @@ ModelFixedPoint analyze_model(const thermal::LumpedParams& base,
 /// exponential model, bisection for the baseline).
 double model_critical_power(const thermal::LumpedParams& base,
                             const power::LeakageParams& leakage);
-
-/// Steady-state temperature at `p_dyn_w`; throws util::NumericError when
-/// the model has no fixed point (runaway at any start).
-double model_stable_temperature(const thermal::LumpedParams& base,
-                                const power::LeakageParams& leakage,
-                                double p_dyn_w);
 
 /// Point of no return at `p_dyn_w`: the unstable fixed point, above which
 /// the dynamics diverge even if dynamic power never rises again. Throws

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "thermal/lumped.h"
-#include "util/error.h"
 
 namespace mobitherm::stability {
 
@@ -50,21 +49,6 @@ double safe_power(const Params& p, double temp_limit_k, double tol_w) {
 
 double power_headroom(const Params& p, double temp_limit_k, double p_dyn_w) {
   return safe_power(p, temp_limit_k) - p_dyn_w;
-}
-
-SafetyReport assess(const Params& p, double temp_limit_k, double p_dyn_w) {
-  if (p_dyn_w < 0.0) {
-    throw util::NumericError("assess: negative dynamic power");
-  }
-  SafetyReport report;
-  const FixedPointResult r = analyze(p, p_dyn_w);
-  report.cls = r.cls;
-  report.fixed_point_temp_k = r.stable_temp_k;
-  report.safe_power_w = safe_power(p, temp_limit_k);
-  report.headroom_w = report.safe_power_w - p_dyn_w;
-  report.sustainable = r.cls != StabilityClass::kUnstable &&
-                       r.stable_temp_k <= temp_limit_k + 1e-9;
-  return report;
 }
 
 }  // namespace mobitherm::stability

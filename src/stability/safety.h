@@ -8,9 +8,7 @@
 //
 //  * safe_power(limit): the largest dynamic power whose *stable fixed
 //    point* stays at/below a temperature limit — the sustainable budget;
-//  * power_headroom / power_excess: distance between a measured power and
-//    that budget;
-//  * margin report combining class, fixed point, budget and headroom.
+//  * power_headroom: distance between a measured power and that budget.
 #pragma once
 
 #include "stability/fixed_point.h"
@@ -26,20 +24,5 @@ double safe_power(const Params& p, double temp_limit_k, double tol_w = 1e-6);
 /// safe_power(limit) - p_dyn_w: positive = headroom, negative = the amount
 /// of power that must be shed to make the limit sustainable.
 double power_headroom(const Params& p, double temp_limit_k, double p_dyn_w);
-
-/// Complete safety assessment at one operating point.
-struct SafetyReport {
-  StabilityClass cls = StabilityClass::kStable;
-  /// Stable fixed-point temperature (NaN when unstable).
-  double fixed_point_temp_k = 0.0;
-  /// Sustainable dynamic power for the limit.
-  double safe_power_w = 0.0;
-  /// safe_power_w - p_dyn_w.
-  double headroom_w = 0.0;
-  /// True if the current power's fixed point respects the limit.
-  bool sustainable = false;
-};
-
-SafetyReport assess(const Params& p, double temp_limit_k, double p_dyn_w);
 
 }  // namespace mobitherm::stability

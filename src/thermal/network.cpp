@@ -248,22 +248,6 @@ void ThermalNetwork::steady_state_into(const Vector& power_w,
   g_chol_->solve_into(out, out);
 }
 
-util::Watt ThermalNetwork::link_flow_w(std::size_t link) const {
-  if (link >= spec_.links.size()) {
-    throw ConfigError("ThermalNetwork: link index out of range");
-  }
-  const ThermalLinkSpec& l = spec_.links[link];
-  return l.conductance_w_per_k * util::kelvin(temp_[l.a] - temp_[l.b]);
-}
-
-util::Watt ThermalNetwork::ambient_flow_w(std::size_t node) const {
-  if (node >= spec_.nodes.size()) {
-    throw ConfigError("ThermalNetwork: node index out of range");
-  }
-  return spec_.nodes[node].g_ambient_w_per_k *
-         (util::kelvin(temp_[node]) - spec_.t_ambient_k);
-}
-
 util::WattPerKelvin ThermalNetwork::total_ambient_conductance() const {
   util::WattPerKelvin g{};
   for (const ThermalNodeSpec& n : spec_.nodes) {

@@ -99,13 +99,6 @@ class ThermalNetwork {
   /// Per-node ambient injection g_amb * T_amb (W).
   const linalg::Vector& ambient_injection() const { return amb_inject_; }
 
-  /// Heat flow through link `link` at the current temperatures, positive
-  /// from node `a` to node `b`.
-  util::Watt link_flow_w(std::size_t link) const;
-
-  /// Heat flow from `node` into the ambient at the current temperatures.
-  util::Watt ambient_flow_w(std::size_t node) const;
-
   /// Total conductance to ambient; the lumped-model G equivalent.
   util::WattPerKelvin total_ambient_conductance() const;
 

@@ -227,9 +227,6 @@ struct Celsius {
 // ---------------------------------------------------------------------------
 constexpr Kelvin kelvin(double k) { return Kelvin(k); }
 constexpr Kelvin celsius(double c) { return Celsius{c}.kelvin(); }
-constexpr Celsius to_celsius(Kelvin t) {
-  return Celsius{t.value() - kZeroCelsiusInKelvin};
-}
 
 constexpr Seconds seconds(double s) { return Seconds(s); }
 constexpr Seconds milliseconds(double ms) { return Seconds(ms * 1.0e-3); }

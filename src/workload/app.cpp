@@ -154,18 +154,4 @@ double AppInstance::median_fps() const {
   return util::median(fps_samples_);
 }
 
-double AppInstance::mean_fps_between(double t0_s, double t1_s) const {
-  const std::size_t lo = static_cast<std::size_t>(std::max(0.0, t0_s));
-  const std::size_t hi = std::min(
-      fps_samples_.size(), static_cast<std::size_t>(std::max(0.0, t1_s)));
-  if (lo >= hi) {
-    throw ConfigError("AppInstance: empty fps interval");
-  }
-  double sum = 0.0;
-  for (std::size_t i = lo; i < hi; ++i) {
-    sum += fps_samples_[i];
-  }
-  return sum / static_cast<double>(hi - lo);
-}
-
 }  // namespace mobitherm::workload

@@ -89,9 +89,6 @@ class AppInstance {
   /// a full second yet.
   double median_fps() const;
 
-  /// Mean fps over an inclusive time interval of per-second samples.
-  double mean_fps_between(double t0_s, double t1_s) const;
-
   double total_frames() const { return total_frames_; }
 
  private:

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "util/csv.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -47,14 +46,6 @@ std::vector<RateSample> load_rate_trace(const std::string& path) {
     throw ConfigError("load_rate_trace: empty trace in " + path);
   }
   return trace;
-}
-
-void save_rate_trace(const std::string& path,
-                     const std::vector<RateSample>& trace) {
-  util::CsvWriter csv(path, {"duration_s", "cpu_rate", "gpu_rate"});
-  for (const RateSample& s : trace) {
-    csv.row(std::vector<double>{s.duration_s, s.cpu_rate, s.gpu_rate});
-  }
 }
 
 std::vector<RateSample> synthetic_rate_trace(std::uint64_t seed, int seconds,

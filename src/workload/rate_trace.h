@@ -26,10 +26,6 @@ struct RateSample {
 /// Throws ConfigError on malformed input.
 std::vector<RateSample> load_rate_trace(const std::string& path);
 
-/// Write a trace in the same format (round-trips with load_rate_trace).
-void save_rate_trace(const std::string& path,
-                     const std::vector<RateSample>& trace);
-
 /// Synthesize a bursty trace: each 1 s sample draws its rates from a
 /// log-uniform band around the means, with occasional idle gaps.
 /// Deterministic in `seed`.

@@ -209,19 +209,5 @@ TEST(AppAware, MigrateBackDisabledByDefault) {
   EXPECT_EQ(f.sched.process(bg).cluster(), f.spec.little());
 }
 
-TEST(AppAware, DeadParkedProcessIsForgotten) {
-  Fixture f;
-  AppAwareConfig cfg = f.config();
-  cfg.migrate_back = true;
-  AppAwareGovernor gov(cfg, f.params);
-  const Pid bg = f.spawn("bg", false, 4.0e9, 0.3);
-  gov.update(f.sched, 5.0, celsius_to_kelvin(80.0));
-  f.sched.kill(bg);
-  const AppAwareDecision d =
-      gov.update(f.sched, 1.0, celsius_to_kelvin(45.0));
-  EXPECT_FALSE(d.migrated_back.has_value());
-  EXPECT_TRUE(gov.parked().empty());
-}
-
 }  // namespace
 }  // namespace mobitherm::core

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 
 #include "core/appaware.h"
@@ -70,21 +71,6 @@ TEST(SafePower, HeadroomSigns) {
   const double budget = stability::safe_power(p, limit);
   EXPECT_GT(stability::power_headroom(p, limit, budget - 0.5), 0.0);
   EXPECT_LT(stability::power_headroom(p, limit, budget + 0.5), 0.0);
-}
-
-TEST(SafePower, AssessConsistency) {
-  const stability::Params p = stability::odroid_xu3_params();
-  const double limit = celsius_to_kelvin(85.0);
-  const stability::SafetyReport ok = stability::assess(p, limit, 2.0);
-  EXPECT_TRUE(ok.sustainable);
-  EXPECT_GT(ok.headroom_w, 0.0);
-  const stability::SafetyReport bad = stability::assess(p, limit, 5.0);
-  EXPECT_FALSE(bad.sustainable);
-  EXPECT_LT(bad.headroom_w, 0.0);
-  const stability::SafetyReport runaway = stability::assess(p, limit, 8.0);
-  EXPECT_EQ(runaway.cls, stability::StabilityClass::kUnstable);
-  EXPECT_FALSE(runaway.sustainable);
-  EXPECT_THROW(stability::assess(p, limit, -1.0), util::NumericError);
 }
 
 // --- thermal::SkinEstimator ------------------------------------------------------
@@ -209,18 +195,23 @@ TEST(RateTrace, SyntheticIsDeterministicAndBounded) {
                ConfigError);
 }
 
-TEST(RateTrace, CsvRoundTrip) {
+TEST(RateTrace, LoadsCsv) {
   const std::string path = ::testing::TempDir() + "rate_trace_test.csv";
-  const auto original = workload::synthetic_rate_trace(9, 30, 1.5e9, 3.0e8);
-  workload::save_rate_trace(path, original);
-  const auto loaded = workload::load_rate_trace(path);
-  ASSERT_EQ(loaded.size(), original.size());
-  for (std::size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_NEAR(loaded[i].cpu_rate, original[i].cpu_rate,
-                1e-6 * original[i].cpu_rate);
-    EXPECT_NEAR(loaded[i].gpu_rate, original[i].gpu_rate,
-                1e-6 * (1.0 + original[i].gpu_rate));
+  {
+    std::ofstream out(path);
+    out << "duration_s,cpu_rate,gpu_rate\n"
+        << "1,1.5e9,3e8\n"
+        << "\n"
+        << "2.5,0,6e8\n";
   }
+  const auto loaded = workload::load_rate_trace(path);
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_DOUBLE_EQ(loaded[0].duration_s, 1.0);
+  EXPECT_DOUBLE_EQ(loaded[0].cpu_rate, 1.5e9);
+  EXPECT_DOUBLE_EQ(loaded[0].gpu_rate, 3.0e8);
+  EXPECT_DOUBLE_EQ(loaded[1].duration_s, 2.5);
+  EXPECT_DOUBLE_EQ(loaded[1].cpu_rate, 0.0);
+  EXPECT_DOUBLE_EQ(loaded[1].gpu_rate, 6.0e8);
   std::remove(path.c_str());
   EXPECT_THROW(workload::load_rate_trace("/nonexistent.csv"), ConfigError);
 }

@@ -353,6 +353,13 @@ TEST(ServerRobustness, MalformedInputCorpusAlwaysGetsStructuredErrors) {
       "{\"op\":\"compare\",\"arms\":[{\"scenario\":\"nexus\"},"
       "{\"scenario\":\"nexus\",\"policy\":\"unthrottled\"}],"
       "\"max_seeds\":1e12,\"min_seeds\":1e12}",
+      // A fan whose last lane passes 2^53, which no plain submit can
+      // reach, and two identical arms that would run 2^32 lanes.
+      "{\"op\":\"submit\",\"scenario\":\"nexus\",\"duration_s\":1,"
+      "\"seed\":9007199254740992,\"seeds\":2}",
+      "{\"op\":\"compare\",\"arms\":[{\"scenario\":\"nexus\","
+      "\"duration_s\":1},{\"scenario\":\"nexus\",\"duration_s\":1}],"
+      "\"max_seeds\":2147483647}",
       // Waits, durations and phase counts beyond their bounds: each is
       // refused at admission instead of expiring at once, failing after
       // the run, or holding a worker for days.
@@ -508,7 +515,7 @@ TEST(FaultMatrix, InjectedScheduleReplaysByteForByte) {
 TEST(Degradation, TransientFaultIsRetriedAndSucceeds) {
   const ScenarioRegistry registry = ScenarioRegistry::standard();
   const SimRequest req = short_request(/*seed=*/9);
-  const std::uint64_t job_key = registry.request_hash(req);
+  const std::uint64_t job_key = fnv1a64(registry.canonical_key(req));
 
   // Find a plan seed whose schedule crashes attempt 1 but not attempts
   // 2..3 of this job's single slice (duration 1 s -> one slice).

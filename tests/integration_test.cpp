@@ -193,11 +193,5 @@ TEST(OdroidStudy, NenamarkScoresFollowTableII) {
   EXPECT_NEAR(s_prop, s_alone, 0.3);
 }
 
-TEST(OdroidStudy, PolicyNamesRoundTrip) {
-  EXPECT_STREQ(to_string(ThermalPolicy::kNone), "none");
-  EXPECT_STREQ(to_string(ThermalPolicy::kDefault), "default");
-  EXPECT_STREQ(to_string(ThermalPolicy::kProposed), "proposed");
-}
-
 }  // namespace
 }  // namespace mobitherm::sim

@@ -23,42 +23,6 @@ std::string temp_path(const char* name) {
   return ::testing::TempDir() + name;
 }
 
-TEST(ConfigIo, RoundTripsPresets) {
-  const std::string path = temp_path("platform_roundtrip.txt");
-  platform::PlatformDescription original;
-  original.soc = platform::exynos5422();
-  original.network = thermal::odroidxu3_network();
-  platform::save_platform(path, original);
-  const platform::PlatformDescription loaded =
-      platform::load_platform(path);
-
-  EXPECT_EQ(loaded.soc.name, original.soc.name);
-  ASSERT_EQ(loaded.soc.clusters.size(), original.soc.clusters.size());
-  for (std::size_t c = 0; c < loaded.soc.clusters.size(); ++c) {
-    const platform::ClusterSpec& a = loaded.soc.clusters[c];
-    const platform::ClusterSpec& b = original.soc.clusters[c];
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.num_cores, b.num_cores);
-    EXPECT_NEAR(a.ceff_f.value(), b.ceff_f.value(), 1e-9 * b.ceff_f.value());
-    EXPECT_NEAR(a.leakage_share, b.leakage_share, 1e-9);
-    ASSERT_EQ(a.opps.size(), b.opps.size());
-    for (std::size_t i = 0; i < a.opps.size(); ++i) {
-      EXPECT_NEAR(a.opps.at(i).freq_hz.value(), b.opps.at(i).freq_hz.value(),
-                  1.0);
-      EXPECT_NEAR(a.opps.at(i).voltage_v.value(),
-                  b.opps.at(i).voltage_v.value(), 1e-9);
-    }
-  }
-  ASSERT_EQ(loaded.network.nodes.size(), original.network.nodes.size());
-  EXPECT_NEAR(loaded.network.t_ambient_k.value(),
-              original.network.t_ambient_k.value(), 1e-9);
-  ASSERT_EQ(loaded.network.links.size(), original.network.links.size());
-  EXPECT_NEAR(loaded.network.links[0].conductance_w_per_k.value(),
-              original.network.links[0].conductance_w_per_k.value(), 1e-9);
-  std::remove(path.c_str());
-}
-
 TEST(ConfigIo, ParsesHandWrittenFileWithComments) {
   const std::string path = temp_path("platform_hand.txt");
   {

@@ -21,6 +21,7 @@
 #include "service/scenario_registry.h"
 #include "service/server.h"
 #include "service/service.h"
+#include "util/error.h"
 #include "util/json.h"
 
 namespace mobitherm::service {
@@ -315,6 +316,16 @@ TEST(NetServer, ShutdownOpStopsTheLoopAfterAcknowledging) {
   EXPECT_NE(ack.find("\"ok\":true"), std::string::npos);
   thread.join();  // run() returns once shutdown is handled
   EXPECT_TRUE(server.shutdown_requested());
+}
+
+TEST(NetServer, PortOutsideTheTcpRangeIsAConfigError) {
+  SimService service(ScenarioRegistry::standard(), small_config());
+  SimServer server(service);
+  for (const int port : {65536, 70000, -1}) {
+    NetServerConfig cfg;
+    cfg.port = port;
+    EXPECT_THROW(NetServer(server, cfg), util::ConfigError) << port;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Unit tests for the platform module: OPP tables, SoC state, board presets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "platform/opp.h"
@@ -38,15 +40,6 @@ TEST(OppTable, RejectsBadEntries) {
                ConfigError);
 }
 
-TEST(OppTable, FloorIndex) {
-  const OppTable t = three_point_table();
-  EXPECT_EQ(t.floor_index(util::megahertz(100.0)), 0u);
-  EXPECT_EQ(t.floor_index(util::megahertz(300.0)), 0u);
-  EXPECT_EQ(t.floor_index(util::megahertz(599.0)), 0u);
-  EXPECT_EQ(t.floor_index(util::megahertz(600.0)), 1u);
-  EXPECT_EQ(t.floor_index(util::megahertz(2000.0)), 2u);
-}
-
 TEST(OppTable, CeilIndex) {
   const OppTable t = three_point_table();
   EXPECT_EQ(t.ceil_index(util::hertz(0.0)), 0u);
@@ -54,12 +47,6 @@ TEST(OppTable, CeilIndex) {
   EXPECT_EQ(t.ceil_index(util::megahertz(600.0)), 1u);
   EXPECT_EQ(t.ceil_index(util::megahertz(601.0)), 2u);
   EXPECT_EQ(t.ceil_index(util::megahertz(5000.0)), 2u);
-}
-
-TEST(OppTable, IndexOfExactAndMissing) {
-  const OppTable t = three_point_table();
-  EXPECT_EQ(t.index_of(util::megahertz(600.0)), 1u);
-  EXPECT_THROW(t.index_of(util::megahertz(601.0)), ConfigError);
 }
 
 TEST(OppTable, OutOfRangeAt) {
@@ -99,10 +86,13 @@ TEST(Soc, CapacityScalesWithCoresAndIpc) {
   Soc soc(exynos5422());
   const std::size_t big = soc.spec().big();
   soc.set_opp(big, soc.cluster(big).opps.max_index());
+  const auto capacity = [&soc, big] {
+    return soc.per_core_rate(big) * soc.state(big).online_cores;
+  };
   // A15: ipc 2.0, 2.0 GHz, 4 cores -> 16e9 units/s.
-  EXPECT_NEAR(soc.capacity(big), 16.0e9, 1e6);
+  EXPECT_NEAR(capacity(), 16.0e9, 1e6);
   soc.set_online_cores(big, 2);
-  EXPECT_NEAR(soc.capacity(big), 8.0e9, 1e6);
+  EXPECT_NEAR(capacity(), 8.0e9, 1e6);
   EXPECT_THROW(soc.set_online_cores(big, 5), ConfigError);
   EXPECT_THROW(soc.set_online_cores(big, -1), ConfigError);
 }
@@ -113,8 +103,6 @@ TEST(Soc, KindLookupHelpers) {
   EXPECT_EQ(spec.clusters[spec.big()].kind, ResourceKind::kCpuBig);
   EXPECT_EQ(spec.clusters[spec.gpu()].kind, ResourceKind::kGpu);
   EXPECT_TRUE(spec.has_kind(ResourceKind::kMemory));
-  EXPECT_EQ(spec.cluster_index("a57"), spec.big());
-  EXPECT_THROW(spec.cluster_index("nope"), ConfigError);
 }
 
 // --- presets -----------------------------------------------------------------------
@@ -134,8 +122,15 @@ TEST(Presets, Snapdragon810BigLadderContains384And960) {
   // Sec. III-B discusses the 384 MHz and 960 MHz big-core points.
   const SocSpec spec = snapdragon810();
   const OppTable& big = spec.clusters[spec.big()].opps;
-  EXPECT_NO_THROW(big.index_of(util::megahertz(384.0)));
-  EXPECT_NO_THROW(big.index_of(util::megahertz(960.0)));
+  const auto has_mhz = [&big](double mhz) {
+    return std::any_of(big.begin(), big.end(),
+                       [mhz](const OperatingPoint& p) {
+                         return std::abs(p.freq_hz.value() -
+                                         util::mhz_to_hz(mhz)) < 1.0;
+                       });
+  };
+  EXPECT_TRUE(has_mhz(384.0));
+  EXPECT_TRUE(has_mhz(960.0));
   EXPECT_DOUBLE_EQ(big.highest().freq_hz.value(), util::mhz_to_hz(1958.4));
 }
 

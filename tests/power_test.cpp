@@ -92,11 +92,14 @@ TEST(PowerModel, LeakageScalesWithVoltage) {
   const SocSpec spec = platform::exynos5422();
   const PowerModel pm(spec, test_leakage());
   const std::size_t big = spec.big();
-  const double at_min = pm.leakage_at(big, 0, util::kelvin(350.0)).value();
-  const double at_max =
-      pm.leakage_at(big, spec.clusters[big].opps.max_index(),
-                    util::kelvin(350.0))
-          .value();
+  Soc soc(spec);
+  ClusterActivity act;
+  act.busy_cores = 0.0;
+  act.temp_k = util::kelvin(350.0);
+  soc.set_opp(big, 0);
+  const double at_min = pm.cluster_power(soc, big, act).leakage_w.value();
+  soc.set_opp(big, spec.clusters[big].opps.max_index());
+  const double at_max = pm.cluster_power(soc, big, act).leakage_w.value();
   const double v_ratio = spec.clusters[big].opps.at(0).voltage_v /
                          spec.clusters[big].opps.highest().voltage_v;
 

@@ -38,15 +38,15 @@ struct Fixture {
   }
 };
 
-TEST(Scheduler, SpawnKillLifecycle) {
+TEST(Scheduler, SpawnAssignsDensePids) {
   Fixture f;
-  const Pid pid = f.spawn("a", f.spec.big());
-  EXPECT_TRUE(f.sched.alive(pid));
-  EXPECT_EQ(f.sched.pids().size(), 1u);
-  f.sched.kill(pid);
-  EXPECT_FALSE(f.sched.alive(pid));
-  EXPECT_THROW(f.sched.kill(pid), ConfigError);
-  EXPECT_THROW(f.sched.process(pid), ConfigError);
+  EXPECT_EQ(f.spawn("a", f.spec.big()), 1);
+  EXPECT_EQ(f.spawn("b", f.spec.little()), 2);
+  EXPECT_EQ(f.sched.process(1).spec().name, "a");
+  EXPECT_EQ(f.sched.process(2).cluster(), f.spec.little());
+  EXPECT_THROW(f.sched.process(0), ConfigError);
+  EXPECT_THROW(f.sched.process(3), ConfigError);
+  EXPECT_THROW(f.sched.process(-1), ConfigError);
 }
 
 TEST(Scheduler, ValidatesArguments) {
@@ -228,12 +228,6 @@ TEST(Scheduler, ZeroOnlineCoresGrantNothing) {
   f.sched.allocate(f.soc, 0.01);
   EXPECT_DOUBLE_EQ(f.sched.process(pid).granted_rate(), 0.0);
   EXPECT_DOUBLE_EQ(f.sched.cluster_busy_cores(big), 0.0);
-}
-
-TEST(Process, ClassNames) {
-  EXPECT_STREQ(to_string(ProcessClass::kForeground), "foreground");
-  EXPECT_STREQ(to_string(ProcessClass::kBackground), "background");
-  EXPECT_STREQ(to_string(ProcessClass::kSystem), "system");
 }
 
 }  // namespace

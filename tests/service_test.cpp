@@ -74,8 +74,6 @@ TEST(Json, StringEscapes) {
 
 TEST(ScenarioRegistry, StandardScenariosAndDefaults) {
   const ScenarioRegistry& reg = standard_registry();
-  EXPECT_TRUE(reg.has("nexus"));
-  EXPECT_TRUE(reg.has("odroid"));
   EXPECT_EQ(reg.names(), (std::vector<std::string>{"nexus", "odroid"}));
 
   SimRequest req;
@@ -115,7 +113,7 @@ TEST(ScenarioRegistry, CanonicalKeyNormalizesInapplicableOverrides) {
   b.app_levels = 7;  // paperio ignores levels; must not split the key
   b.app_phase_s = 9.0;
   EXPECT_EQ(reg.canonical_key(a), reg.canonical_key(b));
-  EXPECT_EQ(reg.request_hash(a), reg.request_hash(b));
+  EXPECT_EQ(fnv1a64(reg.canonical_key(a)), fnv1a64(reg.canonical_key(b)));
 
   // ...but for a parameterized app the overrides are part of the key.
   SimRequest nena = a;
@@ -728,6 +726,43 @@ TEST(SimServer, IntegerFieldsAreRangeCheckedBeforeUse) {
   EXPECT_NE(server.handle_line("{\"op\":\"status\",\"job\":9007199254740992}")
                 .find("\"code\":\"unknown_job\""),
             std::string::npos);
+}
+
+TEST(SimServer, FanLanesAndCompareBudgetsAreBounded) {
+  SimService service(ScenarioRegistry::standard(), small_config(1, 8));
+  SimServer server(service);
+  // A fan's last lane must be a seed a plain submit can reach: 2^53.
+  const std::string past =
+      server.handle_line(submit_line(9007199254740992ULL, 2));
+  ASSERT_NE(past.find("\"code\":\"bad_request\""), std::string::npos)
+      << past;
+  EXPECT_EQ(service.stats().submitted, 0u);
+  EXPECT_EQ(server.handle_line(submit_line(9007199254740991ULL, 2)),
+            fan_response(true, 2,
+                         {accepted_lane(1, false, false),
+                          accepted_lane(2, false, false)}));
+  ASSERT_TRUE(service.wait(2, 600.0));
+  const std::string canonical = service.status(2)->canonical;
+  EXPECT_EQ(canonical.substr(canonical.rfind(";seed=")),
+            ";seed=9007199254740992");
+
+  // A compare may ask for at most kMaxFanSeeds runs over all its arms.
+  const auto compare_line = [](int max_seeds) {
+    return "{\"op\":\"compare\",\"arms\":[{\"scenario\":\"nexus\","
+           "\"duration_s\":1},{\"scenario\":\"nexus\",\"duration_s\":1}],"
+           "\"max_seeds\":" +
+           std::to_string(max_seeds) + "}";
+  };
+  const std::string over = server.handle_line(compare_line(513));
+  ASSERT_NE(over.find("\"code\":\"bad_request\""), std::string::npos)
+      << over;
+  EXPECT_EQ(service.stats().submitted, 2u);
+  const json::Value at =
+      json::Value::parse(server.handle_line(compare_line(512)));
+  ASSERT_TRUE(at.find("ok")->as_bool());
+  const auto id = static_cast<std::uint64_t>(at.find("job")->as_number());
+  EXPECT_TRUE(service.cancel(id));
+  EXPECT_TRUE(service.wait(id, 600.0));
 }
 
 TEST(SimServer, WaitsDurationsAndAppLevelsAreBoundedAtAdmission) {

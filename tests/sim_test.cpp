@@ -2,8 +2,6 @@
 // input boost) and the trace recorder.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <memory>
 
 #include "platform/presets.h"
@@ -273,39 +271,6 @@ TEST(Trace, ResidencyFractionsNormalize) {
   EXPECT_NEAR(frac[0], 0.25, 1e-12);
   EXPECT_DOUBLE_EQ(frac[1], 0.0);
   EXPECT_NEAR(frac[2], 0.75, 1e-12);
-}
-
-TEST(Trace, CsvExports) {
-  Trace trace(1, {2});
-  TracePoint p;
-  p.t_s = 0.0;
-  p.max_chip_temp_k = 300.0;
-  p.board_temp_k = 299.0;
-  p.total_power_w = 1.5;
-  p.cluster_freq_hz = {1.0e9};
-  p.app_fps = {42.0};
-  trace.add_point(p);
-  trace.add_residency(0, 1, 2.0);
-  trace.add_time(2.0);
-
-  const std::string ts = ::testing::TempDir() + "trace_ts.csv";
-  const std::string rs = ::testing::TempDir() + "trace_res.csv";
-  trace.write_timeseries_csv(ts, {"big"}, {"game"});
-  trace.write_residency_csv(rs, 0, {5.0e8, 1.0e9});
-
-  std::ifstream fts(ts);
-  std::string header;
-  std::getline(fts, header);
-  EXPECT_EQ(header, "t_s,max_chip_temp_c,board_temp_c,total_power_w,"
-                    "big_freq_mhz,game_fps");
-  std::ifstream frs(rs);
-  std::getline(frs, header);
-  EXPECT_EQ(header, "freq_mhz,fraction");
-  std::string row;
-  std::getline(frs, row);
-  EXPECT_EQ(row, "500,0");
-  std::remove(ts.c_str());
-  std::remove(rs.c_str());
 }
 
 TEST(Metrics, OnePassPhaseFpsEqualsThePerPhaseReference) {

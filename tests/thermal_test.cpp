@@ -193,27 +193,6 @@ TEST(Network, ResetReturnsToAmbient) {
   EXPECT_DOUBLE_EQ(net.temperature(0).value(), 300.0);
 }
 
-TEST(NetworkFlows, LinkAndAmbientFlowsBalanceAtSteadyState) {
-  ThermalNetworkSpec spec;
-  spec.t_ambient_k = util::kelvin(300.0);
-  spec.nodes = {node("chip", 0.5, 0.01), node("board", 5.0, 0.1)};
-  spec.links = {link(0, 1, 0.5)};
-  ThermalNetwork net(spec);
-  const linalg::Vector power = {2.0, 0.0};
-  net.set_temperatures(net.steady_state(power));
-
-  // Chip balance: injection == link flow + ambient flow.
-  EXPECT_NEAR((net.link_flow_w(0) + net.ambient_flow_w(0)).value(), 2.0,
-              1e-9);
-  // Board balance: link inflow == board ambient outflow.
-  EXPECT_NEAR(net.link_flow_w(0).value(), net.ambient_flow_w(1).value(),
-              1e-9);
-  // Flow direction: chip -> board (chip is hotter).
-  EXPECT_GT(net.link_flow_w(0).value(), 0.0);
-  EXPECT_THROW(net.link_flow_w(1), ConfigError);
-  EXPECT_THROW(net.ambient_flow_w(2), ConfigError);
-}
-
 // --- lumped model -----------------------------------------------------------------
 
 TEST(Lumped, LeakagePowerClosedForm) {

@@ -27,13 +27,11 @@ using util::WattPerKelvinSecond;
 TEST(Units, CelsiusKelvinRoundTrip) {
   EXPECT_DOUBLE_EQ(util::celsius(0.0).value(), 273.15);
   EXPECT_DOUBLE_EQ(util::celsius(85.0).value(), 358.15);
-  EXPECT_DOUBLE_EQ(util::to_celsius(util::kelvin(358.15)).degrees, 85.0);
   // Raw presentation-edge helpers agree with the typed path.
   for (double c : {-40.0, 0.0, 25.0, 85.0, 105.0}) {
     EXPECT_DOUBLE_EQ(util::celsius(c).value(), util::celsius_to_kelvin(c));
     EXPECT_DOUBLE_EQ(
         util::kelvin_to_celsius(util::celsius_to_kelvin(c)), c);
-    EXPECT_DOUBLE_EQ(util::to_celsius(util::celsius(c)).degrees, c);
   }
 }
 
