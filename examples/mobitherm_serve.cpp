@@ -48,7 +48,6 @@
 // cache smoke test (--smoke) and the fault-injection smoke test
 // (--fault-smoke) — over either transport.
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -67,11 +66,10 @@
 
 namespace {
 
-constexpr std::uint64_t kMaxWorkers = 1024;
-constexpr std::uint64_t kMaxRetries = 1024;
+constexpr double kMaxWorkers = 1024;
+constexpr double kMaxRetries = 1024;
 /// Capacities stay exact as doubles, like the protocol's integer fields.
-constexpr std::uint64_t kMaxCapacity = std::uint64_t{1} << 53;
-constexpr std::uint64_t kMaxPort = 65535;
+constexpr double kMaxCapacity = 9007199254740992.0;  // 2^53
 
 bool parse_flag(int argc, char** argv, int* i, const char* name,
                 double* value) {
@@ -110,25 +108,17 @@ bool parse_string_flag(int argc, char** argv, int* i, const char* name,
 /// Reads flag `name` as an integer in [lo, hi], as the protocol's
 /// read_integer reads a field; any other value exits 2.
 bool parse_int_flag(int argc, char** argv, int* i, const char* name,
-                    std::uint64_t lo, std::uint64_t hi,
-                    std::uint64_t* value) {
-  std::string text;
-  if (!parse_string_flag(argc, argv, i, name, &text)) {
+                    double lo, double hi, double* value) {
+  if (!parse_flag(argc, argv, i, name, value)) {
     return false;
   }
-  char* end = nullptr;
-  const double n = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0' ||
-      !(n >= static_cast<double>(lo) && n <= static_cast<double>(hi)) ||
-      n != std::floor(n)) {
+  if (!(*value >= lo && *value <= hi) || *value != std::floor(*value)) {
     std::fprintf(stderr,
-                 "mobitherm_serve: %s must be an integer in [%llu, %llu], "
+                 "mobitherm_serve: %s must be an integer in [%.0f, %.0f], "
                  "not %s\n",
-                 name, static_cast<unsigned long long>(lo),
-                 static_cast<unsigned long long>(hi), text.c_str());
+                 name, lo, hi, argv[*i]);
     std::exit(2);
   }
-  *value = static_cast<std::uint64_t>(n);
   return true;
 }
 
@@ -138,13 +128,13 @@ int main(int argc, char** argv) {
   using namespace mobitherm::service;
 
   ServiceConfig config;
-  std::uint64_t workers = 1;
-  std::uint64_t queue = 16;
-  std::uint64_t cache = 64;
+  double workers = 1;
+  double queue = 16;
+  double cache = 64;
   double deadline = 0;
-  std::uint64_t retries = 3;
+  double retries = 3;
   double shards = 1;
-  std::uint64_t listen_port = 0;
+  double listen_port = 0;
   bool listen = false;
   std::string fault_spec;
   std::string packs_dir;

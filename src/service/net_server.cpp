@@ -17,9 +17,10 @@ namespace mobitherm::service {
 
 NetServer::NetServer(SimServer& server, NetServerConfig config)
     : server_(server), config_(std::move(config)) {
-  if (config_.port < 0 || config_.port > 65535) {
+  if (config_.port < 0 || config_.port > kMaxPort) {
     throw util::ConfigError("listen port " + std::to_string(config_.port) +
-                            " is outside [0, 65535]");
+                            " is outside [0, " + std::to_string(kMaxPort) +
+                            "]");
   }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {

@@ -52,11 +52,14 @@
 
 namespace mobitherm::service {
 
+/// Highest TCP port; NetServerConfig::port must lie in [0, kMaxPort].
+inline constexpr int kMaxPort = 65535;
+
 struct NetServerConfig {
   /// Listen address; the default binds loopback only.
   std::string host = "127.0.0.1";
-  /// TCP port in [0, 65535], else the constructor throws ConfigError; 0
-  /// picks an ephemeral port (read it back via port()).
+  /// TCP port in [0, kMaxPort], else the constructor throws ConfigError;
+  /// 0 picks an ephemeral port (read it back via port()).
   int port = 0;
   /// listen(2) backlog.
   int backlog = 128;

@@ -119,15 +119,15 @@ TEST(ObserverBus, TraceByteIdenticalWithZeroOneManyObservers) {
     auto engine = make_engine(cfg);
     add_hot_stepwise(*engine);
     engine->add_app(workload::threedmark());
-    MetricsObserver metrics;
     CountingObserver a;
     CountingObserver b;
+    CountingObserver c;
     if (observers >= 1) {
-      engine->add_observer(&metrics);
+      engine->add_observer(&a);
     }
     if (observers >= 3) {
-      engine->add_observer(&a);
       engine->add_observer(&b);
+      engine->add_observer(&c);
     }
     engine->run(3.0);
     return trace_values(*engine);
