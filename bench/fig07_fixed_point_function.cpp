@@ -20,7 +20,8 @@ int main() {
   const stability::Params p = stability::odroid_xu3_params();
   std::printf("\ncalibrated parameters: G=%.4f W/K  A=%.4e W/K^2  "
               "theta=%.1f K  T_amb=%.2f K\n",
-              p.g_w_per_k, p.leak_a_w_per_k2, p.leak_theta_k, p.t_ambient_k);
+              p.g_w_per_k.value(), p.leak_a_w_per_k2.value(),
+              p.leak_theta_k.value(), p.t_ambient_k.value());
   std::printf("critical power: paper 5.50 W, measured %.3f W\n",
               stability::critical_power(p));
 

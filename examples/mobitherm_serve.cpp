@@ -3,10 +3,12 @@
 //
 // One JSON request per line, one JSON response per line:
 //
-//   $ printf '%s\n' \
-//       '{"op":"submit","scenario":"nexus","app":"paperio","duration_s":5}' \
-//       '{"op":"wait","job":1}' '{"op":"result","job":1}' '{"op":"stats"}' \
-//       | ./mobitherm_serve
+//   $ cat requests.ndjson
+//   {"op":"submit","scenario":"nexus","app":"paperio","duration_s":5}
+//   {"op":"wait","job":1}
+//   {"op":"result","job":1}
+//   {"op":"stats"}
+//   $ ./mobitherm_serve < requests.ndjson
 //
 // With --listen the same protocol is served to many concurrent loopback
 // clients through the epoll front end (service/net_server.h); the bound

@@ -20,7 +20,8 @@ int main() {
 
   std::printf("Odroid-XU3 lumped model: G=%.4f W/K, C=%.1f J/K, "
               "theta=%.0f K, A=%.2e W/K^2\n",
-              p.g_w_per_k, p.c_j_per_k, p.leak_theta_k, p.leak_a_w_per_k2);
+              p.g_w_per_k.value(), p.c_j_per_k.value(), p.leak_theta_k.value(),
+              p.leak_a_w_per_k2.value());
   std::printf("critical power = %.3f W\n\n", p_crit);
 
   std::printf("%-8s %-20s %-22s %-22s\n", "P (W)", "class",

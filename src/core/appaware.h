@@ -73,7 +73,6 @@ class AppAwareGovernor {
 
   const char* name() const { return "app_aware"; }
   const AppAwareConfig& config() const { return config_; }
-  const stability::Params& stability_params() const { return params_; }
 
   /// Run one control step. `total_power_w` is the windowed measured total
   /// power; `temp_k` the current control temperature. Raw doubles: the

@@ -71,8 +71,6 @@ class PowerModel {
   PowerModel(const platform::SocSpec& spec, LeakageParams leakage,
              util::Watt board_base_w = {});
 
-  const LeakageParams& leakage_params() const { return leakage_; }
-
   /// Constant platform power (regulators, display path, ...) attributed to
   /// the board node; not part of any measured rail.
   util::Watt board_base_w() const { return board_base_w_; }

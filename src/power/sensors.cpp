@@ -27,7 +27,6 @@ void DaqSimulator::feed(double dt, double watts) {
       sample += rng_.normal(0.0, config_.noise_stddev_w.value());
     }
     sample = std::max(0.0, sample);
-    last_sample_w_ = sample;
     sum_samples_ += sample;
     ++num_samples_;
     next_sample_at_ += period;

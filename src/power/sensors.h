@@ -29,7 +29,6 @@ class DaqSimulator {
 
   void feed(double dt, double watts);
 
-  double last_sample_w() const { return last_sample_w_; }
   double mean_power_w() const;
   std::size_t num_samples() const { return num_samples_; }
 
@@ -38,7 +37,6 @@ class DaqSimulator {
   util::Xorshift64Star rng_;
   double now_ = 0.0;
   double next_sample_at_ = 0.0;
-  double last_sample_w_ = 0.0;
   double sum_samples_ = 0.0;
   std::size_t num_samples_ = 0;
 };

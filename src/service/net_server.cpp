@@ -266,7 +266,7 @@ void NetServer::handle_buffered_lines(Connection& conn) {
     if (end > start && conn.in[end - 1] == '\r') --end;
     const std::string line = conn.in.substr(start, end - start);
     start = nl + 1;
-    if (!line.empty()) {
+    if (!SimServer::is_blank_line(line)) {
       requests_.fetch_add(1, std::memory_order_relaxed);
       if (line.size() > kMaxLineBytes) {
         oversized_.fetch_add(1, std::memory_order_relaxed);

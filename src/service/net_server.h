@@ -6,8 +6,8 @@
 // line-oriented protocol of server.h — one JSON request per line, one
 // response line per request, responses in request order per connection.
 // The stdin pipe remains the degenerate 1-connection case (SimServer::
-// serve is untouched); both fronts share one SimServer, so a request
-// stream produces byte-identical response payloads over either transport.
+// serve); both fronts share one SimServer and one framing rule, so a
+// request stream produces byte-identical responses over either transport.
 //
 // Connection lifecycle:
 //   accept  -> non-blocking fd, per-connection read/write buffers

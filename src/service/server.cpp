@@ -174,6 +174,21 @@ json::Value job_error_object(const JobStatus& s) {
   return err;
 }
 
+/// Writes an admission's outcome into `out`: the job id with its cached
+/// and stale flags, or the structured rejection error.
+void set_admission(json::Value& out, const SubmitOutcome& outcome) {
+  if (outcome.accepted) {
+    out.set("job", json::Value::number(static_cast<double>(outcome.id)));
+    out.set("cached", json::Value::boolean(outcome.cached));
+    out.set("stale", json::Value::boolean(outcome.stale));
+  } else {
+    out.set("error", error_object(outcome.reject_code.empty()
+                                      ? errc::kInternal
+                                      : outcome.reject_code,
+                                  outcome.reject_reason));
+  }
+}
+
 json::Value status_value(const JobStatus& s) {
   json::Value out = json::Value::object();
   out.set("job", json::Value::number(static_cast<double>(s.id)));
@@ -288,16 +303,7 @@ std::string SimServer::handle_submit(const json::Value& request) {
   json::Value out = json::Value::object();
   out.set("ok", json::Value::boolean(outcome.accepted));
   out.set("op", json::Value::string("submit"));
-  if (outcome.accepted) {
-    out.set("job", json::Value::number(static_cast<double>(outcome.id)));
-    out.set("cached", json::Value::boolean(outcome.cached));
-    out.set("stale", json::Value::boolean(outcome.stale));
-  } else {
-    out.set("error", error_object(outcome.reject_code.empty()
-                                      ? errc::kInternal
-                                      : outcome.reject_code,
-                                  outcome.reject_reason));
-  }
+  set_admission(out, outcome);
   return out.dump();
 }
 
@@ -315,17 +321,8 @@ std::string SimServer::handle_submit_many(const SimRequest& request,
     const SubmitOutcome outcome = service_.submit(lane_request, deadline_s);
     json::Value lane = json::Value::object();
     lane.set("accepted", json::Value::boolean(outcome.accepted));
-    if (outcome.accepted) {
-      lane.set("job", json::Value::number(static_cast<double>(outcome.id)));
-      lane.set("cached", json::Value::boolean(outcome.cached));
-      lane.set("stale", json::Value::boolean(outcome.stale));
-    } else {
-      all_accepted = false;
-      lane.set("error", error_object(outcome.reject_code.empty()
-                                         ? errc::kInternal
-                                         : outcome.reject_code,
-                                     outcome.reject_reason));
-    }
+    set_admission(lane, outcome);
+    all_accepted = all_accepted && outcome.accepted;
     jobs.push(lane);
   }
   json::Value out = json::Value::object();
@@ -394,16 +391,7 @@ std::string SimServer::handle_compare(const json::Value& request) {
   json::Value out = json::Value::object();
   out.set("ok", json::Value::boolean(outcome.accepted));
   out.set("op", json::Value::string("compare"));
-  if (outcome.accepted) {
-    out.set("job", json::Value::number(static_cast<double>(outcome.id)));
-    out.set("cached", json::Value::boolean(outcome.cached));
-    out.set("stale", json::Value::boolean(outcome.stale));
-  } else {
-    out.set("error", error_object(outcome.reject_code.empty()
-                                      ? errc::kInternal
-                                      : outcome.reject_code,
-                                  outcome.reject_reason));
-  }
+  set_admission(out, outcome);
   return out.dump();
 }
 
@@ -643,15 +631,28 @@ std::string SimServer::finish_response(std::string response) {
   return response;
 }
 
+bool SimServer::is_blank_line(const std::string& line) {
+  return line.size() <= kMaxLineBytes &&
+         line.find_first_not_of(" \t\r") == std::string::npos;
+}
+
 void SimServer::serve(std::istream& in, std::ostream& out) {
+  // Framed by hand so a line costs at most kMaxLineBytes + 1 bytes; the
+  // kept prefix still makes handle_line answer oversized_line.
+  constexpr int kEof = std::char_traits<char>::eof();
+  std::streambuf* buf = in.rdbuf();
   std::string line;
-  while (!shutdown_requested_ && std::getline(in, line)) {
-    if (line.empty() ||
-        line.find_first_not_of(" \t\r") == std::string::npos) {
-      continue;
+  while (!shutdown_requested_ && buf->sgetc() != kEof) {
+    line.clear();
+    for (int c = buf->sbumpc(); c != kEof && c != '\n'; c = buf->sbumpc()) {
+      if (line.size() <= kMaxLineBytes) {
+        line.push_back(static_cast<char>(c));
+      }
     }
-    out << handle_line(line) << "\n";
-    out.flush();
+    if (!is_blank_line(line)) {
+      out << handle_line(line) << "\n";
+      out.flush();
+    }
   }
 }
 

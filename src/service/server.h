@@ -106,9 +106,14 @@ class SimServer {
   bool shutdown_requested() const { return shutdown_requested_; }
 
   /// Read NDJSON requests from `in` until EOF or `shutdown`, writing one
-  /// response line per request to `out` (flushed per line). Blank lines
-  /// are ignored.
+  /// response line per request to `out` (flushed per line). Lines frame
+  /// as on the socket: blank ones are ignored, and at most
+  /// kMaxLineBytes + 1 bytes of a line are kept.
   void serve(std::istream& in, std::ostream& out);
+
+  /// Both transports' rule: a line of only spaces, tabs and CRs gets no
+  /// response; an oversized line is never blank.
+  static bool is_blank_line(const std::string& line);
 
  private:
   std::string handle_submit(const util::json::Value& request);

@@ -6,13 +6,11 @@
 #include <utility>
 
 #include "sim/compare.h"
-#include "sim/montecarlo.h"
 #include "sim/report.h"
 #include "sim/sim_error.h"
 #include "util/error.h"
 #include "util/json.h"
 #include "util/rng.h"
-#include "util/seed_schedule.h"
 #include "util/units.h"
 
 namespace mobitherm::service {
@@ -227,18 +225,7 @@ SubmitOutcome SimService::submit_compare(const CompareRequest& request,
     if (spec.arms.size() < 2) {
       throw util::ConfigError("compare: need at least two arms");
     }
-    if (!(spec.confidence > 0.0) || !(spec.confidence < 1.0)) {
-      throw util::ConfigError("compare: confidence must be in (0, 1)");
-    }
-    if (spec.min_seeds < 2) {
-      throw util::ConfigError("compare: min_seeds must be >= 2");
-    }
-    if (spec.max_seeds < spec.min_seeds) {
-      throw util::ConfigError("compare: max_seeds must be >= min_seeds");
-    }
-    if (spec.round_seeds < 1) {
-      throw util::ConfigError("compare: round_seeds must be >= 1");
-    }
+    sim::validate_rule(spec);
     // Validates the metric name (and fixes the direction later).
     (void)sim::compare_metric_higher_is_better(spec.metric);
 
@@ -482,8 +469,7 @@ std::shared_ptr<JobResult> SimService::run_resolved_sliced(
                                                slice_index);
     if (plan != nullptr &&
         plan->fires(util::FaultSite::kWorkerCrashBeforeSlice, fkey)) {
-      throw util::FaultInjected(util::FaultSite::kWorkerCrashBeforeSlice,
-                                fkey);
+      throw util::FaultInjected(util::FaultSite::kWorkerCrashBeforeSlice);
     }
     if (plan != nullptr &&
         plan->fires(util::FaultSite::kSliceLatency, fkey)) {
@@ -496,8 +482,7 @@ std::shared_ptr<JobResult> SimService::run_resolved_sliced(
     remaining -= slice;
     if (plan != nullptr &&
         plan->fires(util::FaultSite::kWorkerCrashAfterSlice, fkey)) {
-      throw util::FaultInjected(util::FaultSite::kWorkerCrashAfterSlice,
-                                fkey);
+      throw util::FaultInjected(util::FaultSite::kWorkerCrashAfterSlice);
     }
     ++slice_index;
   }
@@ -541,15 +526,12 @@ void SimService::execute(const std::shared_ptr<Job>& job, int attempt) {
   settle_locked(job, attempt, out);
 }
 
-// One compare job: rounds of per-(arm, seed) lanes over the shared seed
-// schedule. Every lane is either served from the result cache (under the
-// same canonical key a direct submit of that request would use) or run as
-// deadline/stop-cooperative slices; metric values feed per-arm Welford
-// accumulators in (arm, slot) order and the pure decide_best_arm()
-// decision runs after every round. A faulted lane aborts the attempt and
-// re-queues the whole job through the usual retry machinery — completed
-// lanes are cache hits on the retry, and the schedule, being a pure
-// function of the base seed, is never perturbed.
+// One compare job: sim::run_compare_rounds() with a round that serves
+// each lane from the cache (under its plain-submit canonical key) or runs
+// it as deadline/stop-cooperative slices. A faulted lane aborts the
+// attempt and re-queues the job through the usual retry machinery; the
+// finished lanes are cache hits on the retry, and the schedule is pure in
+// the base seed.
 void SimService::execute_compare(const std::shared_ptr<Job>& job,
                                  int attempt) {
   ExecOutcome out;
@@ -560,83 +542,68 @@ void SimService::execute_compare(const std::shared_ptr<Job>& job,
   try {
     const CompareRequest& spec = *job->compare;
     const bool higher = sim::compare_metric_higher_is_better(spec.metric);
-    const std::size_t arm_count = spec.arms.size();
-    const util::SeedSchedule schedule(spec.base_seed);
-    std::vector<sim::WelfordAccumulator> accs(arm_count);
-    int seeds_done = 0;
-    bool separated = false;
-    std::size_t best = 0;
-    bool aborted = false;
-    while (seeds_done < spec.max_seeds && !aborted) {
-      const int round =
-          std::min(spec.round_seeds, spec.max_seeds - seeds_done);
-      ++rounds;
-      for (std::size_t a = 0; a < arm_count && !aborted; ++a) {
-        for (int s = 0; s < round && !aborted; ++s) {
-          SimRequest lane = spec.arms[a].request;
-          lane.seed =
-              schedule.at(static_cast<std::uint64_t>(seeds_done + s));
-          const std::string canonical = registry_.canonical_key(lane);
-          const std::uint64_t key = fnv1a64(canonical);
-          std::shared_ptr<const JobResult> result =
-              cache_.lookup(key, canonical);
-          if (result) {
-            ++lane_hits;
-          } else {
-            ++lane_runs;
-            std::shared_ptr<JobResult> fresh =
-                run_resolved_sliced(lane, key, attempt, *job, out);
-            if (!fresh) {
-              aborted = true;  // cancelled or expired mid-lane
-              break;
-            }
-            cache_.insert(key, canonical, fresh);
-            result = std::move(fresh);
-          }
-          accs[a].add(
-              sim::compare_metric_value(result->metrics, spec.metric));
-        }
-      }
-      if (aborted) {
-        break;
-      }
-      seeds_done += round;
-      const sim::CompareDecision decision =
-          sim::decide_best_arm(accs, spec.confidence, higher);
-      best = decision.best;
-      if (seeds_done >= spec.min_seeds && decision.separated) {
-        separated = true;
-        early_stop = seeds_done < spec.max_seeds;
-        break;
-      }
+    std::vector<std::string> names;
+    for (const CompareArmRequest& arm : spec.arms) {
+      names.push_back(arm.name);
     }
-    if (!out.cancelled && !out.expired) {
+    const sim::CompareResult verdict = sim::run_compare_rounds(
+        spec, higher, std::move(names),
+        [&](const std::vector<std::uint64_t>& seeds,
+            std::vector<double>& values) {
+          ++rounds;
+          for (std::size_t a = 0; a < spec.arms.size(); ++a) {
+            for (std::size_t s = 0; s < seeds.size(); ++s) {
+              SimRequest lane = spec.arms[a].request;
+              lane.seed = seeds[s];
+              const std::string canonical = registry_.canonical_key(lane);
+              const std::uint64_t key = fnv1a64(canonical);
+              std::shared_ptr<const JobResult> result =
+                  cache_.lookup(key, canonical);
+              if (result) {
+                ++lane_hits;
+              } else {
+                ++lane_runs;
+                std::shared_ptr<JobResult> fresh =
+                    run_resolved_sliced(lane, key, attempt, *job, out);
+                if (!fresh) {
+                  return false;  // cancelled or expired mid-lane
+                }
+                cache_.insert(key, canonical, fresh);
+                result = std::move(fresh);
+              }
+              values[a * seeds.size() + s] =
+                  sim::compare_metric_value(result->metrics, spec.metric);
+            }
+          }
+          return true;
+        });
+    if (verdict.completed) {
+      early_stop = verdict.early_stop;
       // Verdict payload: a pure function of the ordered per-seed results
       // (json formatting is canonical), so replays are byte-identical at
       // any worker count.
-      json::Value verdict = json::Value::object();
       json::Value body = json::Value::object();
       body.set("metric", json::Value::string(spec.metric));
       body.set("higher_is_better", json::Value::boolean(higher));
       body.set("confidence", json::Value::number(spec.confidence));
-      body.set("winner", json::Value::string(spec.arms[best].name));
+      body.set("winner", json::Value::string(verdict.names[verdict.best]));
       body.set("winner_index",
-               json::Value::number(static_cast<double>(best)));
-      body.set("separated", json::Value::boolean(separated));
-      body.set("early_stop", json::Value::boolean(early_stop));
-      body.set("rounds", json::Value::number(static_cast<double>(rounds)));
-      body.set("seeds_per_arm",
-               json::Value::number(static_cast<double>(seeds_done)));
+               json::Value::number(static_cast<double>(verdict.best)));
+      body.set("separated", json::Value::boolean(verdict.separated));
+      body.set("early_stop", json::Value::boolean(verdict.early_stop));
+      body.set("rounds",
+               json::Value::number(static_cast<double>(verdict.rounds)));
+      body.set("seeds_per_arm", json::Value::number(static_cast<double>(
+                                    verdict.seeds_per_arm)));
       body.set("max_seeds",
                json::Value::number(static_cast<double>(spec.max_seeds)));
       body.set("base_seed",
                json::Value::number(static_cast<double>(spec.base_seed)));
       json::Value arms = json::Value::array();
-      for (std::size_t a = 0; a < arm_count; ++a) {
-        const sim::ArmStats stats =
-            sim::arm_stats(accs[a], spec.confidence);
+      for (std::size_t a = 0; a < verdict.arms.size(); ++a) {
+        const sim::ArmStats& stats = verdict.arms[a];
         json::Value arm = json::Value::object();
-        arm.set("name", json::Value::string(spec.arms[a].name));
+        arm.set("name", json::Value::string(verdict.names[a]));
         arm.set("mean", json::Value::number(stats.mean));
         // Half-width of the two-sided interval at `confidence`; the field
         // name pins the default level, as the issue's verdict shape does.
@@ -646,9 +613,10 @@ void SimService::execute_compare(const std::shared_ptr<Job>& job,
         arms.push(arm);
       }
       body.set("arms", arms);
-      verdict.set("compare", body);
+      json::Value payload = json::Value::object();
+      payload.set("compare", body);
       auto result = std::make_shared<JobResult>();
-      result->payload = verdict.dump();
+      result->payload = payload.dump();
       cache_.insert(job->key, job->canonical, result);
       out.result = std::move(result);
     }

@@ -29,16 +29,16 @@
 // the attempt count.
 //
 // Compare jobs (PR 9): submit_compare() admits a best-arm policy
-// comparison (sim/compare.h) as one job. A worker runs it round by round
-// over a shared deterministic seed schedule, each per-(arm, seed) lane
-// executing as sliced work — cooperative with the job's deadline and
-// cancellation token exactly like submit — and consulting the pure
-// decide_best_arm() decision after every round. Lanes are cached under
-// the same canonical keys a direct submit of that (arm, seed) request
-// would use, so refinement re-runs and overlapping comparisons are nearly
-// free, and the verdict payload itself is cached under the compare
-// canonical key. The verdict is a pure function of the ordered per-seed
-// results: replays are byte-identical at any worker count or
+// comparison (sim/compare.h) as one job. A worker runs it on
+// sim::run_compare_rounds(), the loop CompareRunner uses too; the service
+// supplies only the round, which serves each per-(arm, seed) lane from
+// the result cache or runs it as sliced work — cooperative with the job's
+// deadline and cancellation token exactly like submit. Lanes are cached
+// under the same canonical keys a direct submit of that (arm, seed)
+// request would use, so refinement re-runs and overlapping comparisons
+// are nearly free, and the verdict payload itself is cached under the
+// compare canonical key. The verdict is a pure function of the ordered
+// per-seed results: replays are byte-identical at any worker count or
 // injected-fault schedule.
 //
 // Determinism note: job *results* are pure functions of the canonical
@@ -62,6 +62,7 @@
 
 #include "service/result_cache.h"
 #include "service/scenario_registry.h"
+#include "sim/compare.h"
 #include "sim/metrics.h"
 #include "util/fault.h"
 #include "util/sync.h"
@@ -200,16 +201,11 @@ struct CompareArmRequest {
 /// evaluated round by round on a shared seed schedule until the best
 /// arm's confidence interval separates from every rival's or the per-arm
 /// seed budget is exhausted.
-struct CompareRequest {
+struct CompareRequest : sim::CompareRule {
   std::vector<CompareArmRequest> arms;  // >= 2
   /// Verdict metric: one of sim::compare_metric_names() ("median_fps",
   /// "peak_temp_c", "mean_power_w"); the metric fixes the direction.
   std::string metric = "median_fps";
-  double confidence = 0.95;
-  int max_seeds = 32;
-  int round_seeds = 4;
-  int min_seeds = 4;  // >= 2; no separation verdict before this
-  std::uint64_t base_seed = 1;
 };
 
 class SimService {
@@ -322,10 +318,9 @@ class SimService {
                                                  int attempt, const Job& job,
                                                  ExecOutcome& out);
 
-  /// Run a compare job: rounds of per-(arm, seed) lanes — cache-served or
-  /// freshly sliced — feeding per-arm Welford accumulators, with the pure
-  /// best-arm decision after every round. The verdict payload is cached
-  /// under the job's compare key.
+  /// Run a compare job: sim::run_compare_rounds() over rounds of
+  /// per-(arm, seed) lanes, each cache-served or freshly sliced. The
+  /// verdict payload is cached under the job's compare key.
   void execute_compare(const std::shared_ptr<Job>& job, int attempt);
 
   /// Map the in-flight exception to an ExecOutcome (call inside catch).

@@ -9,27 +9,20 @@
 
 namespace mobitherm::sim {
 
-namespace {
-
-void validate_options(const CompareOptions& options) {
-  if (!(options.confidence > 0.0) || !(options.confidence < 1.0)) {
+void validate_rule(const CompareRule& rule) {
+  if (!(rule.confidence > 0.0) || !(rule.confidence < 1.0)) {
     throw util::ConfigError("compare: confidence must be in (0, 1)");
   }
-  if (options.min_seeds < 2) {
+  if (rule.min_seeds < 2) {
     throw util::ConfigError("compare: min_seeds must be >= 2");
   }
-  if (options.max_seeds < options.min_seeds) {
+  if (rule.max_seeds < rule.min_seeds) {
     throw util::ConfigError("compare: max_seeds must be >= min_seeds");
   }
-  if (options.round_seeds < 1) {
+  if (rule.round_seeds < 1) {
     throw util::ConfigError("compare: round_seeds must be >= 1");
   }
-  if (options.duration_s <= 0.0) {
-    throw util::ConfigError("compare: duration_s must be positive");
-  }
 }
-
-}  // namespace
 
 CompareDecision decide_best_arm(const std::vector<WelfordAccumulator>& arms,
                                 double confidence, bool higher_is_better) {
@@ -71,9 +64,65 @@ CompareDecision decide_best_arm(const std::vector<WelfordAccumulator>& arms,
   return decision;
 }
 
+CompareResult run_compare_rounds(const CompareRule& rule,
+                                 bool higher_is_better,
+                                 std::vector<std::string> names,
+                                 const CompareRound& round) {
+  const std::size_t arm_count = names.size();
+  const util::SeedSchedule schedule(rule.base_seed);
+  std::vector<WelfordAccumulator> accs(arm_count);
+  CompareResult result;
+  result.names = std::move(names);
+  std::vector<std::uint64_t> seeds;
+  std::vector<double> values;
+
+  int seeds_done = 0;
+  while (seeds_done < rule.max_seeds) {
+    const std::size_t slots = static_cast<std::size_t>(
+        std::min(rule.round_seeds, rule.max_seeds - seeds_done));
+    seeds.resize(slots);
+    for (std::size_t s = 0; s < slots; ++s) {
+      seeds[s] = schedule.at(static_cast<std::uint64_t>(seeds_done) + s);
+    }
+    values.assign(arm_count * slots, 0.0);
+    if (!round(seeds, values)) {
+      // The round's samples are partial, so none of them may enter the
+      // accumulators (a half-fed round would depend on which lanes
+      // finished first — a thread-count artifact).
+      result.completed = false;
+      break;
+    }
+    // Accumulate arm-major, slot order — the ordered per-seed results the
+    // decision below is a pure function of.
+    for (std::size_t a = 0; a < arm_count; ++a) {
+      for (std::size_t s = 0; s < slots; ++s) {
+        accs[a].add(values[a * slots + s]);
+      }
+    }
+    seeds_done += static_cast<int>(slots);
+    ++result.rounds;
+    const CompareDecision decision =
+        decide_best_arm(accs, rule.confidence, higher_is_better);
+    result.best = decision.best;
+    if (seeds_done >= rule.min_seeds && decision.separated) {
+      result.separated = true;
+      result.early_stop = seeds_done < rule.max_seeds;
+      break;
+    }
+  }
+  result.seeds_per_arm = seeds_done;
+  for (const WelfordAccumulator& acc : accs) {
+    result.arms.push_back(arm_stats(acc, rule.confidence));
+  }
+  return result;
+}
+
 CompareRunner::CompareRunner(CompareOptions options)
     : options_(std::move(options)) {
-  validate_options(options_);
+  validate_rule(options_);
+  if (options_.duration_s <= 0.0) {
+    throw util::ConfigError("compare: duration_s must be positive");
+  }
   if (!options_.metric) {
     throw util::ConfigError("compare: null metric");
   }
@@ -84,76 +133,37 @@ CompareResult CompareRunner::run(const std::vector<CompareArm>& arms,
   if (arms.size() < 2) {
     throw util::ConfigError("compare: need at least two arms");
   }
+  std::vector<std::string> names;
+  names.reserve(arms.size());
   for (const CompareArm& arm : arms) {
     if (!arm.factory) {
       throw util::ConfigError("compare: arm '" + arm.name +
                               "' has a null factory");
     }
+    names.push_back(arm.name);
   }
-  const std::size_t arm_count = arms.size();
-  const util::SeedSchedule schedule(options_.base_seed);
-  std::vector<WelfordAccumulator> accs(arm_count);
-  CompareResult result;
-  result.names.reserve(arm_count);
-  for (const CompareArm& arm : arms) {
-    result.names.push_back(arm.name);
-  }
-
-  int seeds_done = 0;
-  while (seeds_done < options_.max_seeds) {
-    const int round =
-        std::min(options_.round_seeds, options_.max_seeds - seeds_done);
-    const std::size_t slots = static_cast<std::size_t>(round);
-    // Flat arm-major fan-out: run index k is arm k/slots at slot k%slots.
-    // The factory wrapper ignores BatchRunner's arithmetic seed and pulls
-    // the slot's schedule entry instead — the CRN contract.
-    const EngineFactory factory = [&](std::size_t index, std::uint64_t) {
-      const std::size_t arm = index / slots;
-      const std::size_t slot = index % slots;
-      const std::uint64_t seed =
-          schedule.at(static_cast<std::uint64_t>(seeds_done + slot));
-      return arms[arm].factory(index, seed);
-    };
-    const std::vector<BatchRecord> records =
-        BatchRunner(options_.batch).run(arm_count * slots, /*base_seed=*/0,
-                                        options_.duration_s, factory,
-                                        options_.metrics, stop);
-    for (const BatchRecord& record : records) {
-      if (!record.completed) {
-        // Stop token fired mid-round: the round's samples are partial, so
-        // none of them may enter the accumulators (a half-fed round would
-        // depend on which lanes finished first — a thread-count artifact).
-        result.completed = false;
-        result.seeds_per_arm = seeds_done;
-        for (const WelfordAccumulator& acc : accs) {
-          result.arms.push_back(arm_stats(acc, options_.confidence));
+  const BatchRunner batch(options_.batch);
+  return run_compare_rounds(
+      options_, options_.higher_is_better, std::move(names),
+      [&](const std::vector<std::uint64_t>& seeds,
+          std::vector<double>& values) {
+        // Arm-major fan-out: run k is arm k/slots at slot k%slots, on the
+        // slot's schedule seed, not BatchRunner's — the CRN contract.
+        const std::size_t slots = seeds.size();
+        const EngineFactory factory = [&](std::size_t index, std::uint64_t) {
+          return arms[index / slots].factory(index, seeds[index % slots]);
+        };
+        const std::vector<BatchRecord> records =
+            batch.run(values.size(), /*base_seed=*/0, options_.duration_s,
+                      factory, options_.metrics, stop);
+        if (std::any_of(records.begin(), records.end(),
+                        [](const BatchRecord& r) { return !r.completed; })) {
+          return false;  // the stop token fired mid-round
         }
-        return result;
-      }
-    }
-    // Accumulate arm-major, slot order — the ordered per-seed results the
-    // decision below is a pure function of.
-    for (std::size_t a = 0; a < arm_count; ++a) {
-      for (std::size_t s = 0; s < slots; ++s) {
-        accs[a].add(options_.metric(records[a * slots + s]));
-      }
-    }
-    seeds_done += round;
-    ++result.rounds;
-    const CompareDecision decision =
-        decide_best_arm(accs, options_.confidence, options_.higher_is_better);
-    result.best = decision.best;
-    if (seeds_done >= options_.min_seeds && decision.separated) {
-      result.separated = true;
-      result.early_stop = seeds_done < options_.max_seeds;
-      break;
-    }
-  }
-  result.seeds_per_arm = seeds_done;
-  for (const WelfordAccumulator& acc : accs) {
-    result.arms.push_back(arm_stats(acc, options_.confidence));
-  }
-  return result;
+        std::transform(records.begin(), records.end(), values.begin(),
+                       options_.metric);
+        return true;
+      });
 }
 
 double compare_metric_value(const RunMetrics& metrics,

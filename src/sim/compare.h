@@ -24,9 +24,11 @@
 // after each round completes, and decide_best_arm() reads only
 // accumulator state — never wall-clock, never thread identity. Replays
 // are therefore byte-identical at any thread count (BatchRunner already
-// guarantees per-record bit-identity), and the service layer
-// (service/service.h `compare` jobs) inherits the same guarantee across
-// worker counts and fault-injected retries.
+// guarantees per-record bit-identity). The round loop lives in one place,
+// run_compare_rounds(): CompareRunner feeds it rounds of BatchRunner runs,
+// and the service layer's `compare` jobs (service/service.h) feed it
+// rounds of cached or sliced lanes, so they inherit the same guarantee
+// across worker counts and fault-injected retries.
 #pragma once
 
 #include <atomic>
@@ -50,7 +52,9 @@ struct CompareArm {
   EngineFactory factory;
 };
 
-struct CompareOptions {
+/// The best-arm stopping rule shared by CompareRunner and the service's
+/// compare job (service::CompareRequest derives from it as well).
+struct CompareRule {
   /// Two-sided confidence level of the per-arm intervals.
   double confidence = 0.95;
   /// Per-arm seed budget: the comparison never runs more than this many
@@ -63,6 +67,13 @@ struct CompareOptions {
   /// Base of the shared seed schedule; arm a's i-th sample always runs
   /// seed SeedSchedule(base_seed).at(i), whatever the round slicing.
   std::uint64_t base_seed = 1;
+};
+
+/// Throws util::ConfigError unless confidence is in (0, 1), min_seeds >= 2,
+/// max_seeds >= min_seeds and round_seeds >= 1.
+void validate_rule(const CompareRule& rule);
+
+struct CompareOptions : CompareRule {
   /// Metric direction: true picks the highest mean as best (fps), false
   /// the lowest (peak temperature, power).
   bool higher_is_better = true;
@@ -109,21 +120,33 @@ struct CompareResult {
   std::vector<std::string> names;
 };
 
+/// One round: run every arm on each schedule seed of the round and write
+/// arm a's value at slot s into values[a * seeds.size() + s]. Returns
+/// false when the round was cut short; none of its values is used.
+using CompareRound = std::function<bool(
+    const std::vector<std::uint64_t>& seeds, std::vector<double>& values)>;
+
+/// The one round loop: rounds of round_seeds schedule entries per arm,
+/// accumulated in (arm, slot) order, then decide_best_arm() and the
+/// min_seeds / early-stop rule. A round cut short ends the run with
+/// `completed` false. The caller validates the rule.
+CompareResult run_compare_rounds(const CompareRule& rule,
+                                 bool higher_is_better,
+                                 std::vector<std::string> names,
+                                 const CompareRound& round);
+
 /// Round-by-round best-arm evaluation over a shared seed schedule.
 class CompareRunner {
  public:
   explicit CompareRunner(CompareOptions options);
 
-  /// Run the comparison: each round fans round_seeds schedule entries per
-  /// arm through one BatchRunner::run call (arm-major flat indexing),
-  /// feeds the metric values into the per-arm accumulators in (arm, slot)
-  /// order, and consults decide_best_arm(). `stop` is the optional
-  /// cooperative cancellation token shared with the whole batch. Throws
+  /// Run the comparison: run_compare_rounds() with a round that fans
+  /// round_seeds schedule entries per arm through one BatchRunner::run
+  /// call (arm-major flat indexing). `stop` is the optional cooperative
+  /// cancellation token shared with the whole batch. Throws
   /// util::ConfigError on bad options or fewer than two arms.
   CompareResult run(const std::vector<CompareArm>& arms,
                     const std::atomic<bool>* stop = nullptr) const;
-
-  const CompareOptions& options() const { return options_; }
 
  private:
   CompareOptions options_;

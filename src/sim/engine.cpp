@@ -15,6 +15,16 @@ using util::ConfigError;
 
 namespace {
 
+// The physics tick, the trace period, the temperature sensors' period and
+// noise, and the memory pseudo-cluster's activity, busy fraction =
+// kMemCpuCoeff * (cpu busy cores) + kMemGpuCoeff * (gpu busy cores).
+constexpr double kTickS = 0.001;
+constexpr double kTracePeriodS = 0.1;
+constexpr double kTempSensorPeriodS = 0.05;
+constexpr double kTempSensorNoiseK = 0.1;
+constexpr double kMemCpuCoeff = 0.08;
+constexpr double kMemGpuCoeff = 0.45;
+
 std::vector<std::size_t> opps_per_cluster(const platform::SocSpec& spec) {
   std::vector<std::size_t> out;
   out.reserve(spec.clusters.size());
@@ -37,9 +47,6 @@ Engine::Engine(platform::SocSpec soc_spec,
       scheduler_(soc_spec, config.window_s),
       trace_(soc_spec.clusters.size(), opps_per_cluster(soc_spec)),
       power_window_(config.window_s) {
-  if (config_.tick_s <= 0.0) {
-    throw ConfigError("Engine: tick must be positive");
-  }
   const std::size_t n = soc_.num_clusters();
   // Validate thermal-node mapping and locate the board node (assumed to be
   // the node no cluster maps to, by convention the last one).
@@ -80,8 +87,8 @@ Engine::Engine(platform::SocSpec soc_spec,
   for (std::size_t node = 0; node < network_.num_nodes(); ++node) {
     thermal::TemperatureSensor::Config sc;
     sc.name = network_.spec().nodes[node].name;
-    sc.period_s = util::seconds(config_.temp_sensor_period_s);
-    sc.noise_stddev_k = util::kelvin(config_.temp_sensor_noise_k);
+    sc.period_s = util::seconds(kTempSensorPeriodS);
+    sc.noise_stddev_k = util::kelvin(kTempSensorNoiseK);
     sc.lsb_k = util::kelvin(0.1);
     sc.seed = util::derive_seed(config_.seed, 100 + node);
     node_sensors_.emplace_back(sc);
@@ -216,7 +223,7 @@ void Engine::set_initial_temperature(double t_k) {
 void Engine::run(double seconds, const std::atomic<bool>* stop) {
   // Carry fractional ticks across calls so repeated short runs advance
   // exactly as far as one long run (run(0.05) x20 == run(1.0)).
-  pending_ticks_ += seconds / config_.tick_s;
+  pending_ticks_ += seconds / kTickS;
   const auto ticks =
       static_cast<long long>(std::floor(pending_ticks_ + 1e-9));
   if (ticks <= 0) {
@@ -235,7 +242,7 @@ void Engine::run(double seconds, const std::atomic<bool>* stop) {
 
 void Engine::tick() {
   TickContext ctx;
-  ctx.dt = config_.tick_s;
+  ctx.dt = kTickS;
   stage_demand(ctx);
   stage_allocate(ctx);
   stage_contention(ctx);
@@ -255,10 +262,9 @@ void Engine::tick() {
     throw SimError(SimErrorCode::kNonFiniteTemperature, now_,
                    ctx.max_chip_temp_k, 0.0);
   }
-  if (config_.guard_max_temp_k > 0.0 &&
-      ctx.max_chip_temp_k > config_.guard_max_temp_k) {
+  if (guard_max_temp_k_ > 0.0 && ctx.max_chip_temp_k > guard_max_temp_k_) {
     throw SimError(SimErrorCode::kThermalRunaway, now_, ctx.max_chip_temp_k,
-                   config_.guard_max_temp_k);
+                   guard_max_temp_k_);
   }
 
   for (std::size_t c = 0; c < in_conflict_.size(); ++c) {
@@ -352,8 +358,8 @@ void Engine::stage_power(TickContext& ctx) {
     const ResourceKind kind = soc_.cluster(c).kind;
     if (kind == ResourceKind::kMemory) {
       activity.busy_cores =
-          std::clamp(config_.mem_cpu_coeff * ctx.cpu_busy_cores +
-                         config_.mem_gpu_coeff * ctx.gpu_busy_cores,
+          std::clamp(kMemCpuCoeff * ctx.cpu_busy_cores +
+                         kMemGpuCoeff * ctx.gpu_busy_cores,
                      0.0, 1.0);
       last_busy_cores_[c] = activity.busy_cores;
     } else {
@@ -505,23 +511,10 @@ void Engine::stage_dvfs(TickContext&) {
 // Decimated trace point.
 void Engine::stage_trace(TickContext& ctx) {
   trace_accum_ += ctx.dt;
-  if (trace_accum_ + 1e-12 < config_.trace_period_s) {
+  if (trace_accum_ + 1e-12 < kTracePeriodS) {
     return;
   }
-  TracePoint p;
-  p.t_s = now_;
-  p.max_chip_temp_k = ctx.max_chip_temp_k;
-  p.board_temp_k = ctx.board_temp_k;
-  p.total_power_w = ctx.total_power_w;
-  p.cluster_freq_hz.reserve(soc_.num_clusters());
-  p.app_fps.reserve(apps_.size());
-  for (std::size_t c = 0; c < soc_.num_clusters(); ++c) {
-    p.cluster_freq_hz.push_back(soc_.frequency_hz(c).value());
-  }
-  for (AppSlot& slot : apps_) {
-    p.app_fps.push_back(slot.instance->instantaneous_fps());
-  }
-  trace_.add_point(std::move(p));
+  trace_.add_point(TracePoint{now_, ctx.max_chip_temp_k});
   trace_accum_ = 0.0;
 }
 

@@ -44,22 +44,15 @@
 
 namespace mobitherm::sim {
 
+/// Per-run options; the tick, trace and sensor timing and the memory
+/// pseudo-cluster's coefficients are constants of engine.cpp.
 struct EngineConfig {
-  double tick_s = 0.001;
-  double trace_period_s = 0.1;
   /// Sliding-window length for per-process and total-power accounting.
   double window_s = 1.0;
   std::uint64_t seed = 42;
 
-  double temp_sensor_period_s = 0.05;
-  double temp_sensor_noise_k = 0.1;
   /// Record the whole-device DAQ trace (1 kHz) like the Nexus setup.
   bool enable_daq = false;
-
-  /// Memory pseudo-cluster activity: busy fraction =
-  /// mem_cpu_coeff * (cpu busy cores) + mem_gpu_coeff * (gpu busy cores).
-  double mem_cpu_coeff = 0.08;
-  double mem_gpu_coeff = 0.45;
 
   /// Model DRAM bandwidth contention: when the apps' aggregate traffic
   /// (granted work x AppSpec::mem_bytes_per_work) exceeds the peak
@@ -67,16 +60,6 @@ struct EngineConfig {
   /// Off by default (the paper's workloads are compute/GPU bound).
   bool enable_memory_contention = false;
   double mem_peak_bandwidth_gbps = 13.0;
-
-  /// Runaway guard threshold (K): after every tick the hottest chip node
-  /// is compared against it and the run aborts with a typed sim::SimError
-  /// (SimErrorCode::kThermalRunaway) on the first tick that exceeds it —
-  /// the dynamics have crossed the Sec. IV-A critical power and have no
-  /// stable fixed point, so continuing would only integrate the
-  /// divergence. <= 0 disables the check (the default: divergence studies
-  /// like thermal_runaway_demo intentionally run past it). Non-finite node
-  /// temperatures always abort (kNonFiniteTemperature) regardless.
-  double guard_max_temp_k = 0.0;
 };
 
 class Engine {
@@ -122,13 +105,15 @@ class Engine {
   /// traces, whose curves begin well above ambient.
   void set_initial_temperature(double t_k);
 
-  /// Arm (or, with <= 0, disarm) the runaway guard after construction —
-  /// the service layer applies its policy to registry-built engines this
-  /// way. Equivalent to EngineConfig::guard_max_temp_k.
+  /// Runaway guard (K): the run aborts with SimError kThermalRunaway on
+  /// the first tick whose hottest chip node exceeds it — past the Sec.
+  /// IV-A critical power there is no stable fixed point, so continuing
+  /// would only integrate the divergence. <= 0 disarms it (the default;
+  /// thermal_runaway_demo runs past it on purpose). Non-finite node
+  /// temperatures always abort (kNonFiniteTemperature).
   void set_runaway_guard(double max_temp_k) {
-    config_.guard_max_temp_k = max_temp_k;
+    guard_max_temp_k_ = max_temp_k;
   }
-  double runaway_guard() const { return config_.guard_max_temp_k; }
 
   /// Advance the simulation by `seconds`. Fractional ticks are carried to
   /// the next call, so run(0.05) twenty times advances exactly as far as
@@ -168,10 +153,6 @@ class Engine {
   /// EngineConfig::enable_daq.
   const power::DaqSimulator* daq() const { return daq_.get(); }
 
-  core::AppAwareGovernor* appaware() { return appaware_.get(); }
-  governors::ThermalGovernor* thermal_governor() {
-    return thermal_gov_.get();
-  }
   governors::HotplugGovernor* hotplug_governor() { return hotplug_.get(); }
 
   /// Estimated skin temperature (K); throws if the estimator is disabled.
@@ -238,6 +219,7 @@ class Engine {
   void publish_dvfs_transition(const DvfsTransitionEvent& event);
 
   EngineConfig config_;
+  double guard_max_temp_k_ = 0.0;  // see set_runaway_guard
   platform::Soc soc_;
   power::PowerModel power_model_;
   thermal::ThermalNetwork network_;

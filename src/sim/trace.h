@@ -13,10 +13,6 @@ struct TracePoint {
   double t_s = 0.0;
   /// Max over the chip nodes (what "maximum temperature" plots show).
   double max_chip_temp_k = 0.0;
-  double board_temp_k = 0.0;
-  double total_power_w = 0.0;
-  std::vector<double> cluster_freq_hz;
-  std::vector<double> app_fps;
 };
 
 class Trace {

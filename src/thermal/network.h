@@ -87,9 +87,6 @@ class ThermalNetwork {
   void steady_state_into(const linalg::Vector& power_w,
                          linalg::Vector& out) const;
 
-  /// Cached Cholesky factorization of G_total (built once at construction).
-  const linalg::Cholesky& g_factor() const { return *g_chol_; }
-
   /// Exact-stepper affine map for the last-prepared step size:
   /// T' = exact_phi() T + exact_psi() (P + ambient_injection()). Only valid
   /// after a kExact step (throws NumericError before).

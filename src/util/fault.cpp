@@ -43,11 +43,10 @@ const char* to_string(FaultSite site) {
   return "unknown";
 }
 
-FaultInjected::FaultInjected(FaultSite site, std::uint64_t key)
+FaultInjected::FaultInjected(FaultSite site)
     : std::runtime_error(std::string("injected fault at site '") +
                          to_string(site) + "'"),
-      site_(site),
-      key_(key) {}
+      site_(site) {}
 
 FaultPlan::FaultPlan(const FaultPlanConfig& config) : config_(config) {
   for (int i = 0; i < kNumFaultSites; ++i) {

@@ -45,13 +45,11 @@ const char* to_string(FaultSite site);
 /// site so the service can classify the failure as retryable.
 class FaultInjected : public std::runtime_error {
  public:
-  FaultInjected(FaultSite site, std::uint64_t key);
+  explicit FaultInjected(FaultSite site);
   FaultSite site() const { return site_; }
-  std::uint64_t key() const { return key_; }
 
  private:
   FaultSite site_;
-  std::uint64_t key_;
 };
 
 struct FaultPlanConfig {

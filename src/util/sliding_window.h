@@ -98,8 +98,6 @@ class SlidingWindow {
 
   bool warm() const { return total_time_ >= window_s_ * (1.0 - 1e-9); }
 
-  double window() const { return window_s_; }
-
   void clear() {
     samples_.clear();
     total_time_ = 0.0;

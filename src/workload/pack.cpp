@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/error.h"
@@ -93,12 +94,16 @@ class ObjectReader {
     return v->as_number();
   }
 
+  /// A whole number within int's range; anything else (1e300 included)
+  /// fails before the cast.
   int int_field(const std::string& key, int fallback) {
     const json::Value* v = find(key);
     if (v == nullptr) {
       return fallback;
     }
-    if (!v->is_number() || v->as_number() != std::floor(v->as_number())) {
+    if (!v->is_number() || v->as_number() != std::floor(v->as_number()) ||
+        !(v->as_number() >= std::numeric_limits<int>::min() &&
+          v->as_number() <= std::numeric_limits<int>::max())) {
       fail(origin_, member_path(key), "expected an integer");
     }
     return static_cast<int>(v->as_number());

@@ -1,5 +1,7 @@
 #include "workload/synthetic.h"
 
+#include <string>
+
 #include "util/error.h"
 #include "util/hash.h"
 
@@ -9,8 +11,9 @@ using util::ConfigError;
 
 AppSpec cpu_burn_ramp(int steps, double step_s, double cpu_from,
                       double cpu_to, int threads) {
-  if (steps < 2) {
-    throw ConfigError("cpu_burn_ramp: steps must be >= 2");
+  if (steps < 2 || steps > static_cast<int>(kMaxAppPhases)) {
+    throw ConfigError("cpu_burn_ramp: steps must be in [2, " +
+                      std::to_string(kMaxAppPhases) + "]");
   }
   if (!(step_s > 0.0)) {
     throw ConfigError("cpu_burn_ramp: step_s must be positive");

@@ -19,7 +19,8 @@ namespace mobitherm::workload {
 /// CPU-burn ramp: a frame-cost curve rising linearly from `cpu_from` to
 /// `cpu_to` cycles/frame over `steps` phases of `step_s` seconds each,
 /// then looping back — sweeps the governor across its whole OPP ladder.
-/// Throws util::ConfigError on steps < 2 or non-positive durations.
+/// Throws util::ConfigError on steps outside [2, kMaxAppPhases] or
+/// non-positive durations.
 AppSpec cpu_burn_ramp(int steps, double step_s, double cpu_from,
                       double cpu_to, int threads = 4);
 

@@ -31,6 +31,7 @@
 #include "sim/montecarlo.h"
 #include "util/error.h"
 #include "util/fault.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/seed_schedule.h"
 #include "workload/presets.h"
@@ -535,6 +536,109 @@ TEST(ServiceCompare, InvalidComparisonsRejectAtAdmission) {
   bad_scenario.arms[0].request.scenario = "nokia";
   EXPECT_FALSE(service.submit_compare(bad_scenario).accepted);
   EXPECT_EQ(service.stats().compares, 0u);
+}
+
+// --- one round loop --------------------------------------------------------
+
+/// Runs `request` through sim::CompareRunner (a two-thread BatchRunner over
+/// registry-built engines) and through SimService::submit_compare, and
+/// expects the same verdict bit for bit. Returns the runner's verdict.
+CompareResult expect_same_verdict(const CompareRequest& request) {
+  const ScenarioRegistry registry = ScenarioRegistry::standard();
+  CompareOptions options;
+  options.confidence = request.confidence;
+  options.max_seeds = request.max_seeds;
+  options.round_seeds = request.round_seeds;
+  options.min_seeds = request.min_seeds;
+  options.base_seed = request.base_seed;
+  options.higher_is_better =
+      sim::compare_metric_higher_is_better(request.metric);
+  options.duration_s = request.arms[0].request.duration_s;
+  options.metric = [&request](const sim::BatchRecord& record) {
+    return sim::compare_metric_value(record.metrics, request.metric);
+  };
+  options.batch.threads = 2;
+  std::vector<CompareArm> arms;
+  for (const CompareArmRequest& arm : request.arms) {
+    const service::SimRequest resolved = registry.resolve(arm.request);
+    arms.push_back({arm.name, [&registry, resolved](std::size_t,
+                                                    std::uint64_t seed) {
+                      service::SimRequest lane = resolved;
+                      lane.seed = seed;
+                      return registry.make_engine(lane);
+                    }});
+  }
+  const CompareResult expected = CompareRunner(options).run(arms);
+
+  SimService service(ScenarioRegistry::standard(), compare_config(2));
+  const util::json::Value payload =
+      util::json::Value::parse(run_compare_payload(service, request));
+  const util::json::Value& verdict = *payload.find("compare");
+  EXPECT_EQ(verdict.find("winner")->as_string(),
+            expected.names[expected.best]);
+  EXPECT_EQ(verdict.find("separated")->as_bool(), expected.separated);
+  EXPECT_EQ(verdict.find("early_stop")->as_bool(), expected.early_stop);
+  EXPECT_EQ(verdict.find("rounds")->as_number(), expected.rounds);
+  EXPECT_EQ(verdict.find("seeds_per_arm")->as_number(),
+            expected.seeds_per_arm);
+  const std::vector<util::json::Value>& arm_stats =
+      verdict.find("arms")->items();
+  EXPECT_EQ(arm_stats.size(), expected.arms.size());
+  for (std::size_t a = 0; a < arm_stats.size() && a < expected.arms.size();
+       ++a) {
+    EXPECT_EQ(arm_stats[a].find("mean")->as_number(), expected.arms[a].mean)
+        << "arm " << a;
+    EXPECT_EQ(arm_stats[a].find("ci95")->as_number(),
+              expected.arms[a].half_width)
+        << "arm " << a;
+    EXPECT_EQ(arm_stats[a].find("stddev")->as_number(),
+              expected.arms[a].stddev)
+        << "arm " << a;
+    EXPECT_EQ(arm_stats[a].find("n")->as_number(), expected.arms[a].n)
+        << "arm " << a;
+  }
+  return expected;
+}
+
+CompareArmRequest arm_request(const std::string& scenario,
+                              const std::string& app,
+                              const std::string& policy, bool with_bml,
+                              double duration_s) {
+  CompareArmRequest arm;
+  arm.name = policy;
+  arm.request.scenario = scenario;
+  arm.request.app = app;
+  arm.request.policy = policy;
+  arm.request.with_bml = with_bml;
+  arm.request.duration_s = duration_s;
+  return arm;
+}
+
+TEST(CompareParity, RunnerAndServiceAgreeOnAnEarlyStop) {
+  CompareRequest request;
+  request.arms = {arm_request("nexus", "paperio", "unthrottled", false, 30.0),
+                  arm_request("nexus", "paperio", "throttled", false, 30.0)};
+  request.metric = "median_fps";
+  request.max_seeds = 8;
+  request.round_seeds = 2;
+  request.min_seeds = 2;
+  const CompareResult verdict = expect_same_verdict(request);
+  EXPECT_TRUE(verdict.early_stop);
+}
+
+TEST(CompareParity, RunnerAndServiceAgreeOverTheFullBudget) {
+  // The end-to-end benchmark's pair: Odroid 3DMark + BML, default vs
+  // proposed, 10 s runs.
+  CompareRequest request;
+  request.arms = {
+      arm_request("odroid", "threedmark", "default", true, 10.0),
+      arm_request("odroid", "threedmark", "proposed", true, 10.0)};
+  request.metric = "peak_temp_c";
+  request.max_seeds = 8;
+  request.round_seeds = 4;
+  request.min_seeds = 4;
+  const CompareResult verdict = expect_same_verdict(request);
+  EXPECT_EQ(verdict.seeds_per_arm, 8);
 }
 
 // --- NDJSON protocol -------------------------------------------------------

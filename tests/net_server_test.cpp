@@ -276,6 +276,45 @@ TEST(NetServer, OversizedLineGetsStructuredErrorAndConnectionSurvives) {
   EXPECT_EQ(harness.net.counters().oversized_lines, 1u);
 }
 
+TEST(NetServer, BlankLinesGetNoResponse) {
+  // The framing rule stdin shares: lines of only spaces, tabs and CRs
+  // are ignored, so the stats request is the first and only one handled.
+  SimService service(ScenarioRegistry::standard(), small_config());
+  ServerHarness harness(service);
+  LineClient client(harness.net.port());
+  ASSERT_TRUE(client.ok());
+
+  client.send_all("   \n\t\n{\"op\":\"stats\"}\n");
+  const std::string response = client.recv_line();
+  EXPECT_NE(response.find("\"op\":\"stats\""), std::string::npos)
+      << response;
+  EXPECT_EQ(harness.net.counters().requests, 1u);
+}
+
+TEST(NetServer, ConnectionsBeyondTheCapAreClosedUnanswered) {
+  SimService service(ScenarioRegistry::standard(), small_config());
+  NetServerConfig cfg;
+  cfg.max_connections = 2;
+  ServerHarness harness(service, cfg);
+  LineClient first(harness.net.port());
+  LineClient second(harness.net.port());
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  // A served request proves each connection was accepted before the third
+  // one arrives.
+  const std::string stats = "{\"op\":\"stats\"}";
+  EXPECT_NE(first.request(stats).find("\"ok\":true"), std::string::npos);
+  EXPECT_NE(second.request(stats).find("\"ok\":true"), std::string::npos);
+
+  LineClient third(harness.net.port());
+  ASSERT_TRUE(third.ok());  // the kernel completes the handshake
+  EXPECT_EQ(third.request(stats), "");  // closed without a response
+  EXPECT_EQ(harness.net.counters().connections_refused, 1u);
+
+  EXPECT_NE(first.request(stats).find("\"ok\":true"), std::string::npos);
+  EXPECT_NE(second.request(stats).find("\"ok\":true"), std::string::npos);
+}
+
 TEST(NetServer, StatsOpHasNoShardsAndKeepsTheBenchmarkCounters) {
   SimService service(ScenarioRegistry::standard(), small_config(3));
   ServerHarness harness(service);

@@ -91,16 +91,13 @@ struct CountingObserver final : SimObserver {
 };
 
 /// Every number the engine's trace holds, in a fixed order: each point's
-/// fields, then per cluster the residency seconds and mean rail power,
-/// then the total rail energy and the duration.
+/// time and max chip temperature, then per cluster the residency seconds
+/// and mean rail power, then the total rail energy and the duration.
 std::vector<double> trace_values(const Engine& engine) {
   const Trace& trace = engine.trace();
   std::vector<double> out;
   for (const TracePoint& p : trace.points()) {
-    out.insert(out.end(), {p.t_s, p.max_chip_temp_k, p.board_temp_k,
-                           p.total_power_w});
-    out.insert(out.end(), p.cluster_freq_hz.begin(), p.cluster_freq_hz.end());
-    out.insert(out.end(), p.app_fps.begin(), p.app_fps.end());
+    out.insert(out.end(), {p.t_s, p.max_chip_temp_k});
   }
   for (std::size_t c = 0; c < engine.soc().num_clusters(); ++c) {
     const std::vector<double>& seconds = trace.residency_s(c);

@@ -63,6 +63,9 @@ const BadPack kCorpus[] = {
     {"non_integer_threads.json", "apps[0].threads: expected an integer"},
     {"root_not_object.json", "expected an object"},
     {"deep_nesting.json", "invalid JSON"},
+    {"huge_threads.json", "apps[0].template.threads: expected an integer"},
+    {"too_many_steps.json",
+     "apps[0].template: cpu_burn_ramp: steps must be in [2, 4096]"},
 };
 
 TEST(PackCorpus, EveryMalformedPackFailsTyped) {

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -868,6 +869,48 @@ TEST(SimServer, FanWiderThanTheFreeQueueDegradesLaneByLane) {
   }
   EXPECT_TRUE(service.cancel(blocker.id));
   EXPECT_TRUE(service.wait(blocker.id, 600.0));
+}
+
+TEST(SimServer, RejectedAdmissionsKeepTheirBytes) {
+  // With no queue room every uncached admission is rejected, so the
+  // admission fields of a plain submit, each fan lane and a compare are
+  // pinned byte for byte.
+  SimService service(ScenarioRegistry::standard(), small_config(1, 0));
+  SimServer server(service);
+  const std::string error =
+      "\"error\":{\"code\":\"queue_full\","
+      "\"message\":\"queue full (0 jobs pending, capacity 0)\"}";
+  EXPECT_EQ(server.handle_line(submit_line(1)),
+            "{\"ok\":false,\"op\":\"submit\"," + error + "}");
+  EXPECT_EQ(server.handle_line(submit_line(1, 2)),
+            fan_response(false, 2,
+                         {"{\"accepted\":false," + error + "}",
+                          "{\"accepted\":false," + error + "}"}));
+  EXPECT_EQ(server.handle_line(
+                "{\"op\":\"compare\",\"arms\":[{\"scenario\":\"nexus\"},"
+                "{\"scenario\":\"nexus\",\"policy\":\"unthrottled\"}]}"),
+            "{\"ok\":false,\"op\":\"compare\"," + error + "}");
+  EXPECT_EQ(service.stats().rejected, 4u);
+}
+
+TEST(SimServer, ServeFramesStdinLikeTheSocket) {
+  // An oversized line is answered oversized_line, a whitespace-only line
+  // gets no response, and the next request is served.
+  SimService service(ScenarioRegistry::standard(), small_config());
+  SimServer server(service);
+  std::istringstream in(std::string(80 * 1024, 'x') + "\n \t\r\n" +
+                        "{\"op\":\"stats\"}\n");
+  std::ostringstream out;
+  server.serve(in, out);
+  std::istringstream responses(out.str());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(responses, line);) {
+    lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 2u) << out.str();
+  EXPECT_NE(lines[0].find("\"code\":\"oversized_line\""), std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[1].find("\"op\":\"stats\""), std::string::npos) << lines[1];
 }
 
 // --- cooperative stop token ------------------------------------------------
