@@ -7,7 +7,6 @@ Process::Process(Pid pid, ProcessSpec spec, std::size_t cluster,
     : pid_(pid),
       spec_(std::move(spec)),
       cluster_(cluster),
-      busy_window_(window_s),
       power_window_(window_s) {}
 
 void Process::record_allocation(double dt, double granted_rate,
@@ -15,7 +14,6 @@ void Process::record_allocation(double dt, double granted_rate,
   granted_rate_ = granted_rate;
   busy_cores_ = busy_cores;
   completed_work_ += granted_rate * dt;
-  busy_window_.push(dt, busy_cores);
 }
 
 void Process::record_power(double dt, double watts) {

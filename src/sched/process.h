@@ -2,10 +2,10 @@
 //
 // A process is a schedulable entity with a work demand (abstract work
 // units/s, comparable across clusters through ClusterSpec::ipc), a cluster
-// assignment, and sliding-window accounting of its utilization and power.
-// The 1 s windows implement the paper's "average utilization of each active
-// process for a one-second window" filter (Sec. IV-B), and realtime
-// registration implements "the algorithm also lets processes with real-time
+// assignment, and sliding-window accounting of its power. The 1 s window
+// implements the paper's "average utilization of each active process for
+// a one-second window" filter (Sec. IV-B), and realtime registration
+// implements "the algorithm also lets processes with real-time
 // requirements register themselves so that they are not penalized".
 #pragma once
 
@@ -57,8 +57,8 @@ class Process {
   /// Record the power attributed to this process for dt seconds.
   void record_power(double dt, double watts);
 
-  /// Windowed (1 s by default) core occupancy and power.
-  double windowed_busy_cores() const { return busy_window_.mean(); }
+  /// Windowed (1 s by default) power; the app-aware governor's victim
+  /// ranking reads it.
   double windowed_power_w() const { return power_window_.mean(); }
 
   /// Total work completed since spawn (work units).
@@ -82,7 +82,6 @@ class Process {
   double busy_cores_ = 0.0;
   double completed_work_ = 0.0;
   double consumed_energy_j_ = 0.0;
-  util::SlidingWindow busy_window_;
   util::SlidingWindow power_window_;
 };
 

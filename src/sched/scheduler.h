@@ -21,7 +21,7 @@ namespace mobitherm::sched {
 class Scheduler {
  public:
   /// `window_s` sets the sliding-window length used for per-process
-  /// utilization/power accounting (the paper uses 1 s).
+  /// power accounting (the paper uses 1 s).
   explicit Scheduler(const platform::SocSpec& spec, double window_s = 1.0);
 
   /// Create a process on `cluster`. Returns its pid: pids are 1, 2, 3, ...
@@ -40,7 +40,7 @@ class Scheduler {
 
   /// Grant work rates for one tick of length dt, given current cluster
   /// frequencies in `soc`. Updates each process's granted rate, busy cores
-  /// and windows, and per-cluster busy-core totals.
+  /// and completed work, and per-cluster busy-core totals.
   void allocate(const platform::Soc& soc, double dt);
 
   /// Fractional busy cores on cluster `c` from the last allocation.

@@ -203,6 +203,19 @@ json::Value status_value(const JobStatus& s) {
   return out;
 }
 
+/// The answer for a job id the service holds no job for: `job_retired`
+/// for an id it admitted and has since retired, `unknown_job` otherwise.
+std::string missing_job_response(const std::string& op,
+                                 const SimService& service,
+                                 std::uint64_t id) {
+  if (service.retired(id)) {
+    return error_response(op, errc::kJobRetired,
+                          "job retired: " + std::to_string(id));
+  }
+  return error_response(op, errc::kUnknownJob,
+                        "unknown job: " + std::to_string(id));
+}
+
 }  // namespace
 
 std::string SimServer::handle_line(const std::string& line) {
@@ -399,8 +412,7 @@ std::string SimServer::handle_status(const json::Value& request) {
   const std::uint64_t id = job_id(request);
   const auto status = service_.status(id);
   if (!status) {
-    return error_response("status", errc::kUnknownJob,
-                          "unknown job: " + std::to_string(id));
+    return missing_job_response("status", service_, id);
   }
   json::Value out = json::Value::object();
   out.set("ok", json::Value::boolean(true));
@@ -418,8 +430,7 @@ std::string SimServer::handle_result(const json::Value& request) {
   const std::uint64_t id = job_id(request);
   const auto status = service_.status(id);
   if (!status) {
-    return error_response("result", errc::kUnknownJob,
-                          "unknown job: " + std::to_string(id));
+    return missing_job_response("result", service_, id);
   }
   if (status->state != JobState::kDone) {
     json::Value out = json::Value::object();
@@ -440,8 +451,8 @@ std::string SimServer::handle_result(const json::Value& request) {
   }
   const std::shared_ptr<const JobResult> result = service_.result(id);
   if (!result) {
-    return error_response("result", errc::kInternal,
-                          "result missing for job " + std::to_string(id));
+    // Retired since the status read above.
+    return missing_job_response("result", service_, id);
   }
   // The stored payload is spliced in verbatim (not re-serialized), so a
   // cache hit's response bytes match the original run's exactly. New
@@ -462,6 +473,9 @@ std::string SimServer::handle_result(const json::Value& request) {
 std::string SimServer::handle_cancel(const json::Value& request) {
   const std::uint64_t id = job_id(request);
   const bool cancelled = service_.cancel(id);
+  if (!cancelled && service_.retired(id)) {
+    return missing_job_response("cancel", service_, id);
+  }
   json::Value out = json::Value::object();
   out.set("ok", json::Value::boolean(true));
   out.set("op", json::Value::string("cancel"));
@@ -484,8 +498,7 @@ std::string SimServer::handle_wait(const json::Value& request) {
   const bool done = service_.wait(id, timeout_s);
   const auto status = service_.status(id);
   if (!status) {
-    return error_response("wait", errc::kUnknownJob,
-                          "unknown job: " + std::to_string(id));
+    return missing_job_response("wait", service_, id);
   }
   json::Value out = json::Value::object();
   out.set("ok", json::Value::boolean(true));

@@ -37,6 +37,10 @@
 //   result    (job)                    -> {ok, job, state, result:{...}}
 //   cancel    (job)                    -> {ok, job, cancelled}
 //   wait      (job, timeout_s?)        -> {ok, job, done, state}
+//             These four answer an id the service has retired (see
+//             kMaxTerminalJobs and kMaxReadJobs in service.h) with a
+//             job_retired error. An id it never admitted is unknown_job,
+//             except that cancel answers it {ok, cancelled:false}.
 //   stats     ()                       -> {ok, submitted, completed,
 //              queued, retry_backlog, running, ..., cache:{hits, misses,
 //              evictions, ...}} — the service's counters, with the compare
@@ -78,12 +82,6 @@ namespace mobitherm::service {
 /// Upper bound on one request line; longer lines are answered with an
 /// `oversized_line` error without being parsed (bounds parser memory).
 inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
-
-/// Upper bound on a submit's "seeds" fan width and on a compare's
-/// arms x max_seeds; a wider fan or a larger budget is a `bad_request`.
-/// Bounds a fan's response line to about 100 KB, and the runs one request
-/// line can ask for.
-inline constexpr std::size_t kMaxFanSeeds = 1024;
 
 /// Upper bound, in seconds, on a request's "deadline_s" and a wait's
 /// "timeout_s" (one day); a larger or non-finite value is a `bad_request`.

@@ -86,14 +86,19 @@ SimService::~SimService() {
   {
     util::MutexLock lock(mutex_);
     shutting_down_ = true;
+    std::vector<std::shared_ptr<Job>> queued;
     for (auto& [id, job] : jobs_) {
       (void)id;
       if (job->state == JobState::kQueued) {
-        finish_locked(job, JobState::kCancelled, "service shutdown");
-        job->error_code = errc::kShuttingDown;
+        queued.push_back(job);
       } else if (job->state == JobState::kRunning) {
         job->stop.store(true, std::memory_order_relaxed);
       }
+    }
+    // Finished after the walk: finish_locked may retire jobs from jobs_.
+    for (const std::shared_ptr<Job>& job : queued) {
+      finish_locked(job, JobState::kCancelled, "service shutdown");
+      job->error_code = errc::kShuttingDown;
     }
     queue_.clear();
     retries_.clear();
@@ -299,13 +304,28 @@ std::optional<JobStatus> SimService::status(std::uint64_t id) {
   return s;
 }
 
-std::shared_ptr<const JobResult> SimService::result(std::uint64_t id) const {
+std::shared_ptr<const JobResult> SimService::result(std::uint64_t id) {
   util::MutexLock lock(mutex_);
   auto it = jobs_.find(id);
   if (it == jobs_.end() || it->second->state != JobState::kDone) {
     return nullptr;
   }
-  return it->second->result;
+  Job& job = *it->second;
+  std::shared_ptr<const JobResult> result = job.result;
+  if (!job.read) {
+    job.read = true;
+    read_order_.push_back(id);
+    if (read_order_.size() > kMaxReadJobs) {
+      retire_locked(read_order_.front());
+      read_order_.pop_front();
+    }
+  }
+  return result;
+}
+
+bool SimService::retired(std::uint64_t id) const {
+  util::MutexLock lock(mutex_);
+  return id >= 1 && id < next_id_ && jobs_.count(id) == 0;
 }
 
 bool SimService::cancel(std::uint64_t id) {
@@ -756,7 +776,21 @@ void SimService::finish_locked(const std::shared_ptr<Job>& job,
     case JobState::kRunning:
       break;
   }
+  job->terminal_pos = terminal_order_.insert(terminal_order_.end(), job->id);
+  // The job just finished is last in line, so it is never the one retired.
+  if (terminal_order_.size() > kMaxTerminalJobs) {
+    retire_locked(terminal_order_.front());
+  }
   done_cv_.notify_all();
+}
+
+void SimService::retire_locked(std::uint64_t id) {
+  const auto it = jobs_.find(id);
+  if (it == jobs_.end()) {
+    return;
+  }
+  terminal_order_.erase(it->second->terminal_pos);
+  jobs_.erase(it);
 }
 
 }  // namespace mobitherm::service

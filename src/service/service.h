@@ -53,6 +53,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -86,9 +87,25 @@ inline constexpr const char* kParseError = "parse_error";
 inline constexpr const char* kBadRequest = "bad_request";
 inline constexpr const char* kUnknownOp = "unknown_op";
 inline constexpr const char* kUnknownJob = "unknown_job";
+inline constexpr const char* kJobRetired = "job_retired";
 inline constexpr const char* kNotDone = "not_done";
 inline constexpr const char* kOversizedLine = "oversized_line";
 }  // namespace errc
+
+/// Upper bound on a submit's "seeds" fan width and on a compare's
+/// arms x max_seeds; a wider fan or a larger budget is a `bad_request`.
+/// Bounds a fan's response line to about 100 KB, and the runs one request
+/// line can ask for.
+inline constexpr std::size_t kMaxFanSeeds = 1024;
+
+/// Terminal jobs the service keeps; past it, the job that has been
+/// terminal longest is retired. Every lane of any admissible fan can
+/// still be collected.
+inline constexpr std::size_t kMaxTerminalJobs = kMaxFanSeeds;
+
+/// Read jobs the service keeps: once result() has returned a job's
+/// result, the job is retired after this many later jobs have been read.
+inline constexpr std::size_t kMaxReadJobs = 64;
 
 struct ServiceConfig {
   /// Worker threads running simulations.
@@ -234,20 +251,26 @@ class SimService {
   SubmitOutcome submit_compare(const CompareRequest& request,
                                double deadline_s = -1.0);
 
-  /// Snapshot of a job's state; nullopt for unknown ids. Lazily expires
-  /// queued jobs whose deadline has passed.
+  /// Snapshot of a job's state; nullopt for unknown and retired ids.
+  /// Lazily expires queued jobs whose deadline has passed.
   std::optional<JobStatus> status(std::uint64_t id);
 
-  /// The job's result; nullptr unless the job is kDone.
-  std::shared_ptr<const JobResult> result(std::uint64_t id) const;
+  /// The job's result; nullptr unless the job is kDone. The first read
+  /// counts the job as read: it is retired once kMaxReadJobs later jobs
+  /// have been read.
+  std::shared_ptr<const JobResult> result(std::uint64_t id);
+
+  /// True for an id the service admitted and has since retired (ids are
+  /// monotonic, so an id below the next one with no job was retired).
+  bool retired(std::uint64_t id) const;
 
   /// Request cancellation. Queued jobs (including backoff waiters) cancel
   /// immediately; running jobs stop at their next tick. Returns false for
-  /// unknown or already terminal jobs.
+  /// unknown, retired or already terminal jobs.
   bool cancel(std::uint64_t id);
 
   /// Block until the job reaches a terminal state or `timeout_s` elapses.
-  /// Returns true when terminal.
+  /// Returns true when terminal, false on timeout or a missing job.
   bool wait(std::uint64_t id, double timeout_s);
 
   ServiceStats stats() const;
@@ -285,6 +308,10 @@ class SimService {
     std::string error_code;
     std::string fault_site;
     std::shared_ptr<const JobResult> result;
+    /// Set by the first result() that returns the result.
+    bool read = false;
+    /// The job's entry in terminal_order_, once terminal.
+    std::list<std::uint64_t>::iterator terminal_pos;
     std::atomic<bool> stop{false};
     /// Wall-clock deadline; nullopt = none.
     std::optional<std::chrono::steady_clock::time_point> deadline;
@@ -352,9 +379,13 @@ class SimService {
   bool expire_if_overdue_locked(const std::shared_ptr<Job>& job)
       REQUIRES(mutex_);
 
-  /// Terminal-state bookkeeping + waiter wakeup.
+  /// Terminal-state bookkeeping + waiter wakeup; retires the job that has
+  /// been terminal longest once more than kMaxTerminalJobs are.
   void finish_locked(const std::shared_ptr<Job>& job, JobState state,
                      const std::string& error) REQUIRES(mutex_);
+
+  /// Drops a terminal job from the table; a no-op for an id already gone.
+  void retire_locked(std::uint64_t id) REQUIRES(mutex_);
 
   ScenarioRegistry registry_;
   ServiceConfig config_;
@@ -373,6 +404,11 @@ class SimService {
   std::multimap<std::chrono::steady_clock::time_point,
                 std::shared_ptr<Job>>
       retries_ GUARDED_BY(mutex_);
+  /// Terminal jobs' ids, the one terminal longest first.
+  std::list<std::uint64_t> terminal_order_ GUARDED_BY(mutex_);
+  /// Read jobs' ids, in the order of their first read; at most
+  /// kMaxReadJobs once a read has settled.
+  std::deque<std::uint64_t> read_order_ GUARDED_BY(mutex_);
   std::uint64_t next_id_ GUARDED_BY(mutex_) = 1;
   bool shutting_down_ GUARDED_BY(mutex_) = false;
 

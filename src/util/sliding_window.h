@@ -1,4 +1,4 @@
-// Fixed-capacity ring buffer and time-windowed averaging.
+// Time-windowed averaging.
 //
 // SlidingWindow implements the "average utilization of each active process
 // for a one-second window" filter from Sec. IV-B of the paper: it stores
@@ -6,6 +6,7 @@
 // most recent `window` seconds, discarding older samples.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -13,60 +14,12 @@
 
 namespace mobitherm::util {
 
-/// Fixed-capacity ring buffer. Pushing beyond capacity overwrites the
-/// oldest element.
-template <typename T>
-class RingBuffer {
- public:
-  explicit RingBuffer(std::size_t capacity)
-      : data_(capacity), capacity_(capacity) {
-    if (capacity == 0) {
-      throw ConfigError("RingBuffer capacity must be positive");
-    }
-  }
-
-  void push(const T& value) {
-    data_[(head_ + size_) % capacity_] = value;
-    if (size_ < capacity_) {
-      ++size_;
-    } else {
-      head_ = (head_ + 1) % capacity_;
-    }
-  }
-
-  /// Element `i` counting from the oldest retained sample.
-  const T& operator[](std::size_t i) const {
-    MOBITHERM_ASSERT(i < size_);
-    return data_[(head_ + i) % capacity_];
-  }
-
-  std::size_t size() const { return size_; }
-  std::size_t capacity() const { return capacity_; }
-  bool empty() const { return size_ == 0; }
-  bool full() const { return size_ == capacity_; }
-
-  const T& front() const {
-    MOBITHERM_ASSERT(size_ > 0);
-    return data_[head_];
-  }
-  const T& back() const {
-    MOBITHERM_ASSERT(size_ > 0);
-    return data_[(head_ + size_ - 1) % capacity_];
-  }
-
-  void clear() {
-    head_ = 0;
-    size_ = 0;
-  }
-
- private:
-  std::vector<T> data_;
-  std::size_t capacity_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-};
-
 /// Duration-weighted mean over a trailing time window.
+///
+/// The samples live in a ring the window owns, so a push is O(1): it
+/// appends at the tail and evicts from the head. The ring is sized on the
+/// first push to hold a full window of that push's dt and doubles only if
+/// it fills, so a window fed a constant dt allocates once.
 class SlidingWindow {
  public:
   /// `window_s`: length of the trailing window in seconds.
@@ -81,7 +34,11 @@ class SlidingWindow {
     if (dt <= 0.0) {
       return;
     }
-    samples_.push_back({dt, value});
+    if (size_ == ring_.size()) {
+      grow(dt);
+    }
+    ring_[wrap(head_ + size_)] = {dt, value};
+    ++size_;
     total_time_ += dt;
     weighted_sum_ += dt * value;
     evict();
@@ -98,8 +55,10 @@ class SlidingWindow {
 
   bool warm() const { return total_time_ >= window_s_ * (1.0 - 1e-9); }
 
+  /// Drops every sample; the ring keeps its storage.
   void clear() {
-    samples_.clear();
+    head_ = 0;
+    size_ = 0;
     total_time_ = 0.0;
     weighted_sum_ = 0.0;
   }
@@ -110,29 +69,59 @@ class SlidingWindow {
     double value;
   };
 
+  /// Largest window/dt ratio the first allocation honours (1 MB of
+  /// samples); a finer dt starts there and doubles. Capping the double
+  /// before the cast keeps the conversion in range.
+  static constexpr double kMaxInitialSamples = 65536.0;
+
+  /// `i` is at most twice the capacity, so one subtraction wraps it.
+  std::size_t wrap(std::size_t i) const {
+    return i < ring_.size() ? i : i - ring_.size();
+  }
+
+  /// Sizes the empty ring for a full window of `dt`, or doubles a full
+  /// one, keeping the samples oldest first.
+  void grow(double dt) {
+    std::size_t capacity = 2 * ring_.size();
+    if (ring_.empty()) {
+      // std::min returns its first argument unless the second is smaller,
+      // so a NaN ratio yields the cap.
+      capacity = static_cast<std::size_t>(
+                     std::min(kMaxInitialSamples, window_s_ / dt)) +
+                 2;
+    }
+    std::vector<Sample> grown(capacity);
+    for (std::size_t i = 0; i < size_; ++i) {
+      grown[i] = ring_[wrap(head_ + i)];
+    }
+    ring_.swap(grown);
+    head_ = 0;
+  }
+
+  /// Drops whole samples from the head while the excess covers them, then
+  /// shrinks the head sample so the window is exact.
   void evict() {
-    std::size_t drop = 0;
     double excess = total_time_ - window_s_;
-    while (drop < samples_.size() && excess >= samples_[drop].dt) {
-      excess -= samples_[drop].dt;
-      total_time_ -= samples_[drop].dt;
-      weighted_sum_ -= samples_[drop].dt * samples_[drop].value;
-      ++drop;
+    while (size_ > 0 && excess >= ring_[head_].dt) {
+      const Sample& oldest = ring_[head_];
+      excess -= oldest.dt;
+      total_time_ -= oldest.dt;
+      weighted_sum_ -= oldest.dt * oldest.value;
+      head_ = wrap(head_ + 1);
+      --size_;
     }
-    if (drop > 0) {
-      samples_.erase(samples_.begin(),
-                     samples_.begin() + static_cast<std::ptrdiff_t>(drop));
-    }
-    // Partially shrink the oldest remaining sample so the window is exact.
-    if (excess > 0.0 && !samples_.empty()) {
-      samples_.front().dt -= excess;
+    if (excess > 0.0 && size_ > 0) {
+      Sample& oldest = ring_[head_];
+      oldest.dt -= excess;
       total_time_ -= excess;
-      weighted_sum_ -= excess * samples_.front().value;
+      weighted_sum_ -= excess * oldest.value;
     }
   }
 
   double window_s_;
-  std::vector<Sample> samples_;
+  std::vector<Sample> ring_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
   double total_time_ = 0.0;
   double weighted_sum_ = 0.0;
 };

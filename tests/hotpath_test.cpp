@@ -9,8 +9,9 @@
 //     (step_exact, step_rk4, steady_state) agree in the long-time limit on
 //     the Odroid and Nexus networks,
 //  3. a global operator-new hook proves the warmed-up steppers allocate
-//     nothing and a warm engine tick allocates far less than the ~6
-//     allocations/tick of the pre-rewrite engine.
+//     nothing, a warm engine tick allocates far less than the ~6
+//     allocations/tick of the pre-rewrite engine, and a sliding window fed
+//     a constant dt allocates its ring once.
 //
 // This binary replaces the global operator new/delete, so it must stay its
 // own test executable.
@@ -28,6 +29,7 @@
 #include "stability/presets.h"
 #include "thermal/network.h"
 #include "thermal/presets.h"
+#include "util/sliding_window.h"
 #include "workload/presets.h"
 
 namespace {
@@ -307,6 +309,17 @@ TEST(HotPathAllocations, WarmEngineTicksStayWellUnderPreRewriteRate) {
   EXPECT_LT(per_kilotick, 3000u);
   EXPECT_LT(per_kilotick, 100u) << "unexpected per-tick allocations crept "
                                    "into the engine hot path";
+}
+
+TEST(HotPathAllocations, ConstantDtWindowAllocatesAtMostTwice) {
+  // The ring is sized for a full window on the first push, so a constant
+  // dt never makes it grow.
+  util::SlidingWindow window(1.0);
+  const std::size_t before = alloc_count();
+  for (int i = 0; i < 100000; ++i) {
+    window.push(1e-3, static_cast<double>(i % 7));
+  }
+  EXPECT_LE(alloc_count() - before, 2u);
 }
 
 }  // namespace

@@ -193,20 +193,29 @@ TEST(Scheduler, TopPowerProcessEmptyCases) {
   EXPECT_FALSE(f.sched.top_power_process(f.spec.big()).has_value());
 }
 
-TEST(Scheduler, WindowedBusySmoothsSpikes) {
+TEST(Scheduler, WindowedPowerSmoothsSpikes) {
   Fixture f;
   const std::size_t big = f.spec.big();
   const Pid pid = f.spawn("a", big, 1);
-  // 0.9 s idle, 0.1 s busy: window mean ~0.1 cores.
-  for (int i = 0; i < 90; ++i) {
-    f.sched.process(pid).set_demand_rate(0.0);
+  // 0.9 s idle, then 0.1 s drawing all of the cluster's 2 W: the 1 s
+  // window reads 0.2 W.
+  const auto tick = [&](double demand) {
+    f.sched.process(pid).set_demand_rate(demand);
     f.sched.allocate(f.soc, 0.01);
+    f.sched.attribute_power(big, 2.0, 0.01);
+  };
+  for (int i = 0; i < 90; ++i) {
+    tick(0.0);
   }
   for (int i = 0; i < 10; ++i) {
-    f.sched.process(pid).set_demand_rate(1.0e18);
-    f.sched.allocate(f.soc, 0.01);
+    tick(1.0e18);
   }
-  EXPECT_NEAR(f.sched.process(pid).windowed_busy_cores(), 0.1, 0.01);
+  EXPECT_NEAR(f.sched.process(pid).windowed_power_w(), 0.2, 1e-9);
+  // One more idle second slides the spike out of the window.
+  for (int i = 0; i < 100; ++i) {
+    tick(0.0);
+  }
+  EXPECT_NEAR(f.sched.process(pid).windowed_power_w(), 0.0, 1e-9);
 }
 
 TEST(Scheduler, CompletedWorkAccumulates) {

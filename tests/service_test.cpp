@@ -1,8 +1,9 @@
 // Service-layer tests: JSON round trips, scenario-registry resolution and
 // canonical keys, LRU result-cache behavior, job-queue admission control
-// (backpressure, deadlines, cancellation), the NDJSON protocol, and a
-// concurrent stress run for TSan. Plus a regression test that the
-// cooperative stop token threads through Engine::run and BatchRunner.
+// (backpressure, deadlines, cancellation), the bounded job table, the
+// NDJSON protocol, and a concurrent stress run for TSan. Plus a regression
+// test that the cooperative stop token threads through Engine::run and
+// BatchRunner.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -911,6 +912,126 @@ TEST(SimServer, ServeFramesStdinLikeTheSocket) {
   EXPECT_NE(lines[0].find("\"code\":\"oversized_line\""), std::string::npos)
       << lines[0];
   EXPECT_NE(lines[1].find("\"op\":\"stats\""), std::string::npos) << lines[1];
+}
+
+// --- job retirement ----------------------------------------------------------
+//
+// The table keeps at most kMaxTerminalJobs terminal jobs, and a read job
+// only until kMaxReadJobs later jobs have been read. A retired id answers
+// job_retired; an id never admitted stays unknown_job.
+
+/// A `{"op":op,"job":id}` line.
+std::string job_line(const std::string& op, std::uint64_t id) {
+  return "{\"op\":\"" + op + "\",\"job\":" + std::to_string(id) + "}";
+}
+
+/// The error code of a response line; "" when it has none.
+std::string error_code(const std::string& response) {
+  const json::Value parsed = json::Value::parse(response);
+  const json::Value* err = parsed.find("error");
+  return err == nullptr ? "" : err->find("code")->as_string();
+}
+
+/// Job 1 runs short_request(42) cold; jobs 2..`jobs` are its cache hits.
+void admit_cached_jobs(SimServer& server, std::uint64_t jobs) {
+  server.handle_line(submit_line(42));
+  server.handle_line("{\"op\":\"wait\",\"job\":1,\"timeout_s\":600}");
+  for (std::uint64_t id = 2; id <= jobs; ++id) {
+    server.handle_line(submit_line(42));
+  }
+}
+
+TEST(SimServer, ReadJobIsRetiredAfterLaterReads) {
+  SimService service(ScenarioRegistry::standard(), small_config());
+  SimServer server(service);
+  admit_cached_jobs(server, kMaxReadJobs + 2);
+  ASSERT_EQ(error_code(server.handle_line(job_line("result", 1))), "");
+  for (std::uint64_t id = 2; id <= kMaxReadJobs; ++id) {
+    ASSERT_EQ(error_code(server.handle_line(job_line("result", id))), "");
+  }
+  // 63 later reads: job 1 is still held.
+  EXPECT_EQ(error_code(server.handle_line(job_line("status", 1))), "");
+  // The 64th later read retires it.
+  server.handle_line(job_line("result", kMaxReadJobs + 1));
+  for (const char* op : {"status", "result", "wait", "cancel"}) {
+    const std::string response = server.handle_line(job_line(op, 1));
+    EXPECT_EQ(error_code(response), errc::kJobRetired) << response;
+    EXPECT_NE(response.find("job retired: 1"), std::string::npos) << response;
+  }
+  EXPECT_TRUE(service.retired(1));
+  // The later jobs, read or not, are held; an id never admitted is
+  // unknown, and cancel still answers it as before.
+  EXPECT_EQ(error_code(server.handle_line(job_line("result", 2))), "");
+  EXPECT_EQ(
+      error_code(server.handle_line(job_line("status", kMaxReadJobs + 2))),
+      "");
+  const std::uint64_t never = kMaxReadJobs + 3;
+  EXPECT_FALSE(service.retired(never));
+  EXPECT_FALSE(service.retired(0));
+  for (const char* op : {"status", "result", "wait"}) {
+    EXPECT_EQ(error_code(server.handle_line(job_line(op, never))),
+              errc::kUnknownJob)
+        << op;
+  }
+  EXPECT_EQ(server.handle_line(job_line("cancel", never)),
+            "{\"ok\":true,\"op\":\"cancel\",\"job\":" +
+                std::to_string(never) + ",\"cancelled\":false}");
+}
+
+TEST(SimServer, RepeatReadsInsideTheWindowKeepTheirBytes) {
+  SimService service(ScenarioRegistry::standard(), small_config());
+  SimServer server(service);
+  admit_cached_jobs(server, kMaxReadJobs + 1);
+  const std::string first = server.handle_line(job_line("result", 1));
+  ASSERT_NE(first.find("\"result\":{"), std::string::npos) << first;
+  // Re-reading one job, however often, is one read: job 1 stays.
+  const std::string second = server.handle_line(job_line("result", 2));
+  for (std::size_t i = 0; i < 2 * kMaxReadJobs; ++i) {
+    ASSERT_EQ(server.handle_line(job_line("result", 2)), second);
+  }
+  EXPECT_EQ(server.handle_line(job_line("result", 1)), first);
+  for (std::uint64_t id = 3; id <= kMaxReadJobs + 1; ++id) {
+    server.handle_line(job_line("result", id));
+  }
+  EXPECT_EQ(error_code(server.handle_line(job_line("result", 1))),
+            errc::kJobRetired);
+}
+
+TEST(SimServer, OnlyTheNewestTerminalJobsAreKept) {
+  SimService service(ScenarioRegistry::standard(), small_config());
+  SimServer server(service);
+  const std::uint64_t jobs = 1100;  // none of them read
+  admit_cached_jobs(server, jobs);
+  const std::uint64_t oldest_kept = jobs - kMaxTerminalJobs + 1;
+  for (std::uint64_t id = 1; id <= jobs; ++id) {
+    ASSERT_EQ(service.status(id).has_value(), id >= oldest_kept) << id;
+    ASSERT_EQ(service.retired(id), id < oldest_kept) << id;
+  }
+  EXPECT_EQ(error_code(server.handle_line(job_line("result", 1))),
+            errc::kJobRetired);
+  EXPECT_EQ(error_code(server.handle_line(job_line("result", oldest_kept))),
+            "");
+}
+
+TEST(SimService, QueuedAndRunningJobsAreNeverRetired) {
+  SimService service(ScenarioRegistry::standard(), small_config(1, 4));
+  const std::uint64_t warm = service.submit(short_request()).id;
+  ASSERT_TRUE(service.wait(warm, 600.0));
+  const SubmitOutcome running = service.submit(long_request(7));
+  ASSERT_TRUE(running.accepted);
+  wait_until_running(service, running.id);
+  const SubmitOutcome queued = service.submit(long_request(8));
+  ASSERT_TRUE(queued.accepted);
+  for (std::size_t i = 0; i < kMaxTerminalJobs + 10; ++i) {
+    ASSERT_TRUE(service.submit(short_request()).cached);
+  }
+  EXPECT_TRUE(service.retired(warm));
+  ASSERT_TRUE(service.status(running.id).has_value());
+  EXPECT_EQ(service.status(running.id)->state, JobState::kRunning);
+  ASSERT_TRUE(service.status(queued.id).has_value());
+  EXPECT_EQ(service.status(queued.id)->state, JobState::kQueued);
+  // Both are left to the destructor: after its walk over the table it
+  // cancels the queued job, which retires the oldest terminal job.
 }
 
 // --- cooperative stop token ------------------------------------------------

@@ -1,11 +1,14 @@
-// Unit tests for the util module: units, RNG, ring buffer, sliding window,
-// statistics, CSV writer.
+// Unit tests for the util module: units, RNG, sliding window, statistics,
+// CSV writer.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "util/csv.h"
 #include "util/error.h"
@@ -140,36 +143,6 @@ TEST(Rng, DeriveSeedIsStableAndStreamsDiffer) {
   EXPECT_EQ(seen.size(), 100u);
 }
 
-// --- ring buffer ------------------------------------------------------------
-
-TEST(RingBuffer, RejectsZeroCapacity) {
-  EXPECT_THROW(RingBuffer<int>(0), ConfigError);
-}
-
-TEST(RingBuffer, FillsThenOverwritesOldest) {
-  RingBuffer<int> rb(3);
-  EXPECT_TRUE(rb.empty());
-  rb.push(1);
-  rb.push(2);
-  rb.push(3);
-  EXPECT_TRUE(rb.full());
-  EXPECT_EQ(rb.front(), 1);
-  rb.push(4);
-  EXPECT_EQ(rb.front(), 2);
-  EXPECT_EQ(rb.back(), 4);
-  EXPECT_EQ(rb[0], 2);
-  EXPECT_EQ(rb[1], 3);
-  EXPECT_EQ(rb[2], 4);
-}
-
-TEST(RingBuffer, ClearResets) {
-  RingBuffer<int> rb(2);
-  rb.push(5);
-  rb.clear();
-  EXPECT_TRUE(rb.empty());
-  EXPECT_EQ(rb.size(), 0u);
-}
-
 // --- sliding window ----------------------------------------------------------
 
 TEST(SlidingWindow, RejectsNonPositiveWindow) {
@@ -233,6 +206,116 @@ TEST(SlidingWindow, ClearEmptiesState) {
   w.clear();
   EXPECT_DOUBLE_EQ(w.mean(-1.0), -1.0);
   EXPECT_DOUBLE_EQ(w.covered(), 0.0);
+}
+
+// The erase-based window that SlidingWindow's ring replaced, kept as the
+// bitwise reference: the ring must evict with the same arithmetic, in the
+// same order, including the partial shrink of the head sample.
+class ErasingWindow {
+ public:
+  explicit ErasingWindow(double window_s) : window_s_(window_s) {}
+
+  void push(double dt, double value) {
+    if (dt <= 0.0) {
+      return;
+    }
+    samples_.push_back({dt, value});
+    total_time_ += dt;
+    weighted_sum_ += dt * value;
+    std::size_t drop = 0;
+    double excess = total_time_ - window_s_;
+    while (drop < samples_.size() && excess >= samples_[drop].dt) {
+      excess -= samples_[drop].dt;
+      total_time_ -= samples_[drop].dt;
+      weighted_sum_ -= samples_[drop].dt * samples_[drop].value;
+      ++drop;
+    }
+    if (drop > 0) {
+      samples_.erase(samples_.begin(),
+                     samples_.begin() + static_cast<std::ptrdiff_t>(drop));
+    }
+    if (excess > 0.0 && !samples_.empty()) {
+      samples_.front().dt -= excess;
+      total_time_ -= excess;
+      weighted_sum_ -= excess * samples_.front().value;
+    }
+  }
+
+  double mean() const {
+    return total_time_ > 0.0 ? weighted_sum_ / total_time_ : 0.0;
+  }
+  double covered() const { return total_time_; }
+
+ private:
+  struct Sample {
+    double dt;
+    double value;
+  };
+  double window_s_;
+  std::vector<Sample> samples_;
+  double total_time_ = 0.0;
+  double weighted_sum_ = 0.0;
+};
+
+// Pushes `pushes` samples, dt from `next_dt` and values uniform in
+// [-5, 5), into a SlidingWindow and the reference, and asserts that mean()
+// and covered() are bitwise equal after every push.
+template <typename NextDt>
+void expect_matches_erasing_window(double window_s, int pushes,
+                                   NextDt next_dt) {
+  SlidingWindow ring(window_s);
+  ErasingWindow reference(window_s);
+  Xorshift64Star values(99);
+  for (int i = 0; i < pushes; ++i) {
+    const double dt = next_dt();
+    const double value = values.uniform(-5.0, 5.0);
+    ring.push(dt, value);
+    reference.push(dt, value);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(ring.mean()),
+              std::bit_cast<std::uint64_t>(reference.mean()))
+        << "window " << window_s << " s, push " << i << ", dt " << dt;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(ring.covered()),
+              std::bit_cast<std::uint64_t>(reference.covered()))
+        << "window " << window_s << " s, push " << i << ", dt " << dt;
+  }
+}
+
+TEST(SlidingWindow, MatchesErasingWindowAtTheEngineTick) {
+  // 1 ms ticks into a 1 s window: rounding leaves the head a sliver most
+  // ticks, so the partial shrink runs on nearly every push.
+  expect_matches_erasing_window(1.0, 100000, [] { return 1e-3; });
+}
+
+TEST(SlidingWindow, MatchesErasingWindowAtRandomDt) {
+  for (const double window_s : {0.05, 1.0, 10.0}) {
+    Xorshift64Star rng(7);
+    expect_matches_erasing_window(window_s, 100000, [&rng] {
+      return 0.3 * (1.0 - rng.uniform());  // (0, 0.3]
+    });
+  }
+}
+
+TEST(SlidingWindow, MatchesErasingWindowOnLongAndNonPositiveDt) {
+  // The first push is longer than the window, so the ring starts at its
+  // smallest size and must double as short samples arrive.
+  Xorshift64Star rng(11);
+  bool first = true;
+  expect_matches_erasing_window(1.0, 100000, [&] {
+    if (first) {
+      first = false;
+      return 2.5;
+    }
+    switch (rng.below(8)) {
+      case 0:
+        return 2.5;  // longer than the window
+      case 1:
+        return 0.0;  // ignored
+      case 2:
+        return -0.5;  // ignored
+      default:
+        return 0.01 * (1.0 - rng.uniform());
+    }
+  });
 }
 
 // --- stats -------------------------------------------------------------------
