@@ -32,7 +32,9 @@ class CpufreqGovernor {
 
   virtual const char* name() const = 0;
 
-  /// Time between decisions.
+  /// Time between decisions. The engine reads it once, when the governor
+  /// is attached (Engine::set_cpufreq_governor), so it must not change
+  /// afterwards.
   virtual util::Seconds sampling_period_s() const {
     return util::seconds(0.02);
   }

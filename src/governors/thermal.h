@@ -46,6 +46,9 @@ class ThermalGovernor {
  public:
   virtual ~ThermalGovernor() = default;
   virtual const char* name() const = 0;
+  /// Time between updates. The engine reads it once, when the governor is
+  /// attached (Engine::set_thermal_governor), so it must not change
+  /// afterwards.
   virtual util::Seconds polling_period_s() const {
     return util::seconds(0.1);
   }

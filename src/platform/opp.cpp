@@ -41,11 +41,8 @@ OppTable OppTable::from_mhz_mv(
   return OppTable(std::move(converted));
 }
 
-const OperatingPoint& OppTable::at(std::size_t index) const {
-  if (index >= points_.size()) {
-    throw ConfigError("OppTable index out of range");
-  }
-  return points_[index];
+void OppTable::index_out_of_range() {
+  throw ConfigError("OppTable index out of range");
 }
 
 std::size_t OppTable::ceil_index(util::Hertz freq) const {

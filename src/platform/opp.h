@@ -36,7 +36,13 @@ class OppTable {
       const std::vector<std::pair<double, double>>& points);
 
   std::size_t size() const { return points_.size(); }
-  const OperatingPoint& at(std::size_t index) const;
+  /// Throws ConfigError for index >= size(). Inline: every tick reads it.
+  const OperatingPoint& at(std::size_t index) const {
+    if (index >= points_.size()) {
+      index_out_of_range();
+    }
+    return points_[index];
+  }
   const OperatingPoint& lowest() const { return points_.front(); }
   const OperatingPoint& highest() const { return points_.back(); }
   std::size_t max_index() const { return points_.size() - 1; }
@@ -49,6 +55,8 @@ class OppTable {
   auto end() const { return points_.end(); }
 
  private:
+  [[noreturn]] static void index_out_of_range();
+
   std::vector<OperatingPoint> points_;
 };
 

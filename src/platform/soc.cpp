@@ -58,16 +58,6 @@ Soc::Soc(SocSpec spec) : spec_(std::move(spec)) {
   }
 }
 
-const ClusterSpec& Soc::cluster(std::size_t c) const {
-  check_cluster(c);
-  return spec_.clusters[c];
-}
-
-const ClusterState& Soc::state(std::size_t c) const {
-  check_cluster(c);
-  return states_[c];
-}
-
 void Soc::set_opp(std::size_t c, std::size_t opp_index) {
   check_cluster(c);
   if (opp_index >= spec_.clusters[c].opps.size()) {
@@ -85,27 +75,8 @@ void Soc::set_online_cores(std::size_t c, int cores) {
   states_[c].online_cores = cores;
 }
 
-util::Hertz Soc::frequency_hz(std::size_t c) const {
-  check_cluster(c);
-  return spec_.clusters[c].opps.at(states_[c].opp_index).freq_hz;
-}
-
-util::Volt Soc::voltage_v(std::size_t c) const {
-  check_cluster(c);
-  return spec_.clusters[c].opps.at(states_[c].opp_index).voltage_v;
-}
-
-double Soc::per_core_rate(std::size_t c) const {
-  check_cluster(c);
-  // Abstract work units/s: ipc (work/cycle) x cycles/s. Work units are not
-  // an SI dimension, so this is a sanctioned .value() boundary.
-  return spec_.clusters[c].ipc * frequency_hz(c).value();
-}
-
-void Soc::check_cluster(std::size_t c) const {
-  if (c >= spec_.clusters.size()) {
-    throw ConfigError("Soc: cluster index out of range");
-  }
+void Soc::cluster_out_of_range() {
+  throw ConfigError("Soc: cluster index out of range");
 }
 
 }  // namespace mobitherm::platform

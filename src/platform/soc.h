@@ -81,8 +81,16 @@ class Soc {
   const SocSpec& spec() const { return spec_; }
   std::size_t num_clusters() const { return spec_.clusters.size(); }
 
-  const ClusterSpec& cluster(std::size_t c) const;
-  const ClusterState& state(std::size_t c) const;
+  // Defined here so that the per-tick reads inline; each throws
+  // ConfigError for a cluster index >= num_clusters().
+  const ClusterSpec& cluster(std::size_t c) const {
+    check_cluster(c);
+    return spec_.clusters[c];
+  }
+  const ClusterState& state(std::size_t c) const {
+    check_cluster(c);
+    return states_[c];
+  }
 
   /// Set the OPP index; throws ConfigError if out of range.
   void set_opp(std::size_t c, std::size_t opp_index);
@@ -90,14 +98,32 @@ class Soc {
   /// Set the number of online cores in [0, num_cores].
   void set_online_cores(std::size_t c, int cores);
 
-  util::Hertz frequency_hz(std::size_t c) const;
-  util::Volt voltage_v(std::size_t c) const;
+  util::Hertz frequency_hz(std::size_t c) const {
+    check_cluster(c);
+    return spec_.clusters[c].opps.at(states_[c].opp_index).freq_hz;
+  }
+  util::Volt voltage_v(std::size_t c) const {
+    check_cluster(c);
+    return spec_.clusters[c].opps.at(states_[c].opp_index).voltage_v;
+  }
 
   /// Work units/s available to a single thread (ipc * freq).
-  double per_core_rate(std::size_t c) const;
+  double per_core_rate(std::size_t c) const {
+    check_cluster(c);
+    // Abstract work units/s: ipc (work/cycle) x cycles/s. Work units are
+    // not an SI dimension, so this is a sanctioned .value() boundary.
+    return spec_.clusters[c].ipc * frequency_hz(c).value();
+  }
 
  private:
-  void check_cluster(std::size_t c) const;
+  void check_cluster(std::size_t c) const {
+    if (c >= spec_.clusters.size()) {
+      cluster_out_of_range();
+    }
+  }
+  /// Throws the out-of-range ConfigError; out of line, so the inline
+  /// check stays a compare and a branch.
+  [[noreturn]] static void cluster_out_of_range();
 
   SocSpec spec_;
   std::vector<ClusterState> states_;

@@ -52,10 +52,19 @@ class Process {
   double busy_cores() const { return busy_cores_; }
 
   /// Record the outcome of an allocation round lasting dt seconds.
-  void record_allocation(double dt, double granted_rate, double busy_cores);
+  void record_allocation(double dt, double granted_rate, double busy_cores) {
+    granted_rate_ = granted_rate;
+    busy_cores_ = busy_cores;
+    completed_work_ += granted_rate * dt;
+  }
 
   /// Record the power attributed to this process for dt seconds.
-  void record_power(double dt, double watts);
+  void record_power(double dt, double watts) {
+    power_window_.push(dt, watts);
+    if (dt > 0.0) {
+      consumed_energy_j_ += dt * watts;
+    }
+  }
 
   /// Windowed (1 s by default) power; the app-aware governor's victim
   /// ranking reads it.

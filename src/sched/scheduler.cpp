@@ -41,12 +41,6 @@ void Scheduler::migrate(Pid pid, std::size_t cluster) {
   process(pid).set_cluster(cluster);
 }
 
-Process& Scheduler::process(Pid pid) { return processes_[slot(pid)]; }
-
-const Process& Scheduler::process(Pid pid) const {
-  return processes_[slot(pid)];
-}
-
 void Scheduler::allocate(const platform::Soc& soc, double dt) {
   std::fill(cluster_busy_cores_.begin(), cluster_busy_cores_.end(), 0.0);
 
@@ -114,27 +108,11 @@ void Scheduler::allocate(const platform::Soc& soc, double dt) {
 }
 
 void Scheduler::set_capacity_penalty(std::size_t c, double fraction) {
-  if (c >= num_clusters_) {
-    throw ConfigError("Scheduler: cluster index out of range");
-  }
+  check_cluster(c);
   if (fraction < 0.0 || fraction > 1.0) {
     throw ConfigError("Scheduler: penalty fraction out of [0, 1]");
   }
   capacity_penalty_[c] = std::max(capacity_penalty_[c], fraction);
-}
-
-double Scheduler::governor_utilization(std::size_t c) const {
-  if (c >= num_clusters_) {
-    throw ConfigError("Scheduler: cluster index out of range");
-  }
-  return governor_util_[c];
-}
-
-double Scheduler::cluster_busy_cores(std::size_t c) const {
-  if (c >= num_clusters_) {
-    throw ConfigError("Scheduler: cluster index out of range");
-  }
-  return cluster_busy_cores_[c];
 }
 
 void Scheduler::attribute_power(std::size_t c, double cluster_dynamic_w,
@@ -165,11 +143,10 @@ std::optional<Pid> Scheduler::top_power_process(std::size_t cluster) const {
   return best;
 }
 
-std::size_t Scheduler::slot(Pid pid) const {
-  if (pid < 1 || static_cast<std::size_t>(pid) > processes_.size()) {
-    throw ConfigError("Scheduler: no such pid");
-  }
-  return static_cast<std::size_t>(pid) - 1;
+void Scheduler::no_such_pid() { throw ConfigError("Scheduler: no such pid"); }
+
+void Scheduler::cluster_out_of_range() {
+  throw ConfigError("Scheduler: cluster index out of range");
 }
 
 }  // namespace mobitherm::sched

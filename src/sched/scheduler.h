@@ -35,8 +35,8 @@ class Scheduler {
 
   /// Throws ConfigError for a pid spawn() never returned. The reference is
   /// invalidated by the next spawn().
-  Process& process(Pid pid);
-  const Process& process(Pid pid) const;
+  Process& process(Pid pid) { return processes_[slot(pid)]; }
+  const Process& process(Pid pid) const { return processes_[slot(pid)]; }
 
   /// Grant work rates for one tick of length dt, given current cluster
   /// frequencies in `soc`. Updates each process's granted rate, busy cores
@@ -44,14 +44,20 @@ class Scheduler {
   void allocate(const platform::Soc& soc, double dt);
 
   /// Fractional busy cores on cluster `c` from the last allocation.
-  double cluster_busy_cores(std::size_t c) const;
+  double cluster_busy_cores(std::size_t c) const {
+    check_cluster(c);
+    return cluster_busy_cores_[c];
+  }
 
   /// Utilization as a DVFS governor sees it: granted work relative to the
   /// capacity of the cores the demanding processes can actually occupy
   /// (kernel governors track the busiest CPUs, not the cluster average, so
   /// a saturated dual-thread app on a quad-core cluster reads ~1.0, not
   /// 0.5).
-  double governor_utilization(std::size_t c) const;
+  double governor_utilization(std::size_t c) const {
+    check_cluster(c);
+    return governor_util_[c];
+  }
 
   /// Attribute cluster dynamic power to processes by their share of the
   /// cluster's busy cores (records into each process's power window).
@@ -71,7 +77,20 @@ class Scheduler {
 
  private:
   /// Index of `pid` in processes_; throws ConfigError if out of range.
-  std::size_t slot(Pid pid) const;
+  std::size_t slot(Pid pid) const {
+    if (pid < 1 || static_cast<std::size_t>(pid) > processes_.size()) {
+      no_such_pid();
+    }
+    return static_cast<std::size_t>(pid) - 1;
+  }
+  void check_cluster(std::size_t c) const {
+    if (c >= num_clusters_) {
+      cluster_out_of_range();
+    }
+  }
+  // The ConfigErrors of the inline checks above, thrown out of line.
+  [[noreturn]] static void no_such_pid();
+  [[noreturn]] static void cluster_out_of_range();
 
   std::size_t num_clusters_;
   double window_s_;

@@ -473,7 +473,7 @@ std::string SimServer::handle_result(const json::Value& request) {
 std::string SimServer::handle_cancel(const json::Value& request) {
   const std::uint64_t id = job_id(request);
   const bool cancelled = service_.cancel(id);
-  if (!cancelled && service_.retired(id)) {
+  if (!cancelled && !service_.status(id)) {
     return missing_job_response("cancel", service_, id);
   }
   json::Value out = json::Value::object();

@@ -36,11 +36,12 @@
 //   status    (job)                    -> {ok, job, state, from_cache, ...}
 //   result    (job)                    -> {ok, job, state, result:{...}}
 //   cancel    (job)                    -> {ok, job, cancelled}
+//             cancelled is false for a job that has already finished.
 //   wait      (job, timeout_s?)        -> {ok, job, done, state}
 //             These four answer an id the service has retired (see
 //             kMaxTerminalJobs and kMaxReadJobs in service.h) with a
-//             job_retired error. An id it never admitted is unknown_job,
-//             except that cancel answers it {ok, cancelled:false}.
+//             job_retired error, and an id it never admitted with an
+//             unknown_job error.
 //   stats     ()                       -> {ok, submitted, completed,
 //              queued, retry_backlog, running, ..., cache:{hits, misses,
 //              evictions, ...}} — the service's counters, with the compare

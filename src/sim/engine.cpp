@@ -71,12 +71,12 @@ Engine::Engine(platform::SocSpec soc_spec,
   for (std::size_t c = 0; c < n; ++c) {
     const ResourceKind kind = soc_.cluster(c).kind;
     if (kind == ResourceKind::kMemory) {
-      cpufreq_[c].gov = std::make_unique<governors::Userspace>(
-          soc_.cluster(c).opps.max_index());
+      set_cpufreq_governor(c, std::make_unique<governors::Userspace>(
+                                  soc_.cluster(c).opps.max_index()));
     } else if (kind == ResourceKind::kGpu) {
-      cpufreq_[c].gov = std::make_unique<governors::Ondemand>();
+      set_cpufreq_governor(c, std::make_unique<governors::Ondemand>());
     } else {
-      cpufreq_[c].gov = std::make_unique<governors::Interactive>();
+      set_cpufreq_governor(c, std::make_unique<governors::Interactive>());
     }
     // Start at the highest OPP, like a device waking on user interaction.
     soc_.set_opp(c, soc_.cluster(c).opps.max_index());
@@ -141,13 +141,16 @@ void Engine::set_cpufreq_governor(
   if (!gov) {
     throw ConfigError("Engine: null governor");
   }
-  cpufreq_[cluster].gov = std::move(gov);
-  cpufreq_[cluster].since_decide_s = 0.0;
-  cpufreq_[cluster].util_time_integral = 0.0;
+  CpufreqSlot& slot = cpufreq_[cluster];
+  slot.period_s = gov->sampling_period_s().value();
+  slot.gov = std::move(gov);
+  slot.since_decide_s = 0.0;
+  slot.util_time_integral = 0.0;
 }
 
 void Engine::set_thermal_governor(
     std::unique_ptr<governors::ThermalGovernor> gov) {
+  thermal_period_s_ = gov ? gov->polling_period_s().value() : 0.0;
   thermal_gov_ = std::move(gov);
   thermal_accum_ = 0.0;
 }
@@ -419,8 +422,7 @@ void Engine::stage_governors(TickContext& ctx) {
     CpufreqSlot& slot = cpufreq_[c];
     slot.since_decide_s += dt;
     slot.util_time_integral += scheduler_.governor_utilization(c) * dt;
-    if (slot.since_decide_s + 1e-12 >=
-        slot.gov->sampling_period_s().value()) {
+    if (slot.since_decide_s + 1e-12 >= slot.period_s) {
       governors::CpufreqInputs in;
       in.utilization = slot.util_time_integral / slot.since_decide_s;
       in.current_index = soc_.state(c).opp_index;
@@ -439,7 +441,7 @@ void Engine::stage_governors(TickContext& ctx) {
   }
   if (thermal_gov_) {
     thermal_accum_ += dt;
-    if (thermal_accum_ + 1e-12 >= thermal_gov_->polling_period_s().value()) {
+    if (thermal_accum_ + 1e-12 >= thermal_period_s_) {
       governors::ThermalContext tctx;
       tctx.dt = util::seconds(thermal_accum_);
       tctx.control_temp_k = util::kelvin(control_temp_k());
@@ -499,12 +501,30 @@ void Engine::stage_governors(TickContext& ctx) {
 // Apply min(request, thermal cap) and mark governor contradictions: the
 // thermal cap clamping the cpufreq request is the conflict the paper
 // highlights. tick() accrues conflict time once the tick has passed the
-// numerical guards.
+// numerical guards. One pass per cluster reads its cap once.
 void Engine::stage_dvfs(TickContext&) {
-  apply_dvfs();
   for (std::size_t c = 0; c < soc_.num_clusters(); ++c) {
-    in_conflict_[c] = thermal_gov_ != nullptr &&
-                      thermal_gov_->cap_index(c) < requested_index_[c];
+    std::size_t index = requested_index_[c];
+    bool conflict = false;
+    if (thermal_gov_) {
+      const std::size_t cap = thermal_gov_->cap_index(c);
+      conflict = cap < index;
+      index = std::min(index, cap);
+    }
+    index = std::min(index, soc_.cluster(c).opps.max_index());
+    in_conflict_[c] = conflict;
+    const std::size_t from = soc_.state(c).opp_index;
+    if (index == from) {
+      continue;
+    }
+    ++dvfs_transitions_[c];
+    DvfsTransitionEvent e;
+    e.t_s = now_;
+    e.cluster = c;
+    e.from_index = from;
+    e.to_index = index;
+    publish_dvfs_transition(e);
+    soc_.set_opp(c, index);
   }
 }
 
@@ -516,26 +536,6 @@ void Engine::stage_trace(TickContext& ctx) {
   }
   trace_.add_point(TracePoint{now_, ctx.max_chip_temp_k});
   trace_accum_ = 0.0;
-}
-
-void Engine::apply_dvfs() {
-  for (std::size_t c = 0; c < soc_.num_clusters(); ++c) {
-    std::size_t index = requested_index_[c];
-    if (thermal_gov_) {
-      index = std::min(index, thermal_gov_->cap_index(c));
-    }
-    index = std::min(index, soc_.cluster(c).opps.max_index());
-    if (index != soc_.state(c).opp_index) {
-      ++dvfs_transitions_[c];
-      DvfsTransitionEvent e;
-      e.t_s = now_;
-      e.cluster = c;
-      e.from_index = soc_.state(c).opp_index;
-      e.to_index = index;
-      publish_dvfs_transition(e);
-    }
-    soc_.set_opp(c, index);
-  }
 }
 
 void Engine::publish_tick(const TickInfo& info) {

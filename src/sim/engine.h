@@ -81,6 +81,7 @@ class Engine {
   const workload::AppInstance& app(std::size_t index) const;
   std::size_t num_apps() const { return apps_.size(); }
 
+  /// Attaching a cpufreq or thermal governor reads its period, once.
   void set_cpufreq_governor(std::size_t cluster,
                             std::unique_ptr<governors::CpufreqGovernor> gov);
   void set_thermal_governor(std::unique_ptr<governors::ThermalGovernor> gov);
@@ -211,8 +212,6 @@ class Engine {
   void stage_dvfs(TickContext& ctx);         // apply caps, count conflicts
   void stage_trace(TickContext& ctx);        // decimated trace point
 
-  void apply_dvfs();
-
   // Observer-bus publication.
   void publish_tick(const TickInfo& info);
   void publish_governor_decision(const GovernorDecisionEvent& event);
@@ -232,9 +231,11 @@ class Engine {
   };
   std::vector<AppSlot> apps_;
 
-  // Governors and their scheduling accumulators.
+  // Governors and their scheduling accumulators. A governor's period is
+  // read once, when it is attached.
   struct CpufreqSlot {
     std::unique_ptr<governors::CpufreqGovernor> gov;
+    double period_s = 0.0;
     double since_decide_s = 0.0;
     double util_time_integral = 0.0;  // integral of utilization dt
   };
@@ -242,6 +243,7 @@ class Engine {
   std::vector<std::size_t> requested_index_;
 
   std::unique_ptr<governors::ThermalGovernor> thermal_gov_;
+  double thermal_period_s_ = 0.0;
   double thermal_accum_ = 0.0;
 
   std::unique_ptr<core::AppAwareGovernor> appaware_;

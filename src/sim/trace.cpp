@@ -22,20 +22,12 @@ void Trace::add_point(TracePoint point) {
   points_.push_back(std::move(point));
 }
 
-void Trace::add_residency(std::size_t cluster, std::size_t opp_index,
-                          double dt) {
-  if (cluster >= residency_.size() ||
-      opp_index >= residency_[cluster].size()) {
-    throw ConfigError("Trace: residency index out of range");
-  }
-  residency_[cluster][opp_index] += dt;
+void Trace::residency_out_of_range() {
+  throw ConfigError("Trace: residency index out of range");
 }
 
-void Trace::add_rail_energy(std::size_t cluster, double joules) {
-  if (cluster >= rail_energy_j_.size()) {
-    throw ConfigError("Trace: rail index out of range");
-  }
-  rail_energy_j_[cluster] += joules;
+void Trace::rail_out_of_range() {
+  throw ConfigError("Trace: rail index out of range");
 }
 
 const std::vector<double>& Trace::residency_s(std::size_t cluster) const {
@@ -62,7 +54,7 @@ std::vector<double> Trace::residency_fraction(std::size_t cluster) const {
 
 double Trace::mean_rail_power_w(std::size_t cluster) const {
   if (cluster >= rail_energy_j_.size()) {
-    throw ConfigError("Trace: rail index out of range");
+    rail_out_of_range();
   }
   return duration_s_ > 0.0 ? rail_energy_j_[cluster] / duration_s_ : 0.0;
 }

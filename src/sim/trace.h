@@ -20,8 +20,22 @@ class Trace {
   Trace(std::size_t num_clusters, const std::vector<std::size_t>& opps_per_cluster);
 
   void add_point(TracePoint point);
-  void add_residency(std::size_t cluster, std::size_t opp_index, double dt);
-  void add_rail_energy(std::size_t cluster, double joules);
+
+  // Called for every cluster on every tick, so defined here to inline;
+  // an index out of range throws ConfigError.
+  void add_residency(std::size_t cluster, std::size_t opp_index, double dt) {
+    if (cluster >= residency_.size() ||
+        opp_index >= residency_[cluster].size()) {
+      residency_out_of_range();
+    }
+    residency_[cluster][opp_index] += dt;
+  }
+  void add_rail_energy(std::size_t cluster, double joules) {
+    if (cluster >= rail_energy_j_.size()) {
+      rail_out_of_range();
+    }
+    rail_energy_j_[cluster] += joules;
+  }
   void add_time(double dt) { duration_s_ += dt; }
 
   const std::vector<TracePoint>& points() const { return points_; }
@@ -40,6 +54,9 @@ class Trace {
   double total_rail_energy_j() const;
 
  private:
+  [[noreturn]] static void residency_out_of_range();
+  [[noreturn]] static void rail_out_of_range();
+
   std::vector<TracePoint> points_;
   std::vector<std::vector<double>> residency_;
   std::vector<double> rail_energy_j_;

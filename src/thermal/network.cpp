@@ -85,11 +85,8 @@ void ThermalNetwork::build_matrices() {
   rk_stage_.assign(n, 0.0);
 }
 
-util::Kelvin ThermalNetwork::temperature(std::size_t node) const {
-  if (node >= temp_.size()) {
-    throw ConfigError("ThermalNetwork: node index out of range");
-  }
-  return util::kelvin(temp_[node]);
+void ThermalNetwork::node_out_of_range() {
+  throw ConfigError("ThermalNetwork: node index out of range");
 }
 
 util::Kelvin ThermalNetwork::max_temperature() const {

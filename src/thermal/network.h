@@ -67,7 +67,14 @@ class ThermalNetwork {
 
   /// Current node temperatures (K; raw-double linalg boundary).
   const linalg::Vector& temperatures() const { return temp_; }
-  util::Kelvin temperature(std::size_t node) const;
+  /// Throws ConfigError for node >= num_nodes(). Inline: every tick
+  /// reads it.
+  util::Kelvin temperature(std::size_t node) const {
+    if (node >= temp_.size()) {
+      node_out_of_range();
+    }
+    return util::kelvin(temp_[node]);
+  }
   util::Kelvin max_temperature() const;
 
   /// Reset all nodes to ambient (or to the given vector).
@@ -109,6 +116,7 @@ class ThermalNetwork {
   util::Kelvin ambient_k() const { return spec_.t_ambient_k; }
 
  private:
+  [[noreturn]] static void node_out_of_range();
   void build_matrices();
   void prepare_exact(double dt);
   void step_rk4(const linalg::Vector& power_w, double dt);

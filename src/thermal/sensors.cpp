@@ -13,11 +13,7 @@ TemperatureSensor::TemperatureSensor(Config config)
   }
 }
 
-void TemperatureSensor::feed(double dt, double t_k) {
-  if (dt <= 0.0) {
-    return;
-  }
-  accum_time_ += dt;
+void TemperatureSensor::take_samples(double t_k) {
   while (accum_time_ >= config_.period_s.value()) {
     double sample = t_k;
     if (config_.noise_stddev_k > util::kelvin(0.0)) {

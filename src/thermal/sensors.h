@@ -25,8 +25,16 @@ class TemperatureSensor {
 
   /// Advance time by dt with true temperature `t_k`. Raw doubles: this is
   /// the sensor-sampling boundary fed straight from the node-temperature
-  /// vector. MOBILINT: raw-units-ok
-  void feed(double dt, double t_k);
+  /// vector. Inline: most ticks take no sample. MOBILINT: raw-units-ok
+  void feed(double dt, double t_k) {
+    if (dt <= 0.0) {
+      return;
+    }
+    accum_time_ += dt;
+    if (accum_time_ >= config_.period_s.value()) {
+      take_samples(t_k);
+    }
+  }
 
   /// Most recent latched reading; before the first sample, returns the
   /// initial value passed to prime(). MOBILINT: raw-units-ok
@@ -39,6 +47,9 @@ class TemperatureSensor {
   const std::string& name() const { return config_.name; }
 
  private:
+  /// Latch one sample per whole period accumulated. MOBILINT: raw-units-ok
+  void take_samples(double t_k);
+
   Config config_;
   util::Xorshift64Star rng_;
   double accum_time_ = 0.0;

@@ -34,6 +34,7 @@ AppInstance::AppInstance(AppSpec spec, sched::Scheduler& scheduler,
     if (ph.cpu_work_per_frame < 0.0 || ph.gpu_work_per_frame < 0.0) {
       throw ConfigError("AppInstance: negative per-frame work");
     }
+    total_duration_s_ += ph.duration_s;
   }
   if (spec_.jitter < 0.0 || spec_.jitter >= 1.0) {
     throw ConfigError("AppInstance: jitter must be in [0, 1)");
@@ -63,17 +64,9 @@ AppInstance::AppInstance(AppSpec spec, sched::Scheduler& scheduler,
   }
 }
 
-double AppInstance::total_duration() const {
-  double total = 0.0;
-  for (const Phase& ph : spec_.phases) {
-    total += ph.duration_s;
-  }
-  return total;
-}
-
 std::size_t AppInstance::phase_index_at(double now) const {
-  const double total = total_duration();
-  double t = spec_.loop ? std::fmod(now, total) : std::min(now, total);
+  double t = spec_.loop ? std::fmod(now, total_duration_s_)
+                        : std::min(now, total_duration_s_);
   for (std::size_t i = 0; i < spec_.phases.size(); ++i) {
     if (t < spec_.phases[i].duration_s) {
       return i;
@@ -88,14 +81,14 @@ const Phase& AppInstance::phase_at(double now) const {
 }
 
 bool AppInstance::finished(double now) const {
-  return !spec_.loop && now >= total_duration();
+  return !spec_.loop && now >= total_duration_s_;
 }
 
 void AppInstance::set_demands(sched::Scheduler& scheduler, double now,
                               double dt) {
   (void)dt;
-  now_ = now;
-  if (finished(now)) {
+  finished_ = finished(now);
+  if (finished_) {
     scheduler.process(cpu_pid_).set_demand_rate(0.0);
     if (gpu_pid_ >= 0) {
       scheduler.process(gpu_pid_).set_demand_rate(0.0);
@@ -106,7 +99,8 @@ void AppInstance::set_demands(sched::Scheduler& scheduler, double now,
     jitter_mult_ = rng_.uniform(1.0 - spec_.jitter, 1.0 + spec_.jitter);
     next_jitter_at_ = now + spec_.jitter_interval_s;
   }
-  const Phase& ph = phase_at(now);
+  phase_index_ = phase_index_at(now);
+  const Phase& ph = spec_.phases[phase_index_];
   const bool batch = spec_.target_fps <= 0.0;
   const double cpu_rate =
       batch ? (ph.cpu_work_per_frame > 0.0 ? kUnboundedRate : 0.0)
@@ -121,10 +115,9 @@ void AppInstance::set_demands(sched::Scheduler& scheduler, double now,
 }
 
 void AppInstance::account(const sched::Scheduler& scheduler, double dt) {
-  double fps =
-      (spec_.target_fps > 0.0 && !finished(now_)) ? spec_.target_fps : 0.0;
-  const Phase& cur = phase_at(now_);
+  double fps = (spec_.target_fps > 0.0 && !finished_) ? spec_.target_fps : 0.0;
   if (fps > 0.0) {
+    const Phase& cur = spec_.phases[phase_index_];
     const double cpu_work = cur.cpu_work_per_frame * jitter_mult_;
     const double gpu_work = cur.gpu_work_per_frame * jitter_mult_;
     if (cpu_work > 0.0) {

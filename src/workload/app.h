@@ -73,10 +73,12 @@ class AppInstance {
   /// True once a non-looping app has consumed all phases.
   bool finished(double now) const;
 
-  /// Pre-allocation: set process demand rates for the tick at `now`.
+  /// Pre-allocation: set process demand rates for the tick at `now`, and
+  /// find that tick's phase.
   void set_demands(sched::Scheduler& scheduler, double now, double dt);
 
-  /// Post-allocation: update frame accounting for the tick.
+  /// Post-allocation: update frame accounting for the tick, in the phase
+  /// the last set_demands() found.
   void account(const sched::Scheduler& scheduler, double dt);
 
   /// Frame rate produced during the last tick.
@@ -92,13 +94,14 @@ class AppInstance {
   double total_frames() const { return total_frames_; }
 
  private:
-  double total_duration() const;
-
   AppSpec spec_;
+  double total_duration_s_ = 0.0;  // sum of the phase durations
   sched::Pid cpu_pid_ = -1;
   sched::Pid gpu_pid_ = -1;
   util::Xorshift64Star rng_;
-  double now_ = 0.0;  // app-local clock, set by set_demands
+  // The tick's state found by set_demands() and read by account().
+  bool finished_ = false;
+  std::size_t phase_index_ = 0;
   double jitter_mult_ = 1.0;
   double next_jitter_at_ = 0.0;
   double last_fps_ = 0.0;

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "platform/opp.h"
@@ -95,6 +96,28 @@ TEST(Soc, CapacityScalesWithCoresAndIpc) {
   EXPECT_NEAR(capacity(), 8.0e9, 1e6);
   EXPECT_THROW(soc.set_online_cores(big, 5), ConfigError);
   EXPECT_THROW(soc.set_online_cores(big, -1), ConfigError);
+}
+
+TEST(Soc, PerTickReadsRejectAnOutOfRangeCluster) {
+  const Soc soc(snapdragon810());
+  const std::size_t n = soc.num_clusters();
+  // Each read throws ConfigError with the same message.
+  const auto message = [](auto read) -> std::string {
+    try {
+      read();
+    } catch (const ConfigError& e) {
+      return e.what();
+    }
+    return "no ConfigError";
+  };
+  const std::string expected = "Soc: cluster index out of range";
+  EXPECT_EQ(message([&] { soc.cluster(n); }), expected);
+  EXPECT_EQ(message([&] { soc.state(n); }), expected);
+  EXPECT_EQ(message([&] { soc.frequency_hz(n); }), expected);
+  EXPECT_EQ(message([&] { soc.voltage_v(n); }), expected);
+  EXPECT_EQ(message([&] { soc.per_core_rate(n); }), expected);
+  // The last valid cluster reads fine.
+  EXPECT_EQ(message([&] { soc.per_core_rate(n - 1); }), "no ConfigError");
 }
 
 TEST(Soc, KindLookupHelpers) {

@@ -960,7 +960,7 @@ TEST(SimServer, ReadJobIsRetiredAfterLaterReads) {
   }
   EXPECT_TRUE(service.retired(1));
   // The later jobs, read or not, are held; an id never admitted is
-  // unknown, and cancel still answers it as before.
+  // unknown to all four ops.
   EXPECT_EQ(error_code(server.handle_line(job_line("result", 2))), "");
   EXPECT_EQ(
       error_code(server.handle_line(job_line("status", kMaxReadJobs + 2))),
@@ -968,14 +968,27 @@ TEST(SimServer, ReadJobIsRetiredAfterLaterReads) {
   const std::uint64_t never = kMaxReadJobs + 3;
   EXPECT_FALSE(service.retired(never));
   EXPECT_FALSE(service.retired(0));
-  for (const char* op : {"status", "result", "wait"}) {
-    EXPECT_EQ(error_code(server.handle_line(job_line(op, never))),
-              errc::kUnknownJob)
-        << op;
+  for (const char* op : {"status", "result", "wait", "cancel"}) {
+    const std::string response = server.handle_line(job_line(op, never));
+    EXPECT_EQ(error_code(response), errc::kUnknownJob) << response;
+    EXPECT_NE(response.find("unknown job: " + std::to_string(never)),
+              std::string::npos)
+        << response;
   }
-  EXPECT_EQ(server.handle_line(job_line("cancel", never)),
-            "{\"ok\":true,\"op\":\"cancel\",\"job\":" +
-                std::to_string(never) + ",\"cancelled\":false}");
+}
+
+TEST(SimServer, CancelOfAFinishedJobIsNotCancelled) {
+  SimService service(ScenarioRegistry::standard(), small_config());
+  SimServer server(service);
+  admit_cached_jobs(server, 2);
+  // Job 1 ran and job 2 was a cache hit; both are done and held.
+  for (std::uint64_t id = 1; id <= 2; ++id) {
+    ASSERT_FALSE(service.retired(id));
+    EXPECT_EQ(server.handle_line(job_line("cancel", id)),
+              "{\"ok\":true,\"op\":\"cancel\",\"job\":" +
+                  std::to_string(id) + ",\"cancelled\":false}");
+    EXPECT_EQ(error_code(server.handle_line(job_line("result", id))), "");
+  }
 }
 
 TEST(SimServer, RepeatReadsInsideTheWindowKeepTheirBytes) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "platform/presets.h"
 #include "sched/scheduler.h"
@@ -171,6 +173,45 @@ TEST(Engine, ThermalGovernorCapsDvfs) {
   EXPECT_EQ(engine->soc().state(spec.big()).opp_index, 0u);
 }
 
+/// Counts governor decisions per kind, and cpufreq decisions per cluster.
+struct DecisionCounter : SimObserver {
+  std::vector<std::size_t> cpufreq;
+  std::size_t thermal = 0;
+  explicit DecisionCounter(std::size_t clusters) : cpufreq(clusters, 0) {}
+  void on_governor_decision(const GovernorDecisionEvent& e) override {
+    if (e.kind == GovernorKind::kCpufreq) {
+      ++cpufreq.at(e.cluster);
+    } else if (e.kind == GovernorKind::kThermal) {
+      ++thermal;
+    }
+  }
+};
+
+TEST(Engine, GovernorPeriodsAreTheAttachedGovernors) {
+  auto engine = make_engine();
+  const SocSpec spec = platform::exynos5422();
+  // Replace the big cluster's default interactive governor (20 ms) with a
+  // 30 ms ondemand, and attach a 250 ms step_wise thermal governor.
+  governors::Ondemand::Config od;
+  od.sampling_period_s = util::seconds(0.03);
+  engine->set_cpufreq_governor(spec.big(),
+                               std::make_unique<governors::Ondemand>(od));
+  governors::StepWiseGovernor::Config sw =
+      governors::StepWiseGovernor::uniform(spec, util::kelvin(400.0));
+  sw.polling_period_s = util::seconds(0.25);
+  engine->set_thermal_governor(
+      std::make_unique<governors::StepWiseGovernor>(spec, sw));
+  DecisionCounter counter(spec.clusters.size());
+  engine->add_observer(&counter);
+  engine->add_app(workload::threedmark());
+  engine->run(10.0);
+  // Decisions fire when the accumulated 1 ms ticks reach the period.
+  EXPECT_EQ(counter.cpufreq[spec.big()], 333u);
+  EXPECT_EQ(counter.cpufreq[spec.little()], 500u);  // interactive, 20 ms
+  EXPECT_EQ(counter.cpufreq[spec.gpu()], 200u);     // ondemand, 50 ms
+  EXPECT_EQ(counter.thermal, 40u);
+}
+
 TEST(Engine, AppAwareDecisionsAreRecorded) {
   auto engine = make_engine();
   const SocSpec spec = platform::exynos5422();
@@ -247,9 +288,25 @@ TEST(DvfsCost, PenaltyValidation) {
 
 TEST(Trace, ValidatesIndices) {
   Trace trace(2, {3, 4});
-  EXPECT_THROW(trace.add_residency(2, 0, 1.0), ConfigError);
-  EXPECT_THROW(trace.add_residency(0, 3, 1.0), ConfigError);
-  EXPECT_THROW(trace.add_rail_energy(2, 1.0), ConfigError);
+  // The message of the ConfigError `call` throws.
+  const auto message = [](auto call) -> std::string {
+    try {
+      call();
+    } catch (const ConfigError& e) {
+      return e.what();
+    }
+    return "no ConfigError";
+  };
+  EXPECT_EQ(message([&] { trace.add_residency(2, 0, 1.0); }),
+            "Trace: residency index out of range");
+  EXPECT_EQ(message([&] { trace.add_residency(0, 3, 1.0); }),
+            "Trace: residency index out of range");
+  EXPECT_EQ(message([&] { trace.add_residency(1, 4, 1.0); }),
+            "Trace: residency index out of range");
+  EXPECT_EQ(message([&] { trace.add_rail_energy(2, 1.0); }),
+            "Trace: rail index out of range");
+  EXPECT_EQ(message([&] { trace.mean_rail_power_w(2); }),
+            "Trace: rail index out of range");
   EXPECT_THROW(trace.residency_s(2), ConfigError);
   EXPECT_THROW(Trace(2, {3}), ConfigError);
 }

@@ -2,6 +2,8 @@
 // presets, Nenamark scoring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "platform/presets.h"
 #include "workload/app.h"
 #include "workload/presets.h"
@@ -148,6 +150,54 @@ TEST(App, NonLoopingFinishesAndStopsDemanding) {
   f.tick(app, 2.0, 0.01);
   EXPECT_DOUBLE_EQ(f.sched.process(app.cpu_pid()).demand_rate(), 0.0);
   EXPECT_DOUBLE_EQ(app.instantaneous_fps(), 0.0);
+}
+
+TEST(App, TickPhaseMatchesPhaseAtOverLoopsAndPastTheEnd) {
+  // set_demands() finds the tick's phase once and account() reuses it;
+  // both must agree with phase_at(now) on every 1 ms tick. Phase 0 is
+  // vsync-capped and phase 1 GPU-bound, so a stale phase changes the fps.
+  Fixture f;
+  AppSpec spec = simple_app();
+  spec.phases = {{0.25, 1.0e5, 1.0e5}, {0.5, 2.0e6, 1.2e7}};
+  AppInstance looping = f.make(spec, 1);
+  spec.loop = false;
+  AppInstance once = f.make(spec, 2);
+  const double dt = 0.001;
+  const auto expect_tick = [&f, &spec](const AppInstance& app, double now,
+                                       long i) {
+    const double cpu = f.sched.process(app.cpu_pid()).demand_rate();
+    const double gpu = f.sched.process(app.gpu_pid()).demand_rate();
+    if (app.finished(now)) {
+      EXPECT_EQ(cpu, 0.0) << i;
+      EXPECT_EQ(gpu, 0.0) << i;
+      EXPECT_EQ(app.instantaneous_fps(), 0.0) << i;
+      return;
+    }
+    const Phase& ph = app.phase_at(now);
+    EXPECT_EQ(cpu, ph.cpu_work_per_frame * spec.target_fps) << i;
+    EXPECT_EQ(gpu, ph.gpu_work_per_frame * spec.target_fps) << i;
+    double fps = spec.target_fps;
+    fps = std::min(fps, f.sched.process(app.cpu_pid()).granted_rate() /
+                            ph.cpu_work_per_frame);
+    fps = std::min(fps, f.sched.process(app.gpu_pid()).granted_rate() /
+                            ph.gpu_work_per_frame);
+    EXPECT_EQ(app.instantaneous_fps(), fps) << i;
+  };
+  // Three loops of the 0.75 s schedule and then some; the non-looping app
+  // ends after the first.
+  const long ticks = 2600;
+  for (long i = 0; i < ticks; ++i) {
+    const double now = static_cast<double>(i) * dt;
+    looping.set_demands(f.sched, now, dt);
+    once.set_demands(f.sched, now, dt);
+    f.sched.allocate(f.soc, dt);
+    looping.account(f.sched, dt);
+    once.account(f.sched, dt);
+    expect_tick(looping, now, i);
+    expect_tick(once, now, i);
+  }
+  EXPECT_TRUE(once.finished(static_cast<double>(ticks - 1) * dt));
+  EXPECT_FALSE(looping.finished(static_cast<double>(ticks - 1) * dt));
 }
 
 TEST(App, BatchTaskDemandsUnbounded) {
