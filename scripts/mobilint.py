@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """mobilint: mobitherm's project-specific lint.
 
-Four rules, each tuned to an invariant the simulator's correctness or
-reproducibility depends on:
+Seven rules, each tuned to an invariant the simulator's correctness,
+reproducibility or service depends on:
 
   hot-path-alloc   Functions annotated `// MOBILINT: hot-path` must not
                    contain allocation-capable constructs (new/malloc,
@@ -31,8 +31,19 @@ reproducibility depends on:
                    _mw, _degc or _mah. Non-SI values belong at explicit
                    presentation/ingest edges.
 
-Sanctioned exceptions are annotated in a comment on the same line or
-within the five preceding lines:
+  fd-cloexec       In src/, a descriptor-creating call (socket, accept4,
+                   eventfd, ...) passes its *_CLOEXEC flag. accept, dup,
+                   pipe, epoll_create and creat take none: findings.
+
+  fd-unowned       In src/, that call is the direct argument of a
+                   util::UniqueFd constructor: no raw int descriptor.
+
+  raw-close        In src/, close() appears only in util/unique_fd.h
+                   (member calls such as stream.close() are not it).
+
+The fd rules take no exemption. Sanctioned exceptions to the others are
+annotated in a comment on the same line or within the five preceding
+lines:
 
   // MOBILINT: alloc-ok       (hot-path-alloc)
   // MOBILINT: nondet-ok      (nondeterminism)
@@ -77,7 +88,21 @@ RAW_PARAM_RE = re.compile(
 
 NON_SI_RE = re.compile(r"\bdouble\s+(\w+_(?:mhz|mv|ms|mw|degc|mah))\b")
 
-RULE_IDS = ("hot-path-alloc", "nondeterminism", "raw-units-param", "si-units")
+# Descriptor-creating calls -> the CLOEXEC flag each takes; None marks a
+# call with no flags argument.
+FD_CREATORS = {
+    "socket": "SOCK_CLOEXEC", "accept4": "SOCK_CLOEXEC",
+    "eventfd": "EFD_CLOEXEC", "epoll_create1": "EPOLL_CLOEXEC",
+    "open": "O_CLOEXEC", "openat": "O_CLOEXEC", "pipe2": "O_CLOEXEC",
+    "timerfd_create": "TFD_CLOEXEC", "signalfd": "SFD_CLOEXEC",
+    "inotify_init1": "IN_CLOEXEC", "memfd_create": "MFD_CLOEXEC",
+    "accept": None, "dup": None, "epoll_create": None, "pipe": None,
+    "creat": None,
+}
+FD_CALL_RE = re.compile(
+    r"(?<![\w.>])(?:::)?(" + "|".join(FD_CREATORS) + r")\s*\(")
+FD_OWNER_RE = re.compile(r"\bUniqueFd(?:\s+\w+)?\s*[({]\s*$")
+CLOSE_RE = re.compile(r"(?<![\w.>])close\s*\(")
 
 
 class Finding:
@@ -282,11 +307,56 @@ def check_si_units(src):
     return findings
 
 
+def fd_calls(src):
+    """Yield (line, name, args, owned) per descriptor-creating call; owned
+    means it is the argument of a UniqueFd constructor."""
+    code = "\n".join(src.code)
+    for m in FD_CALL_RE.finditer(code):
+        end, depth = m.end(), 1
+        while depth and end < len(code):
+            depth += {"(": 1, ")": -1}.get(code[end], 0)
+            end += 1
+        yield (code.count("\n", 0, m.start()) + 1, m.group(1),
+               code[m.end():end],
+               FD_OWNER_RE.search(code, 0, m.start()) is not None)
+
+
+def check_fd_cloexec(src):
+    return [
+        Finding(src.path, line, "fd-cloexec",
+                f"{name}() without {FD_CREATORS[name] or 'a CLOEXEC flag'}:"
+                " the descriptor leaks into child processes")
+        for line, name, args, _ in fd_calls(src)
+        if FD_CREATORS[name] is None
+        or not re.search(rf"\b{FD_CREATORS[name]}\b", args)
+    ]
+
+
+def check_fd_unowned(src):
+    return [
+        Finding(src.path, line, "fd-unowned",
+                f"{name}() is not the argument of a util::UniqueFd "
+                "constructor; a raw descriptor can leak or close twice")
+        for line, name, _, owned in fd_calls(src) if not owned
+    ]
+
+
+def check_raw_close(src):
+    return [
+        Finding(src.path, k + 1, "raw-close",
+                "raw close(); let the util::UniqueFd owner close it")
+        for k, line in enumerate(src.code) if CLOSE_RE.search(line)
+    ]
+
+
 CHECKS = {
     "hot-path-alloc": check_hot_path_alloc,
     "nondeterminism": check_nondeterminism,
     "raw-units-param": check_raw_units_param,
     "si-units": check_si_units,
+    "fd-cloexec": check_fd_cloexec,
+    "fd-unowned": check_fd_unowned,
+    "raw-close": check_raw_close,
 }
 
 
@@ -295,7 +365,9 @@ def rules_for(path, root):
     rel = path.relative_to(root).as_posix()
     rules = []
     if rel.startswith("src/"):
-        rules.append("hot-path-alloc")
+        rules += ["hot-path-alloc", "fd-cloexec", "fd-unowned"]
+        if rel != "src/util/unique_fd.h":
+            rules.append("raw-close")
     if rel.startswith(
         ("src/sim/", "src/thermal/", "src/service/", "src/workload/",
          "src/util/json")

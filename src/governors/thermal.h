@@ -9,11 +9,10 @@
 //    split across actors proportional to their requested power, translated
 //    into frequency caps through the power model (ref. [31] of the paper;
 //    the default Odroid policy of Sec. IV-C).
-// NoThrottle disables thermal management ("throttling disabled" runs).
+// "Throttling disabled" runs attach no thermal governor at all.
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -61,16 +60,6 @@ class ThermalGovernor {
   /// caller-owned `out` (resized on first use, then reused).
   void caps_into(std::size_t num_clusters,
                  std::vector<std::size_t>& out) const;
-};
-
-/// No thermal management.
-class NoThrottle final : public ThermalGovernor {
- public:
-  const char* name() const override { return "none"; }
-  void update(const ThermalContext&) override {}
-  std::size_t cap_index(std::size_t) const override {
-    return std::numeric_limits<std::size_t>::max();
-  }
 };
 
 /// Linux step_wise with per-sensor thermal zones (cpu0..3 / gpu / pop-mem

@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "util/error.h"
 
@@ -22,66 +23,49 @@ NetServer::NetServer(SimServer& server, NetServerConfig config)
                             " is outside [0, " + std::to_string(kMaxPort) +
                             "]");
   }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
+  listen_fd_ = util::UniqueFd(
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
+  if (!listen_fd_) {
     throw util::ConfigError(std::string("socket: ") + std::strerror(errno));
   }
   const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  ::setsockopt(listen_fd_.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(config_.port));
   if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
     throw util::ConfigError("invalid listen host: " + config_.host);
   }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
+  if (::bind(listen_fd_.get(), reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, config_.backlog) != 0) {
+      ::listen(listen_fd_.get(), config_.backlog) != 0) {
     const std::string why = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
     throw util::ConfigError("bind/listen " + config_.host + ":" +
                             std::to_string(config_.port) + ": " + why);
   }
   sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
+  if (::getsockname(listen_fd_.get(), reinterpret_cast<sockaddr*>(&bound),
                     &bound_len) == 0) {
     port_ = ntohs(bound.sin_port);
   }
 
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) {
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-    if (wake_fd_ >= 0) ::close(wake_fd_);
-    ::close(listen_fd_);
-    listen_fd_ = epoll_fd_ = wake_fd_ = -1;
+  epoll_fd_ = util::UniqueFd(::epoll_create1(EPOLL_CLOEXEC));
+  wake_fd_ = util::UniqueFd(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK));
+  if (!epoll_fd_ || !wake_fd_) {
     throw util::ConfigError(std::string("epoll/eventfd: ") +
                             std::strerror(errno));
   }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
-    const std::string why = std::strerror(errno);
-    ::close(epoll_fd_);
-    ::close(wake_fd_);
-    ::close(listen_fd_);
-    listen_fd_ = epoll_fd_ = wake_fd_ = -1;
-    throw util::ConfigError("epoll_ctl(listen): " + why);
-  }
-  ev.data.fd = wake_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
-    const std::string why = std::strerror(errno);
-    ::close(epoll_fd_);
-    ::close(wake_fd_);
-    ::close(listen_fd_);
-    listen_fd_ = epoll_fd_ = wake_fd_ = -1;
-    throw util::ConfigError("epoll_ctl(wake): " + why);
+  for (const auto& [fd, what] : {std::pair{listen_fd_.get(), "listen"},
+                                 std::pair{wake_fd_.get(), "wake"}}) {
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd;
+    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd, &ev) != 0) {
+      throw util::ConfigError(std::string("epoll_ctl(") + what + "): " +
+                              std::strerror(errno));
+    }
   }
 }
 
@@ -91,9 +75,6 @@ NetServer::~NetServer() {
   // the only one that can touch connection state.
   util::RoleGuard guard(loop_role_);
   close_all();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
 }
 
 NetServer::Counters NetServer::counters() const {
@@ -114,7 +95,7 @@ void NetServer::stop() {
   const std::uint64_t one = 1;
   // Wake the epoll wait; if the loop is not running the token is simply
   // consumed on the next run() entry.
-  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_.get(), &one, sizeof(one));
 }
 
 // LOCKCHECK: event-loop
@@ -124,7 +105,7 @@ void NetServer::run() {
   epoll_event events[kMaxEvents];
   while (!stop_requested_.load(std::memory_order_acquire) &&
          !server_.shutdown_requested()) {
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, -1);
+    const int n = ::epoll_wait(epoll_fd_.get(), events, kMaxEvents, -1);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
@@ -132,14 +113,14 @@ void NetServer::run() {
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       const std::uint32_t mask = events[i].events;
-      if (fd == wake_fd_) {
+      if (fd == wake_fd_.get()) {
         std::uint64_t token = 0;
         // LOCKCHECK: ok(wake_fd_ is a nonblocking eventfd; read never stalls)
         [[maybe_unused]] const ssize_t r =
-            ::read(wake_fd_, &token, sizeof(token));
+            ::read(wake_fd_.get(), &token, sizeof(token));
         continue;
       }
-      if (fd == listen_fd_) {
+      if (fd == listen_fd_.get()) {
         accept_ready();
         continue;
       }
@@ -175,33 +156,31 @@ void NetServer::run() {
 
 void NetServer::accept_ready() {
   while (true) {
-    const int fd =
-        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN or transient error; epoll will re-arm
+    util::UniqueFd fd(::accept4(listen_fd_.get(), nullptr, nullptr,
+                                SOCK_NONBLOCK | SOCK_CLOEXEC));
+    if (!fd) return;  // EAGAIN or transient error; epoll will re-arm
     if (connections_.size() >= config_.max_connections) {
       refused_.fetch_add(1, std::memory_order_relaxed);
-      ::close(fd);
-      continue;
+      continue;  // dropping `fd` closes it
     }
     const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     if (config_.send_buffer_bytes > 0) {
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &config_.send_buffer_bytes,
+      ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDBUF, &config_.send_buffer_bytes,
                    sizeof(config_.send_buffer_bytes));
     }
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    ev.data.fd = fd.get();
+    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd.get(), &ev) != 0) {
       // An unregistered connection would never see another event: it
-      // cannot be served or closed later, so the fd must be released now.
+      // cannot be served or closed later, so the fd is released now.
       refused_.fetch_add(1, std::memory_order_relaxed);
-      ::close(fd);
       continue;
     }
-    connections_.emplace(fd, std::move(conn));
+    auto& conn = connections_[fd.get()];
+    conn = std::make_unique<Connection>();
+    conn->fd = std::move(fd);
     accepted_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -210,7 +189,7 @@ bool NetServer::read_ready(Connection& conn) {
   char buf[64 * 1024];
   while (!conn.reading_paused) {
     // LOCKCHECK: ok(conn.fd is SOCK_NONBLOCK; recv returns EAGAIN, not stalls)
-    const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
+    const ssize_t n = ::recv(conn.fd.get(), buf, sizeof(buf), 0);
     if (n > 0) {
       bytes_in_.fetch_add(static_cast<std::uint64_t>(n),
                           std::memory_order_relaxed);
@@ -239,12 +218,12 @@ bool NetServer::read_ready(Connection& conn) {
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
-    close_connection(conn.fd);
+    close_connection(conn.fd.get());
     return false;
   }
   if (!flush(conn)) return false;
   if (conn.peer_closed && conn.out.empty()) {
-    close_connection(conn.fd);
+    close_connection(conn.fd.get());
     return false;
   }
   update_interest(conn);
@@ -300,7 +279,7 @@ bool NetServer::flush(Connection& conn) {
   std::size_t written = 0;
   while (written < conn.out.size()) {
     // LOCKCHECK: ok(conn.fd is SOCK_NONBLOCK; send returns EAGAIN, not stalls)
-    const ssize_t n = ::send(conn.fd, conn.out.data() + written,
+    const ssize_t n = ::send(conn.fd.get(), conn.out.data() + written,
                              conn.out.size() - written, MSG_NOSIGNAL);
     if (n > 0) {
       written += static_cast<std::size_t>(n);
@@ -308,7 +287,7 @@ bool NetServer::flush(Connection& conn) {
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n < 0 && errno == EINTR) continue;
-    close_connection(conn.fd);
+    close_connection(conn.fd.get());
     return false;
   }
   if (written > 0) {
@@ -334,27 +313,24 @@ void NetServer::update_interest(Connection& conn) {
   ev.events = 0;
   if (!conn.reading_paused && !conn.peer_closed) ev.events |= EPOLLIN;
   if (!conn.out.empty()) ev.events |= EPOLLOUT;
-  ev.data.fd = conn.fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
+  ev.data.fd = conn.fd.get();
+  ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, conn.fd.get(), &ev);
 }
 
 void NetServer::close_connection(int fd) {
   auto it = connections_.find(fd);
   if (it == connections_.end()) return;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  ::close(fd);
-  connections_.erase(it);
+  ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr);
+  connections_.erase(it);  // the Connection's owner closes the fd
   closed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void NetServer::close_all() {
-  for (auto& [fd, conn] : connections_) {
-    (void)conn;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-    ::close(fd);
+  for (const auto& entry : connections_) {
+    ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, entry.first, nullptr);
     closed_.fetch_add(1, std::memory_order_relaxed);
   }
-  connections_.clear();
+  connections_.clear();  // each Connection's owner closes its fd
 }
 
 }  // namespace mobitherm::service

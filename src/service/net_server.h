@@ -49,6 +49,7 @@
 
 #include "service/server.h"
 #include "util/sync.h"
+#include "util/unique_fd.h"
 
 namespace mobitherm::service {
 
@@ -115,7 +116,7 @@ class NetServer {
 
  private:
   struct Connection {
-    int fd = -1;
+    util::UniqueFd fd;
     std::string in;   // bytes read, not yet framed into lines
     std::string out;  // response bytes not yet written
     bool reading_paused = false;  // EPOLLIN parked (backpressure)
@@ -140,12 +141,12 @@ class NetServer {
 
   SimServer& server_;
   NetServerConfig config_;
-  // The listen/epoll/wake fds are created in the constructor and closed in
-  // the destructor; between those they are read-only (stop() writes *to*
+  // The listen/epoll/wake fds are created in the constructor and closed by
+  // their owners; between those they are read-only (stop() writes *to*
   // wake_fd_, which is thread-safe on an eventfd, but never reassigns it).
-  int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd written by stop()
+  util::UniqueFd listen_fd_;
+  util::UniqueFd epoll_fd_;
+  util::UniqueFd wake_fd_;  // eventfd written by stop()
   int port_ = 0;
   std::atomic<bool> stop_requested_{false};
   /// The event-loop thread's role; see util::ThreadRole.

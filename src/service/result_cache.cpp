@@ -165,11 +165,13 @@ void ResultCache::insert(std::uint64_t key, const std::string& canonical,
   if (capacity_ == 0 || !result) {
     return;
   }
-  util::MutexLock lock(mutex_);
   // The checksum is computed over the payload as handed in; the
   // kCacheCorruption site then damages the *stored copy*, modeling rot
-  // that happened after the write — exactly what lookup must catch.
-  const std::uint64_t checksum = util::fnv1a64(result->payload);
+  // that happened after the write — exactly what lookup must catch. Only
+  // lookups under a fault plan read it, so without one it is not taken.
+  const std::uint64_t checksum =
+      faults_ != nullptr ? util::fnv1a64(result->payload) : 0;
+  util::MutexLock lock(mutex_);
   if (faults_ != nullptr &&
       faults_->fires(util::FaultSite::kCacheCorruption, key)) {
     auto damaged = std::make_shared<JobResult>(*result);

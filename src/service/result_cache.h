@@ -12,12 +12,12 @@
 // service `stats` op.
 //
 // Integrity and degradation:
-//  * every entry stores an FNV-1a checksum of its payload. When a fault
-//    plan is attached (the only in-process writer that can damage a
-//    stored copy, via the kCacheCorruption site), the checksum is
-//    verified on lookup and a corrupted payload is dropped and counted,
+//  * when a fault plan is attached (the only in-process writer that can
+//    damage a stored copy, via the kCacheCorruption site), every entry
+//    stores an FNV-1a checksum of its payload, computed outside the lock,
+//    and lookup verifies it: a corrupted payload is dropped and counted,
 //    never served. Without a plan, entries are immutable after insert, so
-//    the hit path skips the O(payload) hash and stays O(1);
+//    neither insert nor the hit path pays the O(payload) hash;
 //  * entries evicted from the primary LRU move to a same-sized *stale*
 //    side-store. lookup_stale() serves them (marked, checksummed) so the
 //    service can answer `stale: true` instead of failing outright when the
@@ -98,7 +98,8 @@ class ResultCache {
     std::uint64_t key;
     std::string canonical;
     std::shared_ptr<const JobResult> result;
-    /// FNV-1a of result->payload at insert time.
+    /// FNV-1a of result->payload at insert time; 0, and never read,
+    /// without a fault plan.
     std::uint64_t checksum;
   };
 
@@ -106,9 +107,11 @@ class ResultCache {
   void evict_to_stale_locked() REQUIRES(mutex_);
 
   /// Lock order: callers holding SimService::mutex_ may acquire this
-  /// mutex (settle_locked -> lookup_stale / insert); nothing acquired
-  /// under this mutex ever takes a lock, so the order is acyclic. See
-  /// DESIGN.md section 15 and tools/lockcheck.
+  /// mutex, and only through lookup_stale (admit_unit and settle_locked);
+  /// insert is never called under it. The one lock taken under this mutex
+  /// is the leaf FaultPlan::journal_mutex_ (insert's kCacheCorruption
+  /// probe), so the order is acyclic. See DESIGN.md section 15 and
+  /// tools/lockcheck.
   mutable util::Mutex mutex_;
   std::size_t capacity_;       // immutable after construction
   util::FaultPlan* faults_;    // immutable after construction

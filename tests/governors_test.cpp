@@ -128,16 +128,6 @@ TEST(Interactive, TargetLoadSizing) {
   EXPECT_EQ(gov.decide(in(0.45, 4), ladder()), 2u);
 }
 
-// --- NoThrottle ----------------------------------------------------------------------
-
-TEST(NoThrottle, NeverCaps) {
-  NoThrottle gov;
-  ThermalContext ctx;
-  ctx.control_temp_k = util::kelvin(500.0);
-  gov.update(ctx);
-  EXPECT_GE(gov.cap_index(0), 1000u);
-}
-
 // --- StepWise ------------------------------------------------------------------------
 
 StepWiseGovernor::Config one_zone(const SocSpec& spec, std::size_t cluster,

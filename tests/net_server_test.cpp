@@ -1,8 +1,9 @@
 // Socket front-end tests: byte-identity of responses across stdin / one
 // socket / many concurrent connections, connection-level backpressure that
-// never drops a framed response, the stats op's members, and oversized-line
-// / shutdown handling on live sockets. The concurrent cases are the TSan
-// targets for the net front end.
+// never drops a framed response, the stats op's members, oversized-line
+// / shutdown handling on live sockets, and the constructor's failure paths
+// releasing every descriptor. The concurrent cases are the TSan targets
+// for the net front end.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -12,6 +13,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -365,6 +367,34 @@ TEST(NetServer, PortOutsideTheTcpRangeIsAConfigError) {
     cfg.port = port;
     EXPECT_THROW(NetServer(server, cfg), util::ConfigError) << port;
   }
+}
+
+std::size_t open_fd_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(NetServer, ConstructorFailuresReleaseEveryDescriptor) {
+  // Both failures come after the listen socket exists, so each throw must
+  // still release it.
+  SimService service(ScenarioRegistry::standard(), small_config());
+  SimServer server(service);
+  const NetServer holder(server);
+  const std::size_t before = open_fd_count();
+
+  NetServerConfig bad_host;
+  bad_host.host = "not-an-address";
+  EXPECT_THROW(NetServer(server, bad_host), util::ConfigError);
+  EXPECT_EQ(open_fd_count(), before);
+
+  NetServerConfig taken;
+  taken.port = holder.port();
+  EXPECT_THROW(NetServer(server, taken), util::ConfigError);
+  EXPECT_EQ(open_fd_count(), before);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Unit tests for the util module: units, RNG, sliding window, statistics,
-// CSV writer.
+// CSV writer, descriptor owner.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+
 #include <bit>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -15,6 +18,7 @@
 #include "util/rng.h"
 #include "util/sliding_window.h"
 #include "util/stats.h"
+#include "util/unique_fd.h"
 #include "util/units.h"
 
 namespace mobitherm::util {
@@ -395,6 +399,62 @@ TEST(Csv, EscapesQuotes) {
   std::getline(in, line);
   EXPECT_EQ(line, "\"say \"\"hi\"\"\"");
   std::remove(path.c_str());
+}
+
+// --- unique_fd ---------------------------------------------------------------
+
+UniqueFd open_null() {
+  return UniqueFd(::open("/dev/null", O_RDONLY | O_CLOEXEC));
+}
+
+// True once `fd` names no open descriptor.
+bool closed(int fd) {
+  errno = 0;
+  return ::fcntl(fd, F_GETFD) == -1 && errno == EBADF;
+}
+
+TEST(UniqueFd, DefaultConstructedIsInvalid) {
+  const UniqueFd fd;
+  EXPECT_FALSE(fd);
+  EXPECT_LT(fd.get(), 0);
+}
+
+TEST(UniqueFd, DestructorCloses) {
+  int raw = -1;
+  {
+    const UniqueFd fd = open_null();
+    ASSERT_TRUE(fd);
+    raw = fd.get();
+    EXPECT_FALSE(closed(raw));
+  }
+  EXPECT_TRUE(closed(raw));
+}
+
+TEST(UniqueFd, MoveLeavesTheSourceInvalidAndClosesNothing) {
+  UniqueFd source = open_null();
+  ASSERT_TRUE(source);
+  const int raw = source.get();
+  UniqueFd constructed(std::move(source));
+  EXPECT_FALSE(source);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(constructed.get(), raw);
+  UniqueFd assigned;
+  assigned = std::move(constructed);
+  EXPECT_FALSE(constructed);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(assigned.get(), raw);
+  EXPECT_FALSE(closed(raw));
+}
+
+TEST(UniqueFd, MoveAssignmentClosesTheReplacedFd) {
+  UniqueFd target = open_null();
+  UniqueFd source = open_null();
+  ASSERT_TRUE(target);
+  ASSERT_TRUE(source);
+  const int replaced = target.get();
+  const int moved = source.get();
+  target = std::move(source);
+  EXPECT_EQ(target.get(), moved);
+  EXPECT_TRUE(closed(replaced));
+  EXPECT_FALSE(closed(moved));
 }
 
 }  // namespace

@@ -78,35 +78,6 @@ const std::set<std::string>& blocking_global_names() {
   return b;
 }
 
-// fd-creating calls; value = the CLOEXEC flag they accept, empty when the
-// call has no flags argument (so a CLOEXEC-capable replacement exists).
-const std::map<std::string, std::string>& fd_creators() {
-  static const std::map<std::string, std::string> c = {
-      {"socket", "SOCK_CLOEXEC"},       {"accept4", "SOCK_CLOEXEC"},
-      {"eventfd", "EFD_CLOEXEC"},       {"epoll_create1", "EPOLL_CLOEXEC"},
-      {"open", "O_CLOEXEC"},            {"openat", "O_CLOEXEC"},
-      {"pipe2", "O_CLOEXEC"},           {"timerfd_create", "TFD_CLOEXEC"},
-      {"signalfd", "SFD_CLOEXEC"},      {"inotify_init1", "IN_CLOEXEC"},
-      {"memfd_create", "MFD_CLOEXEC"},  {"accept", ""},
-      {"dup", ""},                      {"epoll_create", ""},
-      {"pipe", ""},                     {"creat", ""}};
-  return c;
-}
-
-// Passing an fd here transfers nothing: the call uses the descriptor but
-// ownership stays with the caller. Anything NOT listed counts as an escape
-// (stored in a container, a struct, a registry, ...), which deliberately
-// errs toward missing leaks rather than inventing them.
-const std::set<std::string>& fd_non_owning() {
-  static const std::set<std::string> n = {
-      "close",      "setsockopt", "getsockopt", "epoll_ctl",  "fcntl",
-      "ioctl",      "getsockname", "getpeername", "bind",     "listen",
-      "shutdown",   "recv",       "send",       "read",       "write",
-      "recvfrom",   "sendto",     "connect",    "find",       "count",
-      "at",         "erase",      "contains",   "to_string"};
-  return n;
-}
-
 // ---------------------------------------------------------------------------
 // Per-file directive maps (from comments)
 // ---------------------------------------------------------------------------
@@ -278,7 +249,7 @@ std::string join_tokens(const Toks& t, std::size_t begin, std::size_t end) {
 // Turn the tokens of a lock expression into a program-wide identity:
 //   mutex_        in a SimService method -> "SimService::mutex_"
 //   g_sink_mutex  (file-scope Mutex)     -> "g_sink_mutex"
-//   error.mutex   (function-local slot)  -> "parallel_for_index::error.mutex"
+//   slot.mutex    (untyped local object) -> "<function>::slot.mutex"
 //   obj.member    with obj a typed member -> "Type::member"
 std::string normalize_mutex(const Program& prog, const Function& fn,
                             const Toks& t, std::size_t begin,
@@ -898,156 +869,6 @@ void analyze_body(Program& prog, Function& fn, const Toks& t,
 }
 
 // ---------------------------------------------------------------------------
-// fd hygiene (per function, token-linear with an invalid-region heuristic)
-// ---------------------------------------------------------------------------
-
-void check_fds(Program& prog, const Function& fn, const Toks& t,
-               const Directives& dir) {
-  struct TrackedFd {
-    std::string var;
-    std::size_t created_at;
-    int line;
-    bool closed = false;
-    bool escaped = false;
-  };
-  std::vector<TrackedFd> fds;
-
-  const std::size_t begin = fn.body_begin;
-  const std::size_t end = fn.body_end;
-
-  // Pass 1: creations + CLOEXEC.
-  for (std::size_t i = begin; i + 1 < end; ++i) {
-    if (!is_ident(t[i]) || !is(t[i + 1], "(")) continue;
-    auto it = fd_creators().find(t[i].text);
-    if (it == fd_creators().end()) continue;
-    // A member call (`stream.open(...)`) is not the syscall.
-    if (i > begin && (is(t[i - 1], ".") || is(t[i - 1], "->"))) continue;
-    const std::size_t close = match_balanced(t, i + 1);
-    const std::string& flag = it->second;
-    if (flag.empty()) {
-      if (!exempt_at(dir, t[i].line)) {
-        prog.findings.push_back(
-            {"fd-cloexec", fn.file, t[i].line,
-             t[i].text + "() has no CLOEXEC-capable form; use the *4/*2 "
-             "variant (or fcntl FD_CLOEXEC immediately) so the descriptor "
-             "cannot leak across exec"});
-      }
-    } else {
-      bool has_flag = false;
-      for (std::size_t a = i + 2; a < close; ++a) {
-        if (is_ident(t[a]) &&
-            t[a].text.find("CLOEXEC") != std::string::npos) {
-          has_flag = true;
-          break;
-        }
-      }
-      if (!has_flag && !exempt_at(dir, t[i].line)) {
-        prog.findings.push_back(
-            {"fd-cloexec", fn.file, t[i].line,
-             t[i].text + "() without " + flag +
-                 ": the descriptor leaks into every child process"});
-      }
-    }
-    // Assignment target: [const] int VAR = [::] creator(...)
-    std::size_t j = i;
-    if (j > begin && is(t[j - 1], "::")) --j;
-    if (j > begin + 1 && is(t[j - 1], "=") && is_ident(t[j - 2])) {
-      const std::string var = t[j - 2].text;
-      const bool local_decl = j > begin + 2 && is(t[j - 3], "int");
-      if (local_decl) {
-        fds.push_back({var, close + 1, t[i].line, false, false});
-      }
-    }
-  }
-
-  if (fds.empty()) return;
-
-  // Invalid regions: `if (VAR < 0)` / `if (VAR == -1)` guard bodies, where
-  // the descriptor does not exist and an early return is not a leak.
-  auto invalid_regions = [&](const std::string& var) {
-    std::vector<std::pair<std::size_t, std::size_t>> regions;
-    for (std::size_t i = begin; i + 5 < end; ++i) {
-      if (!is(t[i], "if") || !is(t[i + 1], "(")) continue;
-      const std::size_t close = match_balanced(t, i + 1);
-      bool matches = false;
-      for (std::size_t a = i + 2; a + 1 < close; ++a) {
-        if (is_ident(t[a]) && t[a].text == var &&
-            (a == i + 2 || (!is(t[a - 1], ".") && !is(t[a - 1], "->")))) {
-          if (is(t[a + 1], "<") && a + 2 < close && t[a + 2].text == "0") {
-            matches = true;
-          }
-          if (is(t[a + 1], "==") && a + 3 < close && is(t[a + 2], "-") &&
-              t[a + 3].text == "1") {
-            matches = true;
-          }
-        }
-      }
-      if (!matches) continue;
-      std::size_t body = close + 1;
-      if (body < end && is(t[body], "{")) {
-        regions.emplace_back(body, match_balanced(t, body));
-      } else {
-        std::size_t z = body;
-        while (z < end && !is(t[z], ";")) ++z;
-        regions.emplace_back(body, z);
-      }
-    }
-    return regions;
-  };
-
-  for (TrackedFd& fd : fds) {
-    const auto regions = invalid_regions(fd.var);
-    auto in_invalid = [&](std::size_t pos) {
-      for (const auto& r : regions) {
-        if (pos >= r.first && pos <= r.second) return true;
-      }
-      return false;
-    };
-    // Walk forward from creation, maintaining the enclosing-call stack.
-    std::vector<std::string> call_stack;
-    for (std::size_t i = fd.created_at; i < end; ++i) {
-      if (is(t[i], "(")) {
-        const bool named_call = i > 0 && is_ident(t[i - 1]) &&
-                                keywords().count(t[i - 1].text) == 0;
-        call_stack.push_back(named_call ? t[i - 1].text : "");
-        continue;
-      }
-      if (is(t[i], ")")) {
-        if (!call_stack.empty()) call_stack.pop_back();
-        continue;
-      }
-      if (is(t[i], "return") && !fd.closed && !fd.escaped &&
-          !in_invalid(i) && !exempt_at(dir, t[i].line)) {
-        prog.findings.push_back(
-            {"fd-leak", fn.file, t[i].line,
-             "return with fd '" + fd.var + "' (created at line " +
-                 std::to_string(fd.line) +
-                 ") still open — close it or hand it off on this path"});
-        continue;
-      }
-      if (!is_ident(t[i]) || t[i].text != fd.var) continue;
-      if (i > 0 && (is(t[i - 1], ".") || is(t[i - 1], "->"))) continue;
-      const std::string encl = call_stack.empty() ? "" : call_stack.back();
-      if (encl == "close") {
-        fd.closed = true;
-      } else if (!encl.empty() && fd_non_owning().count(encl) == 0 &&
-                 fd_creators().count(encl) == 0) {
-        fd.escaped = true;  // stored/registered/transferred somewhere
-      } else if (encl.empty() && i > 0 &&
-                 (is(t[i - 1], "=") || is(t[i - 1], "return"))) {
-        fd.escaped = true;  // assigned out or returned
-      }
-    }
-    if (!fd.closed && !fd.escaped && !exempt_at(dir, fd.line)) {
-      prog.findings.push_back(
-          {"fd-leak", fn.file, fd.line,
-           "fd '" + fd.var + "' is neither closed nor handed off on any "
-           "path out of " + fn.qual() + "()"});
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Interprocedural passes
 // ---------------------------------------------------------------------------
 
@@ -1351,7 +1172,6 @@ std::vector<Finding> analyze(const std::vector<FileInput>& inputs) {
     Function& fn = prog.functions[f];
     if (!fn.has_body) continue;
     analyze_body(prog, fn, files[fi].ts.tokens, files[fi].dir);
-    check_fds(prog, fn, files[fi].ts.tokens, files[fi].dir);
   }
   // Pass 3: interprocedural.
   const CallGraph g = resolve_calls(prog);

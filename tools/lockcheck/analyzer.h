@@ -1,7 +1,7 @@
 // Concurrency analyzer over lexed C++ — the checks behind `lockcheck`.
 //
 // The analyzer consumes a set of files (headers + sources) as one program
-// and reports four classes of defect:
+// and reports three classes of defect:
 //
 //   lock-order-cycle   The interprocedural lock-order graph has a cycle:
 //                      some execution acquires A then B while another
@@ -25,12 +25,6 @@
 //                      graph from a function marked `// LOCKCHECK:
 //                      event-loop`. One stalled callback freezes every
 //                      connection the loop serves.
-//
-//   fd-cloexec/fd-leak File-descriptor hygiene: descriptor-creating calls
-//                      must pass their *_CLOEXEC flag, and a descriptor
-//                      stored in a local must be closed or handed off
-//                      (member/container/return) before every exit on the
-//                      paths where it is valid.
 //
 // False-positive escape hatch: a `// LOCKCHECK: ok(reason)` comment on the
 // flagged line (or the line above) suppresses findings at that site; on a

@@ -1,4 +1,4 @@
-// lockcheck — concurrency and fd-hygiene static analysis for this repo.
+// lockcheck — concurrency static analysis for this repo.
 //
 // Usage:
 //   lockcheck [--root DIR]... [FILE]...
