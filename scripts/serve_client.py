@@ -445,31 +445,48 @@ def run_fault_smoke(binary, timeout_s, connect=None):
     end.
 
     In pipe mode the server is spawned here with the canonical fault
-    spec; with `connect` the server must already be listening with
-    `--fault` armed (use FAULT_SMOKE_SPEC for the canonical schedule).
+    spec and two workers; with `connect` the server must already be
+    listening with `--fault` armed (use FAULT_SMOKE_SPEC for the canonical
+    schedule). The jobs include a small compare, whose lanes the server's
+    idle workers help run, so injected crashes also hit those lanes.
     """
     if connect is not None:
         client = SocketClient(*connect)
     else:
         client = ServeClient(
             binary,
-            extra_args=["--retries", "4", "--fault", FAULT_SMOKE_SPEC],
+            extra_args=["--workers", "2", "--retries", "4",
+                        "--fault", FAULT_SMOKE_SPEC],
         )
     try:
         jobs = []
         rejected = 0
         # Duplicate seeds exercise the result cache under corruption; the
         # short duration keeps each simulated job quick.
-        for seed in (1, 2, 3, 1, 2, 4, 1, 3):
-            response = client.request(
-                {
-                    "op": "submit",
-                    "scenario": "nexus",
-                    "app": "paperio",
-                    "duration_s": 2,
-                    "seed": seed,
-                }
-            )
+        requests = [
+            {
+                "op": "submit",
+                "scenario": "nexus",
+                "app": "paperio",
+                "duration_s": 2,
+                "seed": seed,
+            }
+            for seed in (1, 2, 3, 1, 2, 4, 1, 3)
+        ]
+        requests.append(
+            {
+                "op": "compare",
+                "arms": [
+                    {"scenario": "nexus", "app": "paperio",
+                     "policy": policy, "duration_s": 2}
+                    for policy in ("throttled", "unthrottled")
+                ],
+                "max_seeds": 4,
+                "round_seeds": 2,
+            }
+        )
+        for request in requests:
+            response = client.request(request)
             if response.get("ok"):
                 jobs.append(response["job"])
                 continue

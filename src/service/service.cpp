@@ -414,7 +414,8 @@ ServiceStats SimService::stats() const {
 void SimService::worker_loop() {
   util::UniqueLock lock(mutex_);
   for (;;) {
-    // Wake for shutdown, queued work, or the earliest due retry.
+    // Wake for shutdown, queued work, or the earliest due retry; help with
+    // compare lanes until one of them comes.
     for (;;) {
       if (shutting_down_) {
         return;  // queued jobs were already cancelled by the destructor
@@ -422,11 +423,27 @@ void SimService::worker_loop() {
       if (!queue_.empty()) {
         break;
       }
-      if (!retries_.empty()) {
-        const auto due = retries_.begin()->first;
-        if (std::chrono::steady_clock::now() >= due) {  // MOBILINT: nondet-ok
-          break;
-        }
+      const bool retry_pending = !retries_.empty();
+      // A copy: another worker may pop the entry while this one waits.
+      const std::chrono::steady_clock::time_point due =
+          retry_pending ? retries_.begin()->first
+                        : std::chrono::steady_clock::time_point{};
+      if (retry_pending &&
+          std::chrono::steady_clock::now() >= due) {  // MOBILINT: nondet-ok
+        break;
+      }
+      if (!open_rounds_.empty()) {
+        // One lane at a time, so a job queued meanwhile waits for at most
+        // one lane.
+        LaneRound& round = *open_rounds_.front();
+        const std::size_t index = claim_lane_locked(round);
+        lock.unlock();
+        run_lane(round, index);
+        lock.lock();
+        settle_lane_locked(round, index);
+        continue;
+      }
+      if (retry_pending) {
         work_cv_.wait_until(lock, due);
       } else {
         work_cv_.wait(lock);
@@ -548,10 +565,10 @@ void SimService::execute(const std::shared_ptr<Job>& job, int attempt) {
 
 // One compare job: sim::run_compare_rounds() with a round that serves
 // each lane from the cache (under its plain-submit canonical key) or runs
-// it as deadline/stop-cooperative slices. A faulted lane aborts the
-// attempt and re-queues the job through the usual retry machinery; the
-// finished lanes are cache hits on the retry, and the schedule is pure in
-// the base seed.
+// it as deadline/stop-cooperative slices, on this worker and on every
+// idle one. A faulted lane aborts the attempt and re-queues the job
+// through the usual retry machinery; the finished lanes are cache hits on
+// the retry, and the schedule is pure in the base seed.
 void SimService::execute_compare(const std::shared_ptr<Job>& job,
                                  int attempt) {
   ExecOutcome out;
@@ -571,29 +588,80 @@ void SimService::execute_compare(const std::shared_ptr<Job>& job,
         [&](const std::vector<std::uint64_t>& seeds,
             std::vector<double>& values) {
           ++rounds;
-          for (std::size_t a = 0; a < spec.arms.size(); ++a) {
-            for (std::size_t s = 0; s < seeds.size(); ++s) {
-              SimRequest lane = spec.arms[a].request;
-              lane.seed = seeds[s];
-              const std::string canonical = registry_.canonical_key(lane);
-              const std::uint64_t key = fnv1a64(canonical);
-              std::shared_ptr<const JobResult> result =
-                  cache_.lookup(key, canonical);
-              if (result) {
-                ++lane_hits;
-              } else {
-                ++lane_runs;
-                std::shared_ptr<JobResult> fresh =
-                    run_resolved_sliced(lane, key, attempt, *job, out);
-                if (!fresh) {
-                  return false;  // cancelled or expired mid-lane
-                }
-                cache_.insert(key, canonical, fresh);
-                result = std::move(fresh);
-              }
-              values[a * seeds.size() + s] =
-                  sim::compare_metric_value(result->metrics, spec.metric);
+          // Slot i (arm-major) is served by hits[i], or else by the
+          // round's lane lane_of[i]; a twin is a slot equal to an earlier
+          // miss of the round (identical arms), which a serial loop would
+          // have found in the cache once that miss had run.
+          std::vector<std::shared_ptr<const JobResult>> hits(values.size());
+          std::vector<std::size_t> lane_of(values.size());
+          std::vector<char> twin(values.size(), 0);
+          LaneRound round;
+          round.job = job.get();
+          round.attempt = attempt;
+          for (std::size_t i = 0; i < values.size(); ++i) {
+            LaneRound::Lane lane;
+            lane.request = spec.arms[i / seeds.size()].request;
+            lane.request.seed = seeds[i % seeds.size()];
+            lane.canonical = registry_.canonical_key(lane.request);
+            lane.key = fnv1a64(lane.canonical);
+            const auto same = std::find_if(
+                round.lanes.begin(), round.lanes.end(),
+                [&](const LaneRound::Lane& other) {
+                  return other.key == lane.key &&
+                         other.canonical == lane.canonical;
+                });
+            lane_of[i] = static_cast<std::size_t>(same - round.lanes.begin());
+            if (same != round.lanes.end()) {
+              twin[i] = 1;
+              continue;
             }
+            hits[i] = cache_.lookup(lane.key, lane.canonical);
+            if (hits[i]) {
+              ++lane_hits;
+            } else {
+              round.lanes.push_back(std::move(lane));
+            }
+          }
+          if (!round.lanes.empty()) {
+            util::UniqueLock lock(mutex_);
+            open_rounds_.push_back(&round);
+            work_cv_.notify_all();
+            while (!round.halted && round.next < round.lanes.size()) {
+              const std::size_t index = claim_lane_locked(round);
+              lock.unlock();
+              run_lane(round, index);
+              lock.lock();
+              settle_lane_locked(round, index);
+            }
+            while (round.running > 0) {
+              round.settled.wait(lock);
+            }
+            lane_runs += round.next;
+          }
+          // In slot order, the first lane that failed or stopped decides
+          // the attempt, as in a serial loop; no later slot is read.
+          for (std::size_t i = 0; i < values.size(); ++i) {
+            std::shared_ptr<const JobResult> result = hits[i];
+            if (!result) {
+              const LaneRound::Lane& lane = round.lanes[lane_of[i]];
+              if (lane.error) {
+                std::rethrow_exception(lane.error);
+              }
+              if (lane.cancelled || lane.expired) {
+                out.cancelled = lane.cancelled;
+                out.expired = lane.expired;
+                return false;
+              }
+              result = lane.result;
+              if (twin[i]) {
+                ++lane_hits;
+                if (std::shared_ptr<const JobResult> cached =
+                        cache_.lookup(lane.key, lane.canonical)) {
+                  result = std::move(cached);
+                }
+              }
+            }
+            values[i] = sim::compare_metric_value(result->metrics, spec.metric);
           }
           return true;
         });
@@ -652,6 +720,51 @@ void SimService::execute_compare(const std::shared_ptr<Job>& job,
     ++compare_early_stops_;
   }
   settle_locked(job, attempt, out);
+}
+
+std::size_t SimService::claim_lane_locked(LaneRound& round) {
+  const std::size_t index = round.next++;
+  ++round.running;
+  if (round.next == round.lanes.size()) {
+    close_round_locked(round);
+  }
+  return index;
+}
+
+void SimService::run_lane(LaneRound& round, std::size_t index) {
+  LaneRound::Lane& lane = round.lanes[index];
+  ExecOutcome stopped;
+  try {
+    std::shared_ptr<JobResult> fresh = run_resolved_sliced(
+        lane.request, lane.key, round.attempt, *round.job, stopped);
+    if (fresh) {
+      cache_.insert(lane.key, lane.canonical, fresh);
+      lane.result = std::move(fresh);
+    }
+  } catch (...) {
+    lane.error = std::current_exception();
+  }
+  lane.cancelled = stopped.cancelled;
+  lane.expired = stopped.expired;
+}
+
+void SimService::settle_lane_locked(LaneRound& round, std::size_t index) {
+  const LaneRound::Lane& lane = round.lanes[index];
+  if (lane.error || lane.cancelled || lane.expired) {
+    round.halted = true;
+    close_round_locked(round);
+  }
+  if (--round.running == 0) {
+    // Under the lock: the owner may destroy the round once it is 0.
+    round.settled.notify_one();
+  }
+}
+
+void SimService::close_round_locked(LaneRound& round) {
+  const auto it = std::find(open_rounds_.begin(), open_rounds_.end(), &round);
+  if (it != open_rounds_.end()) {
+    open_rounds_.erase(it);
+  }
 }
 
 void SimService::classify_current_exception(ExecOutcome& out) {

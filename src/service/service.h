@@ -33,13 +33,15 @@
 // sim::run_compare_rounds(), the loop CompareRunner uses too; the service
 // supplies only the round, which serves each per-(arm, seed) lane from
 // the result cache or runs it as sliced work — cooperative with the job's
-// deadline and cancellation token exactly like submit. Lanes are cached
-// under the same canonical keys a direct submit of that (arm, seed)
-// request would use, so refinement re-runs and overlapping comparisons
-// are nearly free, and the verdict payload itself is cached under the
-// compare canonical key. The verdict is a pure function of the ordered
-// per-seed results: replays are byte-identical at any worker count or
-// injected-fault schedule.
+// deadline and cancellation token exactly like submit. A round's missed
+// lanes run on every idle worker of the pool, not only on the one running
+// the job: a worker with no queued job and no due retry runs the round's
+// next lane, one lane at a time. Lanes are cached under the same
+// canonical keys a direct submit of that (arm, seed) request would use,
+// so refinement re-runs and overlapping comparisons are nearly free, and
+// the verdict payload itself is cached under the compare canonical key.
+// The verdict is a pure function of the ordered per-seed results: replays
+// are byte-identical at any worker count or injected-fault schedule.
 //
 // Determinism note: job *results* are pure functions of the canonical
 // request. Queueing order, worker interleaving, deadlines and wall-clock
@@ -53,6 +55,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <list>
 #include <map>
 #include <memory>
@@ -345,10 +348,66 @@ class SimService {
                                                  int attempt, const Job& job,
                                                  ExecOutcome& out);
 
+  /// One compare round's cache-missed lanes, published in open_rounds_
+  /// so that idle workers run them beside the owner (the worker running
+  /// the compare job), on whose stack the record lives for the round.
+  ///  * `job`, `attempt` and each lane's `request`, `key` and `canonical`
+  ///    are written before publication and immutable afterwards;
+  ///  * a lane's `result`, `error`, `cancelled` and `expired` are written
+  ///    without the lock by the one worker that claimed the lane, and
+  ///    read by the owner once `running` is back to 0;
+  ///  * `next`, `running` and `halted` change only under
+  ///    SimService::mutex_ (prose, as for Job).
+  struct LaneRound {
+    struct Lane {
+      SimRequest request;
+      std::uint64_t key = 0;
+      std::string canonical;
+      std::shared_ptr<const JobResult> result;
+      std::exception_ptr error;
+      bool cancelled = false;
+      bool expired = false;
+    };
+    const Job* job = nullptr;
+    int attempt = 0;
+    std::vector<Lane> lanes;
+    /// Lanes are claimed in index order; `next` is the lowest unclaimed.
+    std::size_t next = 0;
+    /// Claimed lanes not yet settled.
+    std::size_t running = 0;
+    /// Set when a lane failed or stopped: no further lane is claimed.
+    bool halted = false;
+    /// The owner waits here for `running` to reach 0.
+    util::CondVar settled;
+  };
+
   /// Run a compare job: sim::run_compare_rounds() over rounds of
-  /// per-(arm, seed) lanes, each cache-served or freshly sliced. The
+  /// per-(arm, seed) lanes. Each round looks every lane up in the cache,
+  /// in lane order, then publishes the misses as one LaneRound: the owner
+  /// claims lanes in index order while idle workers claim the next one,
+  /// and the owner waits for the claimed lanes to settle before handing
+  /// the round's values on, arm-major. The failure rule is
+  /// sim::parallel_for_index's: no lane is claimed after one fails or
+  /// stops, claimed lanes run to completion, and the lowest failing or
+  /// stopped lane decides the attempt, as a serial loop would. The
   /// verdict payload is cached under the job's compare key.
   void execute_compare(const std::shared_ptr<Job>& job, int attempt);
+
+  /// Claim `round`'s next lane; closes the round once every lane is
+  /// claimed.
+  std::size_t claim_lane_locked(LaneRound& round) REQUIRES(mutex_);
+
+  /// Run one claimed lane without the lock: its result is cached, and
+  /// its failure or stop recorded in the lane.
+  void run_lane(LaneRound& round, std::size_t index);
+
+  /// Settle a lane run_lane() finished: halts the round when the lane
+  /// failed or stopped, and wakes the owner once no lane is running.
+  void settle_lane_locked(LaneRound& round, std::size_t index)
+      REQUIRES(mutex_);
+
+  /// Drops `round` from open_rounds_; a no-op when it is not there.
+  void close_round_locked(LaneRound& round) REQUIRES(mutex_);
 
   /// Map the in-flight exception to an ExecOutcome (call inside catch).
   static void classify_current_exception(ExecOutcome& out);
@@ -406,6 +465,9 @@ class SimService {
       retries_ GUARDED_BY(mutex_);
   /// Terminal jobs' ids, the one terminal longest first.
   std::list<std::uint64_t> terminal_order_ GUARDED_BY(mutex_);
+  /// Compare rounds with a lane left to claim, oldest first: what a
+  /// worker with no queued job and no due retry helps with.
+  std::deque<LaneRound*> open_rounds_ GUARDED_BY(mutex_);
   /// Read jobs' ids, in the order of their first read; at most
   /// kMaxReadJobs once a read has settled.
   std::deque<std::uint64_t> read_order_ GUARDED_BY(mutex_);

@@ -150,7 +150,7 @@ bool FaultPlan::fires(FaultSite site, std::uint64_t key) {
   }
   fired_[index_of(site)].fetch_add(1, std::memory_order_relaxed);
   {
-    std::lock_guard<std::mutex> lock(journal_mutex_);
+    MutexLock lock(journal_mutex_);
     if (journal_.size() >= config_.journal_capacity) {
       journal_.erase(journal_.begin());
     }
@@ -181,7 +181,7 @@ std::uint64_t FaultPlan::total_injected() const {
 }
 
 std::vector<FaultPlan::Event> FaultPlan::journal() const {
-  std::lock_guard<std::mutex> lock(journal_mutex_);
+  MutexLock lock(journal_mutex_);
   return journal_;
 }
 
@@ -201,7 +201,7 @@ std::string FaultPlan::journal_string() const {
 }
 
 void FaultPlan::reset() {
-  std::lock_guard<std::mutex> lock(journal_mutex_);
+  MutexLock lock(journal_mutex_);
   journal_.clear();
   for (auto& count : fired_) {
     count.store(0, std::memory_order_relaxed);

@@ -18,10 +18,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "util/sync.h"
 
 namespace mobitherm::util {
 
@@ -134,8 +135,10 @@ class FaultPlan {
   bool enabled_ = false;
   std::atomic<std::uint64_t> fired_[kNumFaultSites] = {};
   std::atomic<std::uint64_t> sequence_[kNumFaultSites] = {};
-  mutable std::mutex journal_mutex_;
-  std::vector<Event> journal_;
+  /// A leaf of DESIGN.md section 15's hierarchy: taken under
+  /// SimService::mutex_ and ResultCache::mutex_, and held across no call.
+  mutable Mutex journal_mutex_;
+  std::vector<Event> journal_ GUARDED_BY(journal_mutex_);
 };
 
 }  // namespace mobitherm::util

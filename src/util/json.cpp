@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -13,20 +14,28 @@ std::string format_number(double value) {
     // but a canonical fallback beats undefined output.
     return "null";
   }
+  // Longest output: "-1.7976931348623157e+308", 24 characters.
+  char buf[32];
   if (value == std::floor(value) && std::fabs(value) <= 9007199254740992.0) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(value));
-    return buf;
+    return std::string(
+        buf, std::to_chars(buf, buf + sizeof(buf),
+                           static_cast<long long>(value))
+                 .ptr);
   }
-  char buf[64];
+  // The shortest of %.15g, %.16g and %.17g that parses back to `value`
+  // (general format with a precision is printf's %.*g, byte for byte).
+  char* end = buf;
   for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) {
+    end = std::to_chars(buf, buf + sizeof(buf), value,
+                        std::chars_format::general, precision)
+              .ptr;
+    double parsed = 0.0;
+    std::from_chars(buf, end, parsed);
+    if (parsed == value) {
       break;
     }
   }
-  return buf;
+  return std::string(buf, end);
 }
 
 std::string quote(const std::string& text) {

@@ -2,8 +2,8 @@
 // Welford accumulators behind the statistics, the inverse-normal quantile,
 // the shared seed schedule, the pure decide_best_arm() rule, CompareRunner
 // round slicing, and the service-layer `compare` job (verdict caching,
-// lane-cache sharing with plain submits, fault-injected retries, deadlines
-// and cancellation).
+// lane-cache sharing with plain submits, lanes run by idle workers,
+// fault-injected retries, deadlines, cancellation and shutdown).
 //
 // The load-bearing property is the determinism rule: the stop/continue
 // decision is a pure function of the ordered per-seed results, so a
@@ -415,6 +415,21 @@ TEST(ServiceCompare, RepeatComparisonIsServedFromCache) {
   EXPECT_EQ(service.stats().compare_rounds, 1u);  // nothing re-ran
 }
 
+// perfbench serve_cold's pair: Odroid 3DMark+BML, IPA vs. app-aware, on
+// 10-s lanes, which never separate, so the verdict runs all 16 lanes in
+// two rounds of 8.
+CompareRequest benchmark_compare_request() {
+  CompareRequest request = odroid_compare_request();
+  for (CompareArmRequest& arm : request.arms) {
+    arm.request.app = "threedmark";
+    arm.request.duration_s = 10.0;
+  }
+  request.max_seeds = 8;
+  request.round_seeds = 4;
+  request.min_seeds = 4;
+  return request;
+}
+
 TEST(ServiceCompare, WorkerCountDoesNotChangeTheVerdictBytes) {
   SimService one(ScenarioRegistry::standard(), compare_config(1));
   SimService three(ScenarioRegistry::standard(), compare_config(3));
@@ -422,6 +437,42 @@ TEST(ServiceCompare, WorkerCountDoesNotChangeTheVerdictBytes) {
   const std::string b = run_compare_payload(three, odroid_compare_request());
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
+
+  // Idle workers run the rounds' lanes beside the owner: each lane runs
+  // exactly once, none is skipped, and the bytes do not move.
+  std::string reference;
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    SimService service(ScenarioRegistry::standard(), compare_config(workers));
+    const std::string payload =
+        run_compare_payload(service, benchmark_compare_request());
+    ASSERT_FALSE(payload.empty()) << workers << " workers";
+    if (reference.empty()) {
+      reference = payload;
+    }
+    EXPECT_EQ(payload, reference) << workers << " workers";
+    const service::ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.compare_rounds, 2u) << workers << " workers";
+    EXPECT_EQ(stats.compare_lane_runs, 16u) << workers << " workers";
+    EXPECT_EQ(stats.compare_lane_hits, 0u) << workers << " workers";
+  }
+  EXPECT_NE(reference.find("\"rounds\":2"), std::string::npos) << reference;
+}
+
+TEST(ServiceCompare, IdenticalArmsRunEachLaneOnce) {
+  // A round looks its lanes up before any of them runs, and may run them
+  // on two workers at once; still each twin lane is served from its first
+  // arm's run, a cache hit as in a serial loop, and never runs itself.
+  CompareRequest request = benchmark_compare_request();
+  request.arms[1] = request.arms[0];
+  request.arms[1].name = "twin";
+  SimService service(ScenarioRegistry::standard(), compare_config(2));
+  const std::string payload = run_compare_payload(service, request);
+  EXPECT_NE(payload.find("\"separated\":false"), std::string::npos)
+      << payload;
+  const service::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.compare_lane_runs, 8u);
+  EXPECT_EQ(stats.compare_lane_hits, 8u);
+  EXPECT_EQ(stats.cache.hits, 8u);
 }
 
 TEST(ServiceCompare, LaneResultsShareTheCacheWithPlainSubmits) {
@@ -463,57 +514,96 @@ TEST(ServiceCompare, FaultedRoundsRetryWithoutPerturbingTheVerdict) {
   // Same comparison under worker crashes: attempts consume retries, but
   // completed lanes are cached before the crash aborts the attempt, the
   // schedule is pure in base_seed, and the verdict bytes must not move.
-  FaultPlanConfig fault_config;
-  fault_config.seed = 3;
-  fault_config.probability[static_cast<int>(
-      FaultSite::kWorkerCrashBeforeSlice)] = 0.002;
-  FaultPlan plan(fault_config);
-  ServiceConfig config = compare_config();
-  config.max_attempts = 10;
-  config.retry_backoff_s = 0.001;
-  config.faults = &plan;
-  SimService faulty(ScenarioRegistry::standard(), config);
-  const std::string payload =
-      run_compare_payload(faulty, odroid_compare_request());
-  EXPECT_EQ(payload, expected);
-  EXPECT_GT(plan.injected(FaultSite::kWorkerCrashBeforeSlice), 0u)
-      << "fault plan never fired; raise the probability";
-  EXPECT_GT(faulty.stats().retries, 0u);
+  // With more than one worker the crashes also fire in lanes that idle
+  // workers run for the owner.
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    FaultPlanConfig fault_config;
+    fault_config.seed = 3;
+    fault_config.probability[static_cast<int>(
+        FaultSite::kWorkerCrashBeforeSlice)] = 0.002;
+    FaultPlan plan(fault_config);
+    ServiceConfig config = compare_config(workers);
+    config.max_attempts = 10;
+    config.retry_backoff_s = 0.001;
+    config.faults = &plan;
+    SimService faulty(ScenarioRegistry::standard(), config);
+    const std::string payload =
+        run_compare_payload(faulty, odroid_compare_request());
+    EXPECT_EQ(payload, expected) << workers << " workers";
+    EXPECT_GT(plan.injected(FaultSite::kWorkerCrashBeforeSlice), 0u)
+        << "fault plan never fired at " << workers
+        << " workers; raise the probability";
+    EXPECT_GT(faulty.stats().retries, 0u) << workers << " workers";
+  }
 }
 
-TEST(ServiceCompare, DeadlineExpiresACompareJob) {
-  SimService service(ScenarioRegistry::standard(), compare_config());
+// The Sec. IV-C pair on lanes no test waits out.
+CompareRequest endless_compare_request() {
   CompareRequest request = odroid_compare_request();
   request.arms[0].request.duration_s = 100000.0;
   request.arms[1].request.duration_s = 100000.0;
-  const SubmitOutcome out = service.submit_compare(request, /*deadline_s=*/0.05);
-  ASSERT_TRUE(out.accepted);
-  ASSERT_TRUE(service.wait(out.id, 600.0));
-  const auto status = service.status(out.id);
-  ASSERT_TRUE(status.has_value());
-  EXPECT_EQ(status->state, JobState::kExpired);
-  EXPECT_EQ(service.result(out.id), nullptr);
+  return request;
 }
 
-TEST(ServiceCompare, CancelAbortsACompareJob) {
-  SimService service(ScenarioRegistry::standard(), compare_config());
-  CompareRequest request = odroid_compare_request();
-  request.arms[0].request.duration_s = 100000.0;
-  request.arms[1].request.duration_s = 100000.0;
-  const SubmitOutcome out = service.submit_compare(request);
-  ASSERT_TRUE(out.accepted);
-  // Let it start running, then cancel cooperatively.
+void wait_until_running(SimService& service, std::uint64_t id) {
   for (int spin = 0; spin < 2000; ++spin) {
-    const auto s = service.status(out.id);
+    const auto s = service.status(id);
     ASSERT_TRUE(s.has_value());
     if (s->state == JobState::kRunning) {
-      break;
+      return;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_TRUE(service.cancel(out.id));
-  ASSERT_TRUE(service.wait(out.id, 600.0));
-  EXPECT_EQ(service.status(out.id)->state, JobState::kCancelled);
+}
+
+// At 2 workers the second worker runs lanes of the job too, and every one
+// of them must stop on the job's deadline or cancellation.
+TEST(ServiceCompare, DeadlineExpiresACompareJob) {
+  for (const unsigned workers : {1u, 2u}) {
+    SimService service(ScenarioRegistry::standard(), compare_config(workers));
+    const SubmitOutcome out =
+        service.submit_compare(endless_compare_request(), /*deadline_s=*/0.05);
+    ASSERT_TRUE(out.accepted);
+    ASSERT_TRUE(service.wait(out.id, 600.0));
+    const auto status = service.status(out.id);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, JobState::kExpired) << workers << " workers";
+    EXPECT_EQ(service.result(out.id), nullptr);
+  }
+}
+
+TEST(ServiceCompare, CancelAbortsACompareJob) {
+  for (const unsigned workers : {1u, 2u}) {
+    SimService service(ScenarioRegistry::standard(), compare_config(workers));
+    const SubmitOutcome out = service.submit_compare(endless_compare_request());
+    ASSERT_TRUE(out.accepted);
+    // Let it start running, then cancel cooperatively. The job settles
+    // once every lane has stopped, in far less than a lane would run.
+    wait_until_running(service, out.id);
+    EXPECT_TRUE(service.cancel(out.id));
+    ASSERT_TRUE(service.wait(out.id, 10.0)) << workers << " workers";
+    EXPECT_EQ(service.status(out.id)->state, JobState::kCancelled)
+        << workers << " workers";
+  }
+}
+
+TEST(ServiceCompare, DestroyingTheServiceStopsEveryLane) {
+  // The destructor stops the running job and joins both workers, so it
+  // returns promptly only if the lane the helping worker runs sees the
+  // stop token as well as the owner's.
+  auto service = std::make_unique<SimService>(ScenarioRegistry::standard(),
+                                              compare_config(2));
+  const SubmitOutcome out = service->submit_compare(endless_compare_request());
+  ASSERT_TRUE(out.accepted);
+  wait_until_running(*service, out.id);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(service->status(out.id)->state, JobState::kRunning);
+  const auto start = std::chrono::steady_clock::now();
+  service.reset();
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            10.0);
 }
 
 TEST(ServiceCompare, InvalidComparisonsRejectAtAdmission) {

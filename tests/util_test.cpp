@@ -1,20 +1,27 @@
 // Unit tests for the util module: units, RNG, sliding window, statistics,
-// CSV writer, descriptor owner.
+// CSV writer, JSON number formatting, descriptor owner.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 
 #include <bit>
 #include <cerrno>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/csv.h"
 #include "util/error.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/sliding_window.h"
 #include "util/stats.h"
@@ -399,6 +406,67 @@ TEST(Csv, EscapesQuotes) {
   std::getline(in, line);
   EXPECT_EQ(line, "\"say \"\"hi\"\"\"");
   std::remove(path.c_str());
+}
+
+// --- json::format_number -----------------------------------------------------
+
+// The formatter json::format_number replaced: snprintf's %lld and %.*g,
+// with strtod as the round-trip check. Its bytes are the oracle.
+std::string printf_format_number(double value) {
+  if (!std::isfinite(value)) {
+    return "null";
+  }
+  if (value == std::floor(value) && std::fabs(value) <= 9007199254740992.0) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
+    return buf;
+  }
+  char buf[64];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+    if (std::strtod(buf, nullptr) == value) {
+      break;
+    }
+  }
+  return buf;
+}
+
+TEST(JsonFormatNumber, MatchesThePrintfOracle) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double k2p53 = 9007199254740992.0;
+  std::vector<double> values = {
+      0.0, -0.0, 0.1, -0.1, 1.0 / 3.0, 2.5, 1e-300, 123456.789,
+      k2p53 - 1.0, k2p53, -k2p53, std::nextafter(k2p53, kInf),
+      -std::nextafter(k2p53, kInf), DBL_MAX, -DBL_MAX,
+      std::nextafter(DBL_MAX, 0.0), -std::nextafter(DBL_MAX, 0.0), DBL_MIN,
+      -DBL_MIN, std::numeric_limits<double>::denorm_min(), kInf, -kInf,
+      std::numeric_limits<double>::quiet_NaN()};
+  for (int e = -20; e <= 20; ++e) {
+    // strtod rounds "1eN" correctly, which std::pow need not.
+    const double p = std::strtod(("1e" + std::to_string(e)).c_str(), nullptr);
+    values.insert(values.end(), {p, std::nextafter(p, 0.0),
+                                 std::nextafter(p, kInf)});
+  }
+  std::mt19937_64 bits(20261019);
+  for (int i = 0; i < 100000; ++i) {
+    values.push_back(std::bit_cast<double>(bits()));
+  }
+  for (int i = 0; i < 20000; ++i) {
+    // Sign and mantissa only: a subnormal (or zero).
+    values.push_back(
+        std::bit_cast<double>(bits() & 0x800FFFFFFFFFFFFFULL));
+  }
+  std::size_t mismatches = 0;
+  std::string first;
+  for (const double v : values) {
+    const std::string got = json::format_number(v);
+    const std::string want = printf_format_number(v);
+    if (got != want && mismatches++ == 0) {
+      first = std::to_string(std::bit_cast<std::uint64_t>(v)) + ": " + got +
+              " != " + want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << ", first " << first;
 }
 
 // --- unique_fd ---------------------------------------------------------------
