@@ -111,7 +111,7 @@ class ResultCache {
   /// insert is never called under it. The one lock taken under this mutex
   /// is the leaf FaultPlan::journal_mutex_ (insert's kCacheCorruption
   /// probe), so the order is acyclic. See DESIGN.md section 15 and
-  /// tools/lockcheck.
+  /// mobilint's lock-order-cycle rule.
   mutable util::Mutex mutex_;
   std::size_t capacity_;       // immutable after construction
   util::FaultPlan* faults_;    // immutable after construction

@@ -292,8 +292,8 @@ class SimService {
   ///    cannot express "guarded by the owning service's mutex" without a
   ///    back pointer, so this half of the contract stays prose — but every
   ///    mutation site lives in a REQUIRES(mutex_) helper or under a
-  ///    MutexLock, and tools/lockcheck checks the lock discipline of those
-  ///    helpers.
+  ///    MutexLock, and mobilint's lock rules check the lock discipline of
+  ///    those helpers.
   struct Job {
     std::uint64_t id = 0;
     SimRequest resolved;
@@ -452,7 +452,7 @@ class SimService {
 
   /// Lock order: mutex_ may be held while acquiring ResultCache::mutex_
   /// (settle_locked's stale lookup), never the reverse — the cache takes
-  /// no locks of its own while called. Checked by tools/lockcheck;
+  /// no locks of its own while called. Checked by mobilint's lock rules;
   /// documented in DESIGN.md section 15.
   mutable util::Mutex mutex_;
   util::CondVar work_cv_;  // workers: queue / retries / shutdown

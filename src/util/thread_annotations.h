@@ -44,8 +44,8 @@
 #define PT_GUARDED_BY(x) MOBITHERM_THREAD_ANNOTATION(pt_guarded_by(x))
 
 /// Lock-order declaration: this capability must be acquired before/after
-/// the listed ones (tools/lockcheck derives the same ordering from call
-/// sites; the attributes let clang check it locally too).
+/// the listed ones (mobilint's lock-order-cycle rule derives the same
+/// ordering from call sites; the attributes let clang check it locally too).
 #define ACQUIRED_BEFORE(...) \
   MOBITHERM_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
 #define ACQUIRED_AFTER(...) \

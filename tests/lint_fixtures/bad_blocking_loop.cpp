@@ -1,7 +1,7 @@
-// lockcheck fixture: a helper that sleeps is reachable from a function
+// Fixture: a helper that sleeps is reachable from a function
 // marked as the event loop — one slow dispatch stalls every connection
 // the loop serves.
-// LOCKCHECK-EXPECT: blocking-in-loop
+// LINT-EXPECT: blocking-in-loop
 #include <chrono>
 #include <thread>
 

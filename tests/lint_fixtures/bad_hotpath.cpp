@@ -1,6 +1,7 @@
 // Fixture: an annotated hot-path function that allocates. mobilint must
 // flag every allocation-capable construct inside the body.
 // LINT-EXPECT: hot-path-alloc
+// LINT-EXPECT: hot-path-alloc
 #include <vector>
 
 // MOBILINT: hot-path

@@ -1,7 +1,7 @@
-// lockcheck fixture: two functions acquire the same pair of mutexes in
+// Fixture: two functions acquire the same pair of mutexes in
 // opposite order — the classic ABBA deadlock the lock-order rule exists
 // to catch.
-// LOCKCHECK-EXPECT: lock-order-cycle
+// LINT-EXPECT: lock-order-cycle
 #include <mutex>
 
 class Transfer {

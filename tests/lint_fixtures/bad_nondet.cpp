@@ -1,5 +1,6 @@
 // Fixture: nondeterminism sources that would break reproducible traces.
 // LINT-EXPECT: nondeterminism
+// LINT-EXPECT: nondeterminism
 #include <cstdlib>
 #include <unordered_map>
 

@@ -1,6 +1,8 @@
 // Fixture: raw unit-suffixed double parameters in a public header.
 // These should be util::Kelvin / util::Hertz / util::Watt instead.
 // LINT-EXPECT: raw-units-param
+// LINT-EXPECT: raw-units-param
+// LINT-EXPECT: raw-units-param
 #pragma once
 
 class BadModel {

@@ -1,7 +1,7 @@
-// lockcheck fixture: waiting on a condition variable while a second mutex
+// Fixture: waiting on a condition variable while a second mutex
 // is held. The wait only releases the lock it was handed; `state_` stays
 // locked for the whole sleep, stalling every thread that needs it.
-// LOCKCHECK-EXPECT: wait-holding-two
+// LINT-EXPECT: wait-holding-two
 #include <condition_variable>
 #include <mutex>
 

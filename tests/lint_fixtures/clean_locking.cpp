@@ -1,7 +1,7 @@
-// lockcheck fixture: the patterns the analyzer should accept — consistent
+// Fixture: the locking patterns the lock rules accept — consistent
 // lock order, and a justified exemption on a nonblocking read inside the
 // event loop. The caller owns the descriptor, so none is held raw here.
-// Expects no findings (no LOCKCHECK-EXPECT lines).
+// LINT-EXPECT: clean
 #include <mutex>
 #include <unistd.h>
 
