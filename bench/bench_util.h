@@ -9,9 +9,9 @@
 // Define MOBITHERM_BENCH_COUNT_ALLOCS before including this header (from
 // exactly one translation unit per binary) to replace the global operator
 // new/delete with counting versions. The counters let microbenchmarks report
-// allocations per iteration and assert that warmed-up hot paths are
-// allocation-free (cf. Marcu et al.: the measurement harness must be cheap
-// enough not to perturb what it measures).
+// allocations per iteration (tests/hotpath_test.cpp asserts the budgets;
+// cf. Marcu et al.: the measurement harness must be cheap enough not to
+// perturb what it measures).
 #ifdef MOBITHERM_BENCH_COUNT_ALLOCS
 
 #include <atomic>

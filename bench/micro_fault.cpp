@@ -1,16 +1,10 @@
-// Microbenchmarks for the fault-injection layer, plus the cost invariant
-// the issue tracker pins: a *disabled* FaultPlan probe must be a single
-// branch — no locks, no journal traffic and, above all, zero heap
-// allocations. The invariant is asserted in main() before the benchmarks
-// run, so an accidentally heavyweight probe fails the bench-smoke job
-// loudly instead of just shifting numbers.
-#define MOBITHERM_BENCH_COUNT_ALLOCS
-#include "bench_util.h"
-
+// Microbenchmarks for the fault-injection layer: a disabled FaultPlan
+// probe (a single branch; tests/hotpath_test.cpp asserts that it never
+// allocates), an armed decision, an armed probe with its journal, the
+// cache's checksummed round trip and the server's error path.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 
@@ -96,48 +90,4 @@ void BM_ServerErrorPath(benchmark::State& state) {
 }
 BENCHMARK(BM_ServerErrorPath);
 
-/// The pinned invariant: with a disabled plan, a probe on every site
-/// allocates nothing (and with no plan attached the cache adds only the
-/// checksum, never a lock or journal entry).
-bool check_disabled_probe_is_free() {
-  FaultPlan plan;
-  // Warm up anything lazy before counting.
-  for (int i = 0; i < util::kNumFaultSites; ++i) {
-    plan.fires(static_cast<FaultSite>(i), 1);
-  }
-  const bench::AllocationScope scope;
-  bool fired = false;
-  for (std::uint64_t key = 0; key < 10000; ++key) {
-    for (int i = 0; i < util::kNumFaultSites; ++i) {
-      fired |= plan.fires(static_cast<FaultSite>(i), key);
-    }
-  }
-  if (fired) {
-    std::fprintf(stderr, "micro_fault: disabled plan fired a site\n");
-    return false;
-  }
-  if (scope.count() != 0) {
-    std::fprintf(stderr,
-                 "micro_fault: disabled probes allocated %zu times "
-                 "(must be 0)\n",
-                 scope.count());
-    return false;
-  }
-  std::printf("disabled-probe allocations: 0 over 60000 probes\n");
-  return true;
-}
-
 }  // namespace
-
-int main(int argc, char** argv) {
-  if (!check_disabled_probe_is_free()) {
-    return 1;
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}

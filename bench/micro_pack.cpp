@@ -1,12 +1,10 @@
-// Microbenchmarks for the workload-pack catalog path (PR 10): JSON pack
-// parsing + content hashing, registry resolution of pack-qualified
-// requests, and the per-tick cost of the synthetic stressor workloads.
-// main() asserts the catalog invariant before benchmarking: parsing the
-// same document twice yields the same content hash, and a pack-qualified
-// request resolves to a canonical key that pins it.
+// Microbenchmarks for the workload-pack catalog path: JSON pack parsing +
+// content hashing, registry resolution of pack-qualified requests, and
+// the per-tick cost of the synthetic stressor workloads. pack_test asserts
+// that the content hash is deterministic and that a pack-qualified
+// canonical key embeds it.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <memory>
 #include <string>
 
@@ -106,40 +104,4 @@ void BM_SyntheticStressorSimSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_SyntheticStressorSimSecond)->Unit(benchmark::kMillisecond);
 
-/// Catalog invariants pinned before benchmarking: deterministic content
-/// hash, and pack-qualified canonical keys that embed it.
-bool check_pack_invariants() {
-  const workload::WorkloadPack a =
-      workload::parse_pack_text(kBenchPackText, "bench.json");
-  const workload::WorkloadPack b =
-      workload::parse_pack_text(kBenchPackText, "bench.json");
-  if (a.content_hash != b.content_hash) {
-    std::fprintf(stderr, "micro_pack: content hash is not deterministic\n");
-    return false;
-  }
-  const service::ScenarioRegistry registry = pack_registry();
-  const std::string key = registry.canonical_key(pack_request());
-  if (key.find(";pack=" + a.content_hash_hex()) == std::string::npos) {
-    std::fprintf(stderr,
-                 "micro_pack: canonical key does not pin the pack content "
-                 "hash: %s\n",
-                 key.c_str());
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
-
-int main(int argc, char** argv) {
-  if (!check_pack_invariants()) {
-    return 1;
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}

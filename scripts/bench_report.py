@@ -41,13 +41,7 @@ DEFAULT_BINARIES = [
     "micro_fault",
     "micro_compare",
     "micro_pack",
-    "load_serve",
 ]
-
-# Custom benchmark counters copied verbatim into snapshot entries (the
-# load_serve socket benchmark reports latency percentiles and saturation
-# throughput this way).
-COUNTER_KEYS = ("req_per_s", "p50_us", "p95_us", "p99_us", "hit_rate")
 
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
@@ -65,9 +59,6 @@ def normalize_raw(raw, label):
         }
         if "allocs_per_iter" in b:
             entry["allocs_per_iter"] = round(b["allocs_per_iter"], 4)
-        for key in COUNTER_KEYS:
-            if key in b:
-                entry[key] = round(b[key], 4)
         if "error_occurred" in b and b["error_occurred"]:
             entry["error"] = b.get("error_message", "benchmark error")
         benchmarks[b["name"]] = entry
@@ -171,14 +162,6 @@ def compare(old, new, time_tolerance, alloc_tolerance):
         if oa is not None and na is not None and na > oa + alloc_tolerance:
             regressions.append(
                 f"{name}: allocations regressed {oa} -> {na} per iteration"
-            )
-        # Throughput counters regress downward; apply the same tolerance
-        # factor as time (shared CI hardware is noisy).
-        ot, nt = o.get("req_per_s"), n.get("req_per_s")
-        if ot and nt and nt < ot / time_tolerance:
-            regressions.append(
-                f"{name}: throughput regressed {ot:.0f} -> {nt:.0f} req/s"
-                f" (tolerance {time_tolerance}x)"
             )
     return lines, regressions
 

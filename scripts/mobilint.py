@@ -9,7 +9,7 @@ a time:
                    contain allocation-capable constructs (new/malloc,
                    container growth calls, std::vector/std::string
                    declarations). The physics inner loop is allocation-free
-                   by design; see DESIGN.md and bench/micro_thermal.cpp.
+                   by design; see DESIGN.md and tests/hotpath_test.cpp.
 
   nondeterminism   src/sim, src/thermal and src/service must not use
                    nondeterminism sources (rand/srand, std::random_device,
@@ -66,7 +66,9 @@ follow locks through calls between files (DESIGN.md section 15):
 
   blocking-in-loop  A blocking call (sleep, system, a cv wait, ::read,
                     ::recv, ...) is reachable through the call graph from
-                    a function marked `// LOCKCHECK: event-loop`.
+                    a function marked `// LOCKCHECK: event-loop`. The
+                    marker names the first function declared after it,
+                    so it may sit above a declaration or a definition.
 
   empty-exemption   A `// LOCKCHECK: ok()` gives no reason.
 
@@ -191,8 +193,8 @@ def strip_comments_and_strings(text):
             out.append(ch if ch == "\n" else " ")
         elif state in ("string", "char"):
             quote = '"' if state == "string" else "'"
-            if ch == "\\":
-                out.append("  ")
+            if ch == "\\":  # an escaped newline continues the literal
+                out.append(" \n" if nxt == "\n" else "  ")
                 i += 2
                 continue
             if ch == quote:
@@ -484,8 +486,10 @@ def lex(text):
             end = i + 1
             while end < n and text[end] != c and text[end] != "\n":
                 end += 2 if text[end] == "\\" and end + 1 < n else 1
-            toks.append((text[i:end + 1], line, False))
-            i = min(end + 1, n)
+            stop = end + 1 if end < n and text[end] == c else end
+            toks.append((text[i:stop], line, False))
+            line += text.count("\n", i, stop)  # escaped newlines
+            i = stop
         else:
             p = text[i:i + 3]
             if p not in PUNCT3:
@@ -552,11 +556,10 @@ class Held:
 
 
 class LockFunction:
-    def __init__(self, cls, name, path, toks, ok, event_loop):
+    def __init__(self, cls, name, path, toks, ok):
         self.cls, self.name, self.path = cls, name, path
         self.qual = f"{cls}::{name}" if cls else name
         self.toks, self.ok = toks, ok  # its file's tokens, ok() lines
-        self.event_loop = event_loop
         self.body = None  # (index past its '{', index of its '}')
         self.calls = []   # (obj, name, line, held, exempt); obj "::" global
         self.callees = []  # per call: the functions it may reach
@@ -575,6 +578,7 @@ class LockProgram:
         self.member_type = {}  # "Class::member" ("::name" at file scope)
         self.global_mutexes = set()
         self.requires = {}     # "Class::method" -> [lock expression]
+        self.loop_roots = set()  # "Class::method" marked event-loop
         self.edges = []        # (before, after, path, line)
         self.findings = []     # (path, line, rule, message)
 
@@ -713,11 +717,13 @@ class LockProgram:
                     join_tokens(t, b, e) for b, e in args)
                 a = close
             a += 1
-        # An event-loop marker belongs to the first function after it.
+        # An event-loop marker names the first function declared after
+        # it; that function's definition is a root wherever it is.
         decl = t[name_at][1]
-        fn = LockFunction(cls, name, self.path, t, self.ok,
-                          any(line <= decl for line in self.loops))
-        self.loops = [line for line in self.loops if line > decl]
+        if any(line <= decl for line in self.loops):
+            self.loop_roots.add(key)
+            self.loops = [line for line in self.loops if line > decl]
+        fn = LockFunction(cls, name, self.path, t, self.ok)
         self.functions.append(fn)
         if k < n and t[k][0] == "{":
             fn.body = (k + 1, match(t, k))
@@ -963,7 +969,7 @@ class LockProgram:
     def report_event_loop_blocking(self):
         """Breadth-first from each event-loop root over unexempted calls."""
         for root in self.functions:
-            if not (root.event_loop and root.body):
+            if not (root.qual in self.loop_roots and root.body):
                 continue
             parent, queue, seen = {}, deque([root]), {root}
             while queue:

@@ -261,11 +261,13 @@ void NetServer::handle_buffered_lines(Connection& conn) {
   conn.in.erase(0, start);
   if (conn.discarding) {
     conn.in.clear();
-  } else if (conn.in.size() > kMaxLineBytes) {
-    // A partial line has already outgrown the cap: answer now with the
-    // exact oversized_line response stdin mode produces (routed through
-    // handle_line so fault-injection sequencing stays identical), then
-    // discard until the line's eventual newline.
+  } else if (conn.in.size() > kMaxLineBytes &&
+             (conn.in.size() > kMaxLineBytes + 1 || conn.in.back() != '\r')) {
+    // A partial line has already outgrown the cap, even if a trailing
+    // '\r' turns out to end it: answer now with the exact oversized_line
+    // response stdin mode produces (routed through handle_line so
+    // fault-injection sequencing stays identical), then discard until the
+    // line's eventual newline.
     oversized_.fetch_add(1, std::memory_order_relaxed);
     requests_.fetch_add(1, std::memory_order_relaxed);
     conn.out += server_.handle_line(std::string(kMaxLineBytes + 1, ' '));

@@ -651,16 +651,23 @@ bool SimServer::is_blank_line(const std::string& line) {
 
 void SimServer::serve(std::istream& in, std::ostream& out) {
   // Framed by hand so a line costs at most kMaxLineBytes + 1 bytes; the
-  // kept prefix still makes handle_line answer oversized_line.
+  // kept prefix still makes handle_line answer oversized_line. A line
+  // loses one trailing '\r' as on the socket, unless bytes were dropped.
   constexpr int kEof = std::char_traits<char>::eof();
   std::streambuf* buf = in.rdbuf();
   std::string line;
   while (!shutdown_requested_ && buf->sgetc() != kEof) {
     line.clear();
+    bool cut = false;
     for (int c = buf->sbumpc(); c != kEof && c != '\n'; c = buf->sbumpc()) {
       if (line.size() <= kMaxLineBytes) {
         line.push_back(static_cast<char>(c));
+      } else {
+        cut = true;
       }
+    }
+    if (!cut && !line.empty() && line.back() == '\r') {
+      line.pop_back();
     }
     if (!is_blank_line(line)) {
       out << handle_line(line) << "\n";

@@ -80,7 +80,8 @@
 
 namespace mobitherm::service {
 
-/// Upper bound on one request line; longer lines are answered with an
+/// Upper bound on one request line: the bytes before its '\n' less one
+/// trailing '\r', on either transport. Longer lines are answered with an
 /// `oversized_line` error without being parsed (bounds parser memory).
 inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
 
@@ -106,8 +107,8 @@ class SimServer {
 
   /// Read NDJSON requests from `in` until EOF or `shutdown`, writing one
   /// response line per request to `out` (flushed per line). Lines frame
-  /// as on the socket: blank ones are ignored, and at most
-  /// kMaxLineBytes + 1 bytes of a line are kept.
+  /// as on the socket (see kMaxLineBytes): blank ones are ignored, and at
+  /// most kMaxLineBytes + 1 bytes of a line are kept.
   void serve(std::istream& in, std::ostream& out);
 
   /// Both transports' rule: a line of only spaces, tabs and CRs gets no

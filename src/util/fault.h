@@ -13,7 +13,8 @@
 //
 // Cost contract: a disabled plan (the default) is a single predictable
 // branch per probe and never locks, allocates, or touches the journal;
-// holders pass `nullptr` to skip even that. bench/micro_fault pins this.
+// holders pass `nullptr` to skip even that. tests/hotpath_test.cpp pins
+// this; bench/micro_fault times it.
 #pragma once
 
 #include <atomic>

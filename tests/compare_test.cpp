@@ -12,10 +12,12 @@
 // EXPECT_EQ on doubles / payload strings — no tolerances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <string>
@@ -400,18 +402,54 @@ TEST(ServiceCompare, VerdictNamesSeparationAndEarlyStop) {
   EXPECT_EQ(stats.compare_rounds, 1u);
   EXPECT_EQ(stats.compare_lane_runs, 4u);  // 2 arms x 2 seeds
   EXPECT_EQ(stats.compare_early_stops, 1u);
+
+  // A fixed budget, which may not decide before max_seeds, names the same
+  // winner after 4x the seeds: early stopping saves at least 2x.
+  CompareRequest fixed = odroid_compare_request();
+  fixed.min_seeds = fixed.max_seeds;
+  const std::string full = run_compare_payload(service, fixed);
+  EXPECT_NE(full.find("\"winner\":\"proposed+bml\""), std::string::npos)
+      << full;
+  EXPECT_NE(full.find("\"early_stop\":false"), std::string::npos);
+  EXPECT_NE(full.find("\"seeds_per_arm\":8"), std::string::npos);
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 TEST(ServiceCompare, RepeatComparisonIsServedFromCache) {
   SimService service(ScenarioRegistry::standard(), compare_config());
-  const std::string first =
-      run_compare_payload(service, odroid_compare_request());
-  const SubmitOutcome again = service.submit_compare(odroid_compare_request());
+  const CompareRequest request = odroid_compare_request();
+  const auto cold_start = std::chrono::steady_clock::now();
+  const std::string first = run_compare_payload(service, request);
+  const double cold_s = seconds_since(cold_start);
+  const SubmitOutcome again = service.submit_compare(request);
   ASSERT_TRUE(again.accepted);
   EXPECT_TRUE(again.cached);
   const auto cached = service.result(again.id);
   ASSERT_NE(cached, nullptr);
   EXPECT_EQ(cached->payload, first);  // byte-identical verdict
+
+  // A repeat resolves at least 10x faster than the cold comparison. The
+  // cold one is timed once; a repeat is the fastest of 20, so one
+  // preemption under a parallel ctest cannot fail the ratio.
+  double hit_s = cold_s;
+  for (int i = 0; i < 20; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    const SubmitOutcome hit = service.submit_compare(request);
+    ASSERT_TRUE(hit.accepted);
+    ASSERT_TRUE(hit.cached);
+    ASSERT_TRUE(service.wait(hit.id, 600.0));
+    ASSERT_NE(service.result(hit.id), nullptr);
+    hit_s = std::min(hit_s, seconds_since(start));
+  }
+  std::printf("re-compare speedup: %.0fx (cold %.1f ms, fastest repeat "
+              "%.1f us)\n",
+              cold_s / hit_s, cold_s * 1e3, hit_s * 1e6);
+  EXPECT_GE(cold_s, 10.0 * hit_s);
   EXPECT_EQ(service.stats().compare_rounds, 1u);  // nothing re-ran
 }
 

@@ -8,16 +8,19 @@
 //     pre-rewrite Phi/G^{-1} formulation, and the three solvers
 //     (step_exact, step_rk4, steady_state) agree in the long-time limit on
 //     the Odroid and Nexus networks,
-//  3. a global operator-new hook proves the warmed-up steppers allocate
-//     nothing, a warm engine tick allocates far less than the ~6
-//     allocations/tick of the pre-rewrite engine, and a sliding window fed
-//     a constant dt allocates its ring once.
+//  3. a global operator-new hook proves the in-place kernels and the
+//     warmed-up steppers allocate nothing, steady_state allocates only the
+//     vector it returns, a warm engine tick allocates far less than the ~6
+//     allocations/tick of the pre-rewrite engine, a sliding window fed a
+//     constant dt allocates its ring once, and a disabled FaultPlan probe
+//     allocates nothing.
 //
 // This binary replaces the global operator new/delete, so it must stay its
 // own test executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
@@ -29,6 +32,7 @@
 #include "stability/presets.h"
 #include "thermal/network.h"
 #include "thermal/presets.h"
+#include "util/fault.h"
 #include "util/sliding_window.h"
 #include "workload/presets.h"
 
@@ -263,6 +267,42 @@ TEST(HotPathSteadyState, IntoVariantMatchesValueVariantBitwise) {
 
 // --- 3. allocation counting ----------------------------------------------
 
+// Allocations made by 1000 calls of `f`.
+template <typename F>
+std::size_t allocs_over_1000_calls(F&& f) {
+  const std::size_t before = alloc_count();
+  for (int i = 0; i < 1000; ++i) {
+    f();
+  }
+  return alloc_count() - before;
+}
+
+class HotPathKernelSize : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(HotPathKernelSize, GemvIsAllocationFree) {
+  const std::size_t n = GetParam();
+  Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      a(i, j) = 1.0 / static_cast<double>(i + j + 1);
+    }
+  }
+  const Vector x(n, 1.0);
+  Vector y(n, 0.0);
+  EXPECT_EQ(allocs_over_1000_calls([&] { linalg::gemv(a, x, y); }), 0u);
+}
+
+TEST_P(HotPathKernelSize, CholeskySolveIntoIsAllocationFree) {
+  const linalg::Cholesky chol(spd_test_matrix(GetParam()));
+  const Vector b(GetParam(), 1.0);
+  Vector x(GetParam(), 0.0);
+  EXPECT_EQ(allocs_over_1000_calls([&] { chol.solve_into(b, x); }), 0u);
+}
+
+// The Odroid network's 5 nodes and a 16-node network.
+INSTANTIATE_TEST_SUITE_P(HotPathAllocations, HotPathKernelSize,
+                         ::testing::Values(std::size_t{5}, std::size_t{16}));
+
 TEST(HotPathAllocations, WarmExactStepIsAllocationFree) {
   thermal::ThermalNetwork net(thermal::odroidxu3_network(),
                               thermal::StepMethod::kExact);
@@ -299,23 +339,35 @@ TEST(HotPathAllocations, SteadyStateIntoIsAllocationFree) {
   EXPECT_EQ(alloc_count() - before, 0u);
 }
 
+TEST(HotPathAllocations, SteadyStateAllocatesOnlyItsResult) {
+  const thermal::ThermalNetwork net(thermal::odroidxu3_network());
+  const Vector power = {0.2, 2.0, 1.5, 0.3, 0.25};
+  EXPECT_LE(allocs_over_1000_calls([&] { (void)net.steady_state(power); }),
+            1000u);
+}
+
 TEST(HotPathAllocations, WarmEngineTicksStayWellUnderPreRewriteRate) {
+  // 3DMark with and without BML running beside it.
   const stability::Params p = stability::odroid_xu3_params();
-  sim::Engine engine(platform::exynos5422(), thermal::odroidxu3_network(),
-                     power::LeakageParams{p.leak_theta_k, p.leak_a_w_per_k2},
-                     0.25);
-  engine.add_app(workload::threedmark());
-  engine.add_app(workload::bml());
-  engine.run(2.0);  // warm sliding windows, trace and scratch buffers
-  const std::size_t before = alloc_count();
-  engine.run(1.0);  // 1000 ticks
-  const std::size_t per_kilotick = alloc_count() - before;
-  // Pre-rewrite: ~6 allocations per tick (~6000 per 1000 ticks). The
-  // acceptance bar is >=2x fewer; in practice only the decimated trace
-  // points remain (~20), so assert with an order-of-magnitude margin.
-  EXPECT_LT(per_kilotick, 3000u);
-  EXPECT_LT(per_kilotick, 100u) << "unexpected per-tick allocations crept "
-                                   "into the engine hot path";
+  for (const bool with_bml : {true, false}) {
+    sim::Engine engine(platform::exynos5422(), thermal::odroidxu3_network(),
+                       power::LeakageParams{p.leak_theta_k, p.leak_a_w_per_k2},
+                       0.25);
+    engine.add_app(workload::threedmark());
+    if (with_bml) {
+      engine.add_app(workload::bml());
+    }
+    engine.run(2.0);  // warm sliding windows, trace and scratch buffers
+    const std::size_t before = alloc_count();
+    engine.run(1.0);  // 1000 ticks
+    const std::size_t per_kilotick = alloc_count() - before;
+    // Pre-rewrite: ~6 allocations per tick (~6000 per 1000 ticks). The
+    // acceptance bar is >=2x fewer; in practice only the decimated trace
+    // points remain (~20), so assert with an order-of-magnitude margin.
+    EXPECT_LT(per_kilotick, 100u)
+        << "unexpected per-tick allocations crept into the engine hot path"
+        << (with_bml ? " (3DMark + BML)" : " (3DMark)");
+  }
 }
 
 TEST(HotPathAllocations, ConstantDtWindowAllocatesAtMostTwice) {
@@ -327,6 +379,21 @@ TEST(HotPathAllocations, ConstantDtWindowAllocatesAtMostTwice) {
     window.push(1e-3, static_cast<double>(i % 7));
   }
   EXPECT_LE(alloc_count() - before, 2u);
+}
+
+TEST(HotPathAllocations, DisabledFaultPlanFiresNothingAndAllocatesNothing) {
+  // The default plan, as every production holder without --fault has it:
+  // a probe is one branch, with no lock, journal entry or allocation.
+  util::FaultPlan plan;
+  const std::size_t before = alloc_count();
+  bool fired = false;
+  for (std::uint64_t key = 0; key < 10000; ++key) {
+    for (int i = 0; i < util::kNumFaultSites; ++i) {
+      fired |= plan.fires(static_cast<util::FaultSite>(i), key);
+    }
+  }
+  EXPECT_EQ(alloc_count() - before, 0u);
+  EXPECT_FALSE(fired);
 }
 
 }  // namespace

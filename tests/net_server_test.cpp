@@ -1,7 +1,8 @@
 // Socket front-end tests: byte-identity of responses across stdin / one
 // socket / many concurrent connections, connection-level backpressure that
 // never drops a framed response, the stats op's members, oversized-line
-// / shutdown handling on live sockets, and the constructor's failure paths
+// / shutdown handling on live sockets, one line-length rule on both
+// fronts wherever TCP splits a line, and the constructor's failure paths
 // releasing every descriptor. The concurrent cases are the TSan targets
 // for the net front end.
 #include <gtest/gtest.h>
@@ -12,9 +13,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -276,6 +280,55 @@ TEST(NetServer, OversizedLineGetsStructuredErrorAndConnectionSurvives) {
   const std::string stats = client.request("{\"op\":\"stats\"}");
   EXPECT_NE(stats.find("\"ok\":true"), std::string::npos);
   EXPECT_EQ(harness.net.counters().oversized_lines, 1u);
+}
+
+// {"op":"stats"} padded with spaces to `bytes` bytes.
+std::string padded_stats(std::size_t bytes) {
+  std::string line = "{\"op\":\"stats\"";
+  line.append(bytes - line.size() - 1, ' ');
+  return line + "}";
+}
+
+TEST(NetServer, LineLengthRuleIsTheSameOnBothFrontsAtEverySplit) {
+  // One framing rule: a line is the bytes before its '\n' less one
+  // trailing '\r', and is oversized when that is longer than
+  // kMaxLineBytes. Each input goes to SimServer::serve whole and to a
+  // socket in two sends, split at each of its last four offsets (between
+  // '\r' and '\n' too); the responses must be byte-identical.
+  const std::vector<std::string> inputs = {
+      padded_stats(kMaxLineBytes) + "\r\n",        // at the cap: parsed
+      padded_stats(kMaxLineBytes) + "\n",           // at the cap: parsed
+      padded_stats(kMaxLineBytes + 1) + "\r\n",    // one past: oversized
+      padded_stats(kMaxLineBytes - 1) + "\r\r\n",  // keeps a '\r': parsed
+  };
+  const std::string next = "{\"op\":\"stats\"}\n";
+  for (const std::string& input : inputs) {
+    SimService pipe_service(ScenarioRegistry::standard(), small_config());
+    SimServer pipe_server(pipe_service);
+    std::istringstream in(input + next);
+    std::ostringstream out;
+    pipe_server.serve(in, out);
+
+    SimService socket_service(ScenarioRegistry::standard(), small_config());
+    ServerHarness harness(socket_service);
+    for (std::size_t split = input.size() - 4; split < input.size(); ++split) {
+      LineClient client(harness.net.port());
+      ASSERT_TRUE(client.ok());
+      const std::uint64_t framed = harness.net.counters().bytes_in + split;
+      client.send_all(input.substr(0, split));
+      // The loop frames the first part alone before the rest is sent.
+      for (int i = 0; i < 10000 && harness.net.counters().bytes_in < framed;
+           ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      ASSERT_EQ(harness.net.counters().bytes_in, framed);
+      client.send_all(input.substr(split) + next);
+      const std::string first = client.recv_line();
+      const std::string second = client.recv_line();
+      EXPECT_EQ(first + "\n" + second + "\n", out.str())
+          << input.size() << "-byte input split at " << split;
+    }
+  }
 }
 
 TEST(NetServer, BlankLinesGetNoResponse) {

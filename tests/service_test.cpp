@@ -6,9 +6,11 @@
 // BatchRunner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -306,14 +308,23 @@ void wait_until_running(SimService& service, std::uint64_t id) {
   FAIL() << "job " << id << " never started running";
 }
 
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 TEST(SimService, SecondIdenticalSubmitIsServedFromCacheByteIdentical) {
   SimService service(ScenarioRegistry::standard(), small_config());
-  const SimRequest req = short_request();
+  // 10 simulated seconds: the cold run dwarfs the cache's bookkeeping.
+  const SimRequest req = short_request(42, 10.0);
 
+  const auto cold_start = std::chrono::steady_clock::now();
   const SubmitOutcome first = service.submit(req);
   ASSERT_TRUE(first.accepted);
   EXPECT_FALSE(first.cached);
   ASSERT_TRUE(service.wait(first.id, 600.0));
+  const double cold_s = seconds_since(cold_start);
 
   const SubmitOutcome second = service.submit(req);
   ASSERT_TRUE(second.accepted);
@@ -337,6 +348,22 @@ TEST(SimService, SecondIdenticalSubmitIsServedFromCacheByteIdentical) {
   ASSERT_TRUE(status.has_value());
   EXPECT_TRUE(status->from_cache);
   EXPECT_EQ(status->state, JobState::kDone);
+
+  // A hit resolves at least 10x faster than the cold run. The cold run is
+  // timed once; a hit is the fastest of 20, so one preemption under a
+  // parallel ctest cannot fail the ratio.
+  double hit_s = cold_s;
+  for (int i = 0; i < 20; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    const SubmitOutcome hit = service.submit(req);
+    ASSERT_TRUE(hit.accepted);
+    ASSERT_TRUE(hit.cached);
+    ASSERT_TRUE(service.wait(hit.id, 600.0));
+    hit_s = std::min(hit_s, seconds_since(start));
+  }
+  std::printf("cache-hit speedup: %.0fx (cold %.3f ms, fastest hit %.1f us)\n",
+              cold_s / hit_s, cold_s * 1e3, hit_s * 1e6);
+  EXPECT_GE(cold_s, 10.0 * hit_s);
 }
 
 TEST(SimService, InvalidRequestIsRejectedWithReason) {
