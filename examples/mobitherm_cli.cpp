@@ -12,7 +12,9 @@
 //       Developer throttling advisory for an app on the Nexus 6P model.
 //   mobitherm_cli apps
 //       List the built-in workloads.
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -29,6 +31,7 @@
 #include "stability/safety.h"
 #include "stability/trajectory.h"
 #include "thermal/presets.h"
+#include "util/error.h"
 #include "util/units.h"
 #include "workload/presets.h"
 
@@ -36,10 +39,20 @@ namespace {
 
 using namespace mobitherm;
 
+/// The value after `flag`; exits 2 unless all of it is a finite number.
 double arg_double(int argc, char** argv, const char* flag, double fallback) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], flag) == 0) {
-      return std::atof(argv[i + 1]);
+      const char* text = argv[i + 1];
+      char* end = nullptr;
+      const double value = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !std::isfinite(value)) {
+        std::fprintf(stderr,
+                     "mobitherm_cli: %s needs a finite number, got '%s'\n",
+                     flag, text);
+        std::exit(2);
+      }
+      return value;
     }
   }
   return fallback;
@@ -247,7 +260,13 @@ int main(int argc, char** argv) {
     return cmd_analyze(argc, argv);
   }
   if (command == "simulate") {
-    return cmd_simulate(argc, argv);
+    try {
+      return cmd_simulate(argc, argv);
+    } catch (const util::ConfigError& e) {
+      // A negative or oversized --duration, or a bad --platform file.
+      std::fprintf(stderr, "mobitherm_cli: %s\n", e.what());
+      return 2;
+    }
   }
   if (command == "advise") {
     return cmd_advise(argc, argv);

@@ -11,7 +11,7 @@
 //   $ ./mobitherm_serve < requests.ndjson
 //
 // With --listen the same protocol is served to many concurrent loopback
-// clients through the epoll front end (service/net_server.h); the bound
+// clients, each on its own thread (service/net_server.h); the bound
 // port is announced as a JSON line on stdout so callers can pass
 // --listen 0 for an ephemeral port:
 //
@@ -222,6 +222,9 @@ int main(int argc, char** argv) {
   SimServer server(service, config.faults);
 
   if (!listen) {
+    // Unsynced, std::cin reads stdin in chunks of what has arrived, so
+    // SimServer::serve takes more than one byte per call.
+    std::ios::sync_with_stdio(false);
     server.serve(std::cin, std::cout);
     return 0;
   }

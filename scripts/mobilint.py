@@ -146,6 +146,21 @@ class Finding:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
+HEX_DIGITS = set("0123456789abcdefABCDEF")
+
+
+def digit_separator(text, i):
+    """True if the ' at text[i] separates two digits of a number, as in
+    1'000 or 0xFF'FF, rather than opening a char literal (u8'a')."""
+    if not (0 < i < len(text) - 1 and text[i - 1] in HEX_DIGITS
+            and text[i + 1] in HEX_DIGITS):
+        return False
+    j = i - 1
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] in "_."):
+        j -= 1
+    return text[j].isdigit() or text[j] == "."
+
+
 def strip_comments_and_strings(text):
     """Blank out comment bodies and string/char literal contents, keeping
     line structure, so pattern matching only sees code."""
@@ -172,7 +187,7 @@ def strip_comments_and_strings(text):
                 out.append(ch)
                 i += 1
                 continue
-            if ch == "'":
+            if ch == "'" and not digit_separator(text, i):
                 state = "char"
                 out.append(ch)
                 i += 1
@@ -400,10 +415,10 @@ KEYWORDS = {"if", "for", "while", "switch", "return", "sizeof", "catch",
             "throw", "new", "delete", "do", "else", "case", "default",
             "alignof", "decltype", "assert", "noexcept", "static_assert"}
 GUARDS = {"lock_guard", "unique_lock", "scoped_lock", "shared_lock",
-          "MutexLock", "UniqueLock", "RoleGuard"}
+          "MutexLock", "UniqueLock"}
 RELOCKABLE = {"unique_lock", "UniqueLock"}
 CONDVARS = {"CondVar", "condition_variable", "condition_variable_any"}
-MUTEXES = {"Mutex", "mutex", "ThreadRole", "recursive_mutex",
+MUTEXES = {"Mutex", "mutex", "recursive_mutex",
            "shared_mutex", "timed_mutex"}
 WAITS = {"wait", "wait_for", "wait_until"}
 BLOCKING = {"sleep", "usleep", "nanosleep", "sleep_for", "sleep_until",
@@ -422,7 +437,8 @@ METHOD_ANNOTATIONS = MEMBER_ANNOTATIONS | {
 
 SPACE_RE = re.compile(r"[ \t\v\f\r]+")
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-NUMBER_RE = re.compile(r"\.?[0-9](?:[A-Za-z0-9_.]|(?<=[eEpP])[+-])*")
+NUMBER_RE = re.compile(r"\.?[0-9](?:[A-Za-z0-9_.]|(?<=[eEpP])[+-]"
+                       r"|(?<=[0-9A-Fa-f])'(?=[0-9A-Fa-f]))*")
 ALNUM = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
 RAW_PREFIXES = {"R", "u8R", "uR", "UR", "LR"}
 PUNCT3 = {"<<=", ">>=", "...", "->*"}

@@ -1,5 +1,6 @@
 #include "service/server.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <exception>
@@ -266,7 +267,7 @@ std::string SimServer::handle_line(const std::string& line) {
       return finish_response(handle_scenarios());
     }
     if (op == "shutdown") {
-      shutdown_requested_ = true;
+      shutdown_requested_.store(true, std::memory_order_release);
       json::Value out = json::Value::object();
       out.set("ok", json::Value::boolean(true));
       out.set("op", json::Value::string("shutdown"));
@@ -492,9 +493,7 @@ std::string SimServer::handle_wait(const json::Value& request) {
   if (!timeout_error.empty()) {
     return error_response("wait", errc::kBadRequest, timeout_error);
   }
-  // The wait op blocks the serving thread by contract; net_server.h
-  // documents the caveat and tells clients to keep timeouts short.
-  // LOCKCHECK: ok(wait op blocks by contract, documented in net_server.h)
+  // Blocks only the calling connection's thread (net_server.h).
   const bool done = service_.wait(id, timeout_s);
   const auto status = service_.status(id);
   if (!status) {
@@ -644,36 +643,78 @@ std::string SimServer::finish_response(std::string response) {
   return response;
 }
 
-bool SimServer::is_blank_line(const std::string& line) {
-  return line.size() <= kMaxLineBytes &&
-         line.find_first_not_of(" \t\r") == std::string::npos;
+LineSession::Tally LineSession::feed(std::string_view bytes,
+                                     std::string& out) {
+  Tally tally;
+  while (!bytes.empty() && !server_.shutdown_requested()) {
+    const std::size_t nl = bytes.find('\n');
+    const std::string_view part = bytes.substr(0, nl);
+    if (!discarding_) {
+      line_.append(part.substr(0, kMaxLineBytes + 2 - line_.size()));
+    }
+    if (nl == std::string_view::npos) {
+      // A partial line is oversized once it is longer than kMaxLineBytes
+      // even without a trailing '\r' that a '\n' may yet end.
+      if (!discarding_ &&
+          line_.size() - (line_.back() == '\r') > kMaxLineBytes) {
+        answer(out, tally);
+        discarding_ = true;
+      }
+      break;
+    }
+    if (!discarding_) {
+      if (!line_.empty() && line_.back() == '\r') line_.pop_back();
+      answer(out, tally);
+    }
+    discarding_ = false;
+    bytes.remove_prefix(nl + 1);
+  }
+  return tally;
+}
+
+LineSession::Tally LineSession::finish(std::string& out) {
+  return line_.empty() ? Tally{} : feed("\n", out);
+}
+
+void LineSession::answer(std::string& out, Tally& tally) {
+  const bool oversized = line_.size() > kMaxLineBytes;
+  if (oversized || line_.find_first_not_of(" \t\r") != std::string::npos) {
+    ++tally.lines;
+    tally.oversized += oversized;
+    out += server_.handle_line(line_);
+    out += '\n';
+  }
+  line_.clear();
 }
 
 void SimServer::serve(std::istream& in, std::ostream& out) {
-  // Framed by hand so a line costs at most kMaxLineBytes + 1 bytes; the
-  // kept prefix still makes handle_line answer oversized_line. A line
-  // loses one trailing '\r' as on the socket, unless bytes were dropped.
   constexpr int kEof = std::char_traits<char>::eof();
   std::streambuf* buf = in.rdbuf();
-  std::string line;
-  while (!shutdown_requested_ && buf->sgetc() != kEof) {
-    line.clear();
-    bool cut = false;
-    for (int c = buf->sbumpc(); c != kEof && c != '\n'; c = buf->sbumpc()) {
-      if (line.size() <= kMaxLineBytes) {
-        line.push_back(static_cast<char>(c));
-      } else {
-        cut = true;
+  LineSession session(*this);
+  std::string responses;
+  char chunk[16 * 1024];
+  // sgetc waits for one byte at most; in_avail then counts the bytes the
+  // stream already holds, which sgetn takes without waiting.
+  while (!shutdown_requested() && buf->sgetc() != kEof) {
+    const std::streamsize n = buf->sgetn(
+        chunk, std::clamp<std::streamsize>(buf->in_avail(), 1, sizeof(chunk)));
+    // A line at a time, so each response is flushed before the next line
+    // is handled: a `wait` holds up only the lines after it.
+    for (std::string_view rest(chunk, static_cast<std::size_t>(n));
+         !rest.empty();) {
+      const std::size_t end = std::min(rest.find('\n'), rest.size() - 1) + 1;
+      session.feed(rest.substr(0, end), responses);
+      rest.remove_prefix(end);
+      if (!responses.empty()) {
+        out << responses;
+        out.flush();
+        responses.clear();
       }
     }
-    if (!cut && !line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    if (!is_blank_line(line)) {
-      out << handle_line(line) << "\n";
-      out.flush();
-    }
   }
+  session.finish(responses);
+  out << responses;
+  out.flush();
 }
 
 }  // namespace mobitherm::service

@@ -70,9 +70,11 @@
 // lines and expects a structured error for every one.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "service/service.h"
 #include "util/fault.h"
@@ -102,18 +104,17 @@ class SimServer {
   /// newline). Never throws: malformed input yields an ok:false response.
   std::string handle_line(const std::string& line);
 
-  /// True once a `shutdown` request has been handled.
-  bool shutdown_requested() const { return shutdown_requested_; }
+  /// True once a `shutdown` request has been handled, on any thread.
+  bool shutdown_requested() const {
+    return shutdown_requested_.load(std::memory_order_acquire);
+  }
 
   /// Read NDJSON requests from `in` until EOF or `shutdown`, writing one
   /// response line per request to `out` (flushed per line). Lines frame
-  /// as on the socket (see kMaxLineBytes): blank ones are ignored, and at
-  /// most kMaxLineBytes + 1 bytes of a line are kept.
+  /// as on the socket (LineSession). The pump takes what the stream
+  /// already holds and waits for one byte at most, so a client that
+  /// writes one line and waits for its answer gets it.
   void serve(std::istream& in, std::ostream& out);
-
-  /// Both transports' rule: a line of only spaces, tabs and CRs gets no
-  /// response; an oversized line is never blank.
-  static bool is_blank_line(const std::string& line);
 
  private:
   std::string handle_submit(const util::json::Value& request);
@@ -134,7 +135,45 @@ class SimServer {
 
   SimService& service_;
   util::FaultPlan* faults_;
-  bool shutdown_requested_ = false;
+  // Set by handle_line, which each socket connection calls on its own
+  // thread.
+  std::atomic<bool> shutdown_requested_{false};
+};
+
+/// The framing rule of both transports, fed one connection's (or the
+/// stdin pipe's) bytes in whatever chunks they arrive:
+///   - a line is the bytes before its '\n' less one trailing '\r';
+///   - a blank line (only spaces, tabs and CRs) gets no response;
+///   - a line longer than kMaxLineBytes is answered `oversized_line`
+///     once, as soon as its length is known, and its bytes are discarded
+///     up to its newline; at most kMaxLineBytes + 2 bytes of a line are
+///     kept;
+///   - at end of input, a last line with no '\n' is answered.
+/// Framing stops once a `shutdown` has been handled. Not thread-safe: one
+/// session per connection.
+class LineSession {
+ public:
+  explicit LineSession(SimServer& server) : server_(server) {}
+
+  /// Requests answered by one call, and how many of them were oversized.
+  struct Tally {
+    std::uint64_t lines = 0;
+    std::uint64_t oversized = 0;
+  };
+
+  /// Frames `bytes`, appending to `out` one '\n'-ended response per
+  /// request line they complete.
+  Tally feed(std::string_view bytes, std::string& out);
+
+  /// End of input: answers a last line that has no '\n'.
+  Tally finish(std::string& out);
+
+ private:
+  void answer(std::string& out, Tally& tally);
+
+  SimServer& server_;
+  std::string line_;  // the current line's bytes so far
+  bool discarding_ = false;  // inside an oversized line already answered
 };
 
 }  // namespace mobitherm::service

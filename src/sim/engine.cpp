@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "platform/presets.h"
 #include "sim/sim_error.h"
@@ -225,8 +227,17 @@ void Engine::set_initial_temperature(double t_k) {
 
 void Engine::run(double seconds, const std::atomic<bool>* stop) {
   // Carry fractional ticks across calls so repeated short runs advance
-  // exactly as far as one long run (run(0.05) x20 == run(1.0)).
-  pending_ticks_ += seconds / kTickS;
+  // exactly as far as one long run (run(0.05) x20 == run(1.0)). The tick
+  // count must be a number a long long holds exactly.
+  const double pending = pending_ticks_ + seconds / kTickS;
+  if (!(seconds >= 0.0 && pending < 0x1p53)) {
+    char got[32];
+    std::snprintf(got, sizeof(got), "%g", seconds);
+    throw ConfigError(std::string("Engine::run: duration must be a finite "
+                                  "number of seconds >= 0 and under 2^53 "
+                                  "ticks, got ") + got);
+  }
+  pending_ticks_ = pending;
   const auto ticks =
       static_cast<long long>(std::floor(pending_ticks_ + 1e-9));
   if (ticks <= 0) {

@@ -118,7 +118,8 @@ class Engine {
 
   /// Advance the simulation by `seconds`. Fractional ticks are carried to
   /// the next call, so run(0.05) twenty times advances exactly as far as
-  /// run(1.0) once.
+  /// run(1.0) once. A negative or non-finite `seconds`, or one that takes
+  /// the tick count to 2^53, throws util::ConfigError and runs nothing.
   ///
   /// `stop` is an optional cooperative cancellation token, checked once
   /// per tick (a single relaxed atomic load; the hot loop stays

@@ -16,13 +16,6 @@
 // Every method is an inline forward; under GCC the annotation macros
 // vanish and these compile to exactly the std types they wrap
 // (tests/sync_test.cpp asserts the layout matches).
-//
-// util::ThreadRole / util::RoleGuard express *thread affinity* rather than
-// mutual exclusion: a role is a fictional capability with no runtime state
-// that a thread "acquires" at the top of its loop (RoleGuard in
-// NetServer::run). Members GUARDED_BY(role) and helpers REQUIRES(role) are
-// then compiler-checked to be touched only from that loop — the
-// single-threaded-event-loop discipline as a type, not a comment.
 #pragma once
 
 #include <chrono>
@@ -118,28 +111,6 @@ class CondVar {
 
  private:
   std::condition_variable cv_;
-};
-
-/// A zero-size fictional capability naming a thread role (e.g. "the epoll
-/// event-loop thread"). There is no runtime locking: acquiring a role is
-/// purely an analysis-time claim, checked by clang against GUARDED_BY /
-/// REQUIRES annotations that reference it.
-class CAPABILITY("role") ThreadRole {
- public:
-  ThreadRole() = default;
-  ThreadRole(const ThreadRole&) = delete;
-  ThreadRole& operator=(const ThreadRole&) = delete;
-};
-
-/// Scoped claim of a ThreadRole for the current thread. Zero cost; exists
-/// so the claim has a lexical extent the analysis can track.
-class SCOPED_CAPABILITY RoleGuard {
- public:
-  explicit RoleGuard([[maybe_unused]] ThreadRole& role) ACQUIRE(role) {}
-  ~RoleGuard() RELEASE() {}
-
-  RoleGuard(const RoleGuard&) = delete;
-  RoleGuard& operator=(const RoleGuard&) = delete;
 };
 
 }  // namespace mobitherm::util

@@ -1,26 +1,31 @@
 // Socket front-end tests: byte-identity of responses across stdin / one
-// socket / many concurrent connections, connection-level backpressure that
-// never drops a framed response, the stats op's members, oversized-line
-// / shutdown handling on live sockets, one line-length rule on both
-// fronts wherever TCP splits a line, and the constructor's failure paths
-// releasing every descriptor. The concurrent cases are the TSan targets
-// for the net front end.
+// socket / many concurrent connections, a client that reads nothing or a
+// `wait` stalling only its own connection, the stats op's members,
+// oversized-line / half-close / shutdown handling on live sockets, one
+// line-length rule on both fronts wherever TCP splits a line, stop()
+// ending blocked connections, a refused connection whose thread cannot
+// start, and the constructor's failure paths releasing every descriptor.
+// The concurrent cases are the TSan targets for the net front end.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <poll.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/net_server.h"
@@ -100,17 +105,32 @@ class LineClient {
         buf_.erase(0, nl + 1);
         return line;
       }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return {};
-      }
-      buf_.append(chunk, static_cast<std::size_t>(n));
+      if (!fill()) return {};
     }
   }
 
+  /// Every byte up to the server's EOF.
+  std::string recv_all() {
+    while (fill()) {
+    }
+    return std::exchange(buf_, {});
+  }
+
+  /// Half-close: the server sees EOF, and can still answer.
+  void shutdown_write() { ::shutdown(fd_, SHUT_WR); }
+
  private:
+  bool fill() {
+    char chunk[4096];
+    ssize_t n = 0;
+    do {
+      n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    } while (n < 0 && errno == EINTR);
+    if (n <= 0) return false;
+    buf_.append(chunk, static_cast<std::size_t>(n));
+    return true;
+  }
+
   int fd_ = -1;
   std::string buf_;
 };
@@ -231,38 +251,141 @@ TEST(NetServer, ConcurrentConnectionsMatchSingleConnectionBytes) {
             static_cast<std::uint64_t>(kClients) + 1);
 }
 
-TEST(NetServer, BackpressureParksReadsWithoutDroppingResponses) {
-  SimService service(ScenarioRegistry::standard(), small_config(2));
-  NetServerConfig cfg;
-  cfg.write_buffer_limit = 1024;   // tiny: a few responses trip the stall
-  cfg.send_buffer_bytes = 4096;    // cap kernel-side slack deterministically
-  ServerHarness harness(service, cfg);
-  LineClient client(harness.net.port(), /*rcvbuf=*/4096);
-  ASSERT_TRUE(client.ok());
-
-  // Burst-write far more request bytes than the server may buffer in
-  // responses. `scenarios` responses are hundreds of bytes each, so the
-  // 1 KiB write budget plus the few KiB of capped socket buffers fill
-  // immediately and the loop must park EPOLLIN on this connection; TCP
-  // flow control then holds the rest of the burst in the kernel until the
-  // reader below drains it.
-  constexpr int kRequests = 400;
+// `requests` lines alternating a ~1.4 KB `scenarios` response with a
+// short unknown_job error that names its line's index, so order shows.
+std::string response_burst(int requests) {
   std::string burst;
-  for (int i = 0; i < kRequests; ++i) burst += "{\"op\":\"scenarios\"}\n";
-  std::thread writer([&] { client.send_all(burst); });
+  for (int i = 0; i < requests; ++i) {
+    burst += i % 2 == 0 ? "{\"op\":\"scenarios\"}\n"
+                        : "{\"op\":\"status\",\"job\":" +
+                              std::to_string(i) + "}\n";
+  }
+  return burst;
+}
 
-  int ok_lines = 0;
-  for (int i = 0; i < kRequests; ++i) {
-    const std::string line = client.recv_line();
-    ASSERT_FALSE(line.empty()) << "response " << i << " missing";
-    const json::Value v = json::Value::parse(line);  // framed + parseable
-    if (v.find("ok")->as_bool()) ++ok_lines;
+// Waits until the server has sent nothing for 300 ms: a connection thread
+// is blocked in send. False after 20 s.
+bool wait_for_send_stall(const NetServer& net) {
+  std::uint64_t last = net.counters().bytes_out;
+  for (int i = 0, quiet = 0; i < 2000; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const std::uint64_t sent = net.counters().bytes_out;
+    quiet = sent == last && sent > 0 ? quiet + 1 : 0;
+    if (quiet == 30) return true;
+    last = sent;
+  }
+  return false;
+}
+
+double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+TEST(NetServer, AClientThatReadsNothingStallsOnlyItsOwnConnection) {
+  SimService service(ScenarioRegistry::standard(), small_config(2));
+  ServerHarness harness(service);
+  LineClient slow(harness.net.port(), /*rcvbuf=*/4096);
+  ASSERT_TRUE(slow.ok());
+
+  // ~5.9 MB of responses, more than the socket buffers hold (Linux caps
+  // an autotuned send buffer at 4 MiB by default), to a client that
+  // reads nothing yet: its connection's thread blocks in send, and TCP
+  // flow control holds the rest of the burst in the kernel.
+  constexpr int kRequests = 8000;
+  const std::string burst = response_burst(kRequests);
+  std::thread writer([&] { slow.send_all(burst); });
+  EXPECT_TRUE(wait_for_send_stall(harness.net));
+
+  // A second connection is served in the meantime.
+  LineClient other(harness.net.port());
+  EXPECT_TRUE(other.ok());
+  const auto asked = std::chrono::steady_clock::now();
+  EXPECT_NE(other.request("{\"op\":\"stats\"}").find("\"ok\":true"),
+            std::string::npos);
+  EXPECT_LT(ms_since(asked), 1000.0);
+  EXPECT_LE(harness.net.counters().requests,
+            static_cast<std::uint64_t>(kRequests));  // the burst is not done
+
+  // Then every response arrives intact and in order.
+  const std::string scenarios = slow.recv_line();
+  EXPECT_TRUE(json::Value::parse(scenarios).find("ok")->as_bool());
+  for (int i = 1; i < kRequests; ++i) {
+    const std::string line = slow.recv_line();
+    const std::string want = i % 2 == 0 ? scenarios
+                                        : "unknown job: " +
+                                              std::to_string(i) + "\"";
+    if (line.find(want) == std::string::npos) {
+      ADD_FAILURE() << "response " << i << ": " << line;
+      break;  // still join the writer below
+    }
   }
   writer.join();
-  EXPECT_EQ(ok_lines, kRequests);
-  const NetServer::Counters counters = harness.net.counters();
-  EXPECT_EQ(counters.requests, static_cast<std::uint64_t>(kRequests));
-  EXPECT_GE(counters.backpressure_stalls, 1u);
+  EXPECT_EQ(harness.net.counters().requests,
+            static_cast<std::uint64_t>(kRequests) + 1);
+}
+
+TEST(NetServer, AWaitStallsOnlyItsOwnConnection) {
+  // One worker: the long run below holds it, so A's 5-s wait cannot end
+  // sooner.
+  SimService service(ScenarioRegistry::standard(), small_config(1));
+  ServerHarness harness(service);
+  LineClient a(harness.net.port());
+  LineClient b(harness.net.port());
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+
+  ASSERT_NE(b.request(submit_line(1)).find("\"ok\":true"), std::string::npos);
+  b.request("{\"op\":\"wait\",\"job\":1,\"timeout_s\":600}");
+  const auto cached_submit_ms = [&] {
+    const auto asked = std::chrono::steady_clock::now();
+    const std::string response = b.request(submit_line(1));
+    const double ms = ms_since(asked);
+    EXPECT_NE(response.find("\"cached\":true"), std::string::npos)
+        << response;
+    EXPECT_LT(ms, 1000.0);
+    return ms;
+  };
+  const auto p50 = [](std::vector<double> ms) {
+    std::nth_element(ms.begin(), ms.begin() + ms.size() / 2, ms.end());
+    return ms[ms.size() / 2];
+  };
+  constexpr int kSamples = 15;
+  std::vector<double> unloaded;
+  for (int i = 0; i < kSamples; ++i) unloaded.push_back(cached_submit_ms());
+
+  const json::Value long_run = json::Value::parse(
+      a.request("{\"op\":\"submit\",\"scenario\":\"nexus\","
+                "\"duration_s\":100000,\"seed\":9}"));
+  ASSERT_TRUE(long_run.find("ok")->as_bool());
+  const std::string long_id = std::to_string(
+      static_cast<std::uint64_t>(long_run.find("job")->as_number()));
+  const std::string wait =
+      "{\"op\":\"wait\",\"job\":" + long_id + ",\"timeout_s\":5}\n";
+  const std::uint64_t framed = harness.net.counters().bytes_in + wait.size();
+  const auto waited = std::chrono::steady_clock::now();
+  a.send_all(wait);
+  for (int i = 0; i < 10000 && harness.net.counters().bytes_in < framed;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(harness.net.counters().bytes_in, framed);
+
+  // B is served while A waits.
+  const auto asked = std::chrono::steady_clock::now();
+  EXPECT_NE(b.request("{\"op\":\"stats\"}").find("\"ok\":true"),
+            std::string::npos);
+  EXPECT_LT(ms_since(asked), 1000.0);
+  std::vector<double> loaded;
+  for (int i = 0; i < kSamples; ++i) loaded.push_back(cached_submit_ms());
+  EXPECT_LT(ms_since(waited), 5000.0);  // all of it inside A's wait
+
+  // Cancelling the run ends A's wait early.
+  b.request("{\"op\":\"cancel\",\"job\":" + long_id + "}");
+  EXPECT_NE(a.recv_line().find("\"op\":\"wait\""), std::string::npos);
+  std::printf("cached-submit p50: %.3f ms unloaded, %.3f ms during a wait\n",
+              p50(unloaded), p50(loaded));
 }
 
 TEST(NetServer, OversizedLineGetsStructuredErrorAndConnectionSurvives) {
@@ -328,6 +451,28 @@ TEST(NetServer, LineLengthRuleIsTheSameOnBothFrontsAtEverySplit) {
       EXPECT_EQ(first + "\n" + second + "\n", out.str())
           << input.size() << "-byte input split at " << split;
     }
+  }
+}
+
+TEST(NetServer, AHalfClosedSocketAnswersItsLastLineLikeStdin) {
+  // A last request with no '\n', then EOF: stdin answers it, and so must
+  // a socket whose client shuts down its sending side.
+  for (const std::string input :
+       {"{\"op\":\"stats\"}", "{\"op\":\"stats\"}\r"}) {
+    SimService pipe_service(ScenarioRegistry::standard(), small_config());
+    SimServer pipe_server(pipe_service);
+    std::istringstream in(input);
+    std::ostringstream out;
+    pipe_server.serve(in, out);
+    ASSERT_NE(out.str().find("\"op\":\"stats\""), std::string::npos);
+
+    SimService socket_service(ScenarioRegistry::standard(), small_config());
+    ServerHarness harness(socket_service);
+    LineClient client(harness.net.port());
+    ASSERT_TRUE(client.ok());
+    client.send_all(input);
+    client.shutdown_write();
+    EXPECT_EQ(client.recv_all(), out.str()) << input;
   }
 }
 
@@ -410,6 +555,94 @@ TEST(NetServer, ShutdownOpStopsTheLoopAfterAcknowledging) {
   EXPECT_NE(ack.find("\"ok\":true"), std::string::npos);
   thread.join();  // run() returns once shutdown is handled
   EXPECT_TRUE(server.shutdown_requested());
+}
+
+// Starts `net` serving, calls `connect` to set its connections up, then
+// times stop() until run() has returned.
+template <typename Connect>
+double ms_to_stop(NetServer& net, Connect connect) {
+  std::thread thread([&] { net.run(); });
+  connect();
+  const auto stopping = std::chrono::steady_clock::now();
+  net.stop();
+  thread.join();
+  return ms_since(stopping);
+}
+
+TEST(NetServer, StopReturnsWithinASecondWithAnIdleConnectionOpen) {
+  SimService service(ScenarioRegistry::standard(), small_config());
+  SimServer server(service);
+  NetServer net(server);
+  LineClient idle(net.port());
+  ASSERT_TRUE(idle.ok());
+  EXPECT_LT(ms_to_stop(net,
+                       [&] {
+                         // Served once, so its thread sits in recv.
+                         EXPECT_NE(idle.request("{\"op\":\"stats\"}")
+                                       .find("\"ok\":true"),
+                                   std::string::npos);
+                       }),
+            1000.0);
+  EXPECT_EQ(idle.recv_line(), "");  // closed
+}
+
+TEST(NetServer, StopReturnsWithinASecondWithAConnectionBlockedInSend) {
+  SimService service(ScenarioRegistry::standard(), small_config());
+  SimServer server(service);
+  NetServer net(server);
+  LineClient slow(net.port(), /*rcvbuf=*/4096);
+  ASSERT_TRUE(slow.ok());
+  const std::string burst = response_burst(8000);
+  std::thread writer;
+  EXPECT_LT(ms_to_stop(net,
+                       [&] {
+                         writer = std::thread([&] { slow.send_all(burst); });
+                         EXPECT_TRUE(wait_for_send_stall(net));
+                       }),
+            1000.0);
+  writer.join();  // the server's close ends a blocked send too
+}
+
+// Makes every thread start fail while alive, without creating one: the
+// default stack is set larger than the address space.
+class NoThreadStarts {
+ public:
+  NoThreadStarts() {
+    pthread_getattr_default_np(&saved_);
+    pthread_attr_t huge;
+    pthread_attr_init(&huge);
+    pthread_attr_setstacksize(&huge, std::size_t{1} << 50);
+    ok_ = pthread_setattr_default_np(&huge) == 0;
+    pthread_attr_destroy(&huge);
+  }
+  ~NoThreadStarts() {
+    pthread_setattr_default_np(&saved_);
+    pthread_attr_destroy(&saved_);
+  }
+  bool ok() const { return ok_; }
+
+ private:
+  pthread_attr_t saved_;
+  bool ok_ = false;
+};
+
+TEST(NetServer, AConnectionWhoseThreadCannotStartIsRefused) {
+  SimService service(ScenarioRegistry::standard(), small_config());
+  ServerHarness harness(service);
+  const std::string stats = "{\"op\":\"stats\"}";
+  {
+    const NoThreadStarts no_threads;
+    ASSERT_TRUE(no_threads.ok());
+    LineClient refused(harness.net.port());
+    ASSERT_TRUE(refused.ok());  // the kernel completes the handshake
+    EXPECT_EQ(refused.request(stats), "");  // closed without a response
+  }
+  EXPECT_EQ(harness.net.counters().connections_refused, 1u);
+  EXPECT_EQ(harness.net.counters().connections_accepted, 0u);
+
+  LineClient served(harness.net.port());
+  ASSERT_TRUE(served.ok());
+  EXPECT_NE(served.request(stats).find("\"ok\":true"), std::string::npos);
 }
 
 TEST(NetServer, PortOutsideTheTcpRangeIsAConfigError) {

@@ -6,12 +6,19 @@
 // BatchRunner.
 #include <gtest/gtest.h>
 
+#include <ext/stdio_filebuf.h>
+#include <ext/stdio_sync_filebuf.h>
+#include <poll.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <istream>
 #include <memory>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -939,6 +946,73 @@ TEST(SimServer, ServeFramesStdinLikeTheSocket) {
   EXPECT_NE(lines[0].find("\"code\":\"oversized_line\""), std::string::npos)
       << lines[0];
   EXPECT_NE(lines[1].find("\"op\":\"stats\""), std::string::npos) << lines[1];
+}
+
+// One '\n'-ended line read from `fd`; "" after 5 s without one.
+std::string read_line(int fd) {
+  std::string line;
+  char c = 0;
+  while (true) {
+    pollfd ready{fd, POLLIN, 0};
+    if (::poll(&ready, 1, 5000) != 1 || ::read(fd, &c, 1) != 1) return "";
+    if (c == '\n') return line;
+    line += c;
+  }
+}
+
+TEST(SimServer, ServeAnswersAPipeLineByLine) {
+  // An interactive client writes one request and reads its answer before
+  // it writes the next: serve must answer each line as it arrives, not
+  // wait for a full chunk or for EOF. Over both kinds of std::cin buffer:
+  // unsynced (a filebuf, as mobitherm_serve uses) and synced with stdio.
+  // Then two lines in one write: the first is answered while the second,
+  // a wait on a run that holds the only worker, still blocks.
+  const auto write_all = [](int fd, const std::string& bytes) {
+    EXPECT_EQ(::write(fd, bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+  };
+  for (const bool synced : {false, true}) {
+    SimService service(ScenarioRegistry::standard(), small_config());
+    SimServer server(service);
+    int to_server[2];
+    int from_server[2];
+    ASSERT_EQ(::pipe(to_server), 0);
+    ASSERT_EQ(::pipe(from_server), 0);
+    std::FILE* in_file = ::fdopen(to_server[0], "r");
+    __gnu_cxx::stdio_filebuf<char> file_buf(in_file, std::ios::in);
+    __gnu_cxx::stdio_sync_filebuf<char> sync_buf(in_file);
+    __gnu_cxx::stdio_filebuf<char> out_buf(from_server[1], std::ios::out);
+    std::istream in(synced ? static_cast<std::streambuf*>(&sync_buf)
+                           : &file_buf);
+    std::ostream out(&out_buf);
+    std::thread serving([&] { server.serve(in, out); });
+    for (int i = 0; i < 3; ++i) {
+      write_all(to_server[1], "{\"op\":\"status\",\"job\":" +
+                                  std::to_string(i) + "}\n");
+      const std::string response = read_line(from_server[0]);
+      EXPECT_NE(response.find("unknown job: " + std::to_string(i) + "\""),
+                std::string::npos)
+          << "synced " << synced << ", request " << i << ": " << response;
+    }
+    write_all(to_server[1],
+              "{\"op\":\"submit\",\"scenario\":\"nexus\","
+              "\"duration_s\":100000}\n");
+    EXPECT_NE(read_line(from_server[0]).find("\"job\":1,"),
+              std::string::npos);
+    write_all(to_server[1],
+              "{\"op\":\"stats\"}\n"
+              "{\"op\":\"wait\",\"job\":1,\"timeout_s\":10}\n");
+    EXPECT_NE(read_line(from_server[0]).find("\"op\":\"stats\""),
+              std::string::npos)
+        << "synced " << synced;
+    service.cancel(1);  // ends the wait
+    EXPECT_NE(read_line(from_server[0]).find("\"op\":\"wait\""),
+              std::string::npos);
+    ::close(to_server[1]);  // EOF ends serve
+    serving.join();
+    std::fclose(in_file);
+    ::close(from_server[0]);
+  }
 }
 
 // --- job retirement ----------------------------------------------------------

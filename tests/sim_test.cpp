@@ -2,6 +2,7 @@
 // input boost) and the trace recorder.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -253,6 +254,22 @@ TEST(Engine, DeterministicAcrossRuns) {
                    b->network().max_temperature().value());
   EXPECT_DOUBLE_EQ(a->total_power_w(), b->total_power_w());
   EXPECT_DOUBLE_EQ(a->app(0).total_frames(), b->app(0).total_frames());
+}
+
+TEST(Engine, RunRejectsANegativeOrNonFiniteDuration) {
+  auto engine = make_engine();
+  engine->add_app(workload::threedmark());
+  engine->run(0.5);
+  const double before = engine->now_s();
+  for (const double seconds :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(), -1.0, 1e300}) {
+    EXPECT_THROW(engine->run(seconds), util::ConfigError) << seconds;
+    EXPECT_EQ(engine->now_s(), before) << seconds;
+  }
+  // Nothing carried over: the next call advances exactly as far as asked.
+  engine->run(0.5);
+  EXPECT_NEAR(engine->now_s(), before + 0.5, 1e-9);
 }
 
 TEST(Engine, DaqOnlyWhenEnabled) {

@@ -70,8 +70,6 @@ static_assert(sizeof(util::UniqueLock) ==
               "util::UniqueLock must add no state over std::unique_lock");
 static_assert(sizeof(util::CondVar) == sizeof(std::condition_variable),
               "util::CondVar must add no state over std::condition_variable");
-static_assert(sizeof(util::ThreadRole) == 1 && sizeof(util::RoleGuard) == 1,
-              "roles are fictional capabilities with no runtime state");
 
 TEST(ThreadAnnotationsTest, AnnotatedTypeBehavesNormally) {
   AnnotatedEverything a;
@@ -173,21 +171,6 @@ TEST(SyncTest, CondVarWaitForTimesOut) {
   const auto status = cv.wait_for(lock, std::chrono::milliseconds(1));
   EXPECT_EQ(status, std::cv_status::timeout);
   EXPECT_TRUE(lock.owns_lock());  // reacquired after the timed wait
-}
-
-// ---------------------------------------------------------------------------
-// RoleGuard compiles and scopes like a lock without doing anything
-// ---------------------------------------------------------------------------
-
-TEST(SyncTest, RoleGuardIsZeroCostAndScoped) {
-  util::ThreadRole role;
-  {
-    util::RoleGuard guard(role);
-    (void)guard;
-  }
-  // Re-claimable after release; claims are purely lexical.
-  util::RoleGuard again(role);
-  (void)again;
 }
 
 // ---------------------------------------------------------------------------
